@@ -1,6 +1,6 @@
 """Semantics-gated alignment of unpaired first-/third-person views on synthetic data."""
 
-from .datagen import SyntheticWorld, VideoSample, WorldSpec, generate_world, sample_dataset
+from .datagen import Corpus, SyntheticWorld, VideoSample, WorldSpec, generate_world, sample_dataset
 from .losses import LossConfig, LossOutput
 from .mining import PairBatch, PseudoPair, SimilarityHistogram
 from .model import EncoderStack, MlpParams
@@ -9,6 +9,7 @@ from .pipeline import MetricsRecord, TrainConfig, evaluate_fpv, run_experiment
 __version__ = "0.1.0"
 
 __all__ = [
+    "Corpus",
     "EncoderStack",
     "LossConfig",
     "LossOutput",

@@ -26,7 +26,7 @@ import os
 import sys
 
 from . import gradcheck
-from .datagen import WorldSpec, generate_world, read_dataset, sample_dataset, write_dataset
+from .datagen import WorldSpec, read_dataset, sample_dataset, write_dataset
 from .exceptions import ConfigParseError, ConfigValidationError, SumlError
 from .losses import LossConfig
 from .mining import (
@@ -38,6 +38,7 @@ from .mining import (
 from .model import load_checkpoint
 from .pipeline import (
     TrainConfig,
+    build_world,
     derive_seeds,
     evaluate_fpv,
     run_ablation_grid,
@@ -159,7 +160,7 @@ def _write_effective_config(world, loss, train, target: str) -> None:
 
 def _cmd_synth(args) -> int:
     world_spec, loss, train = parse_config(args.config, args.set)
-    world = generate_world(world_spec)
+    world = build_world(world_spec, train.seed)
     seed = args.sample_seed
     if seed is None:
         seed = derive_seeds(train.seed)[f"{args.view}_train"]

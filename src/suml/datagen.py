@@ -143,9 +143,79 @@ def narration_vector(
     return l2_normalize(base)
 
 
-def sample_dataset(
-    world: SyntheticWorld, view: str, n: int, rng_seed: int
-) -> list[VideoSample]:
+@dataclass(eq=False)
+class Corpus:
+    """One view's clips, stored once as columns.
+
+    ``len``, indexing and iteration yield :class:`VideoSample` views whose
+    ``frames`` and ``narration`` share memory with the columns, so code that
+    walks samples and code that slices arrays see the same data.  Training
+    batches are index slices such as ``frames[idx]``.
+    """
+
+    frames: np.ndarray      # (N, frames_per_clip, feat_dim)
+    labels: np.ndarray      # (N,) action ids
+    verb_ids: np.ndarray    # (N,)
+    noun_ids: np.ndarray    # (N,)
+    narrations: np.ndarray  # (N, text_dim)
+    ids: list
+    view: str | None        # None only for an empty corpus
+
+    @classmethod
+    def from_samples(cls, samples) -> "Corpus":
+        """Stack a sequence of samples into columns (one copy, done once)."""
+        samples = list(samples)
+        if not samples:
+            return cls(
+                frames=np.zeros((0, 0, 0)), labels=np.zeros(0, dtype=int),
+                verb_ids=np.zeros(0, dtype=int), noun_ids=np.zeros(0, dtype=int),
+                narrations=np.zeros((0, 0)), ids=[], view=None,
+            )
+        view = samples[0].view
+        if any(s.view != view for s in samples):
+            raise InvalidViewError("a corpus holds clips of one view only")
+        return cls(
+            frames=np.stack([s.frames for s in samples]),
+            labels=np.asarray([s.action_id for s in samples], dtype=int),
+            verb_ids=np.asarray([s.verb_id for s in samples], dtype=int),
+            noun_ids=np.asarray([s.noun_id for s in samples], dtype=int),
+            narrations=np.stack([s.narration for s in samples]),
+            ids=[s.id for s in samples],
+            view=view,
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i: int) -> VideoSample:
+        return VideoSample(
+            id=self.ids[i],
+            view=self.view,
+            frames=self.frames[i],
+            verb_id=int(self.verb_ids[i]),
+            noun_id=int(self.noun_ids[i]),
+            action_id=int(self.labels[i]),
+            narration=self.narrations[i],
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        try:
+            if len(self) != len(other):
+                return False
+        except TypeError:
+            return NotImplemented
+        return all(a == b for a, b in zip(self, other))
+
+
+def as_corpus(dataset) -> Corpus:
+    """``dataset`` itself if it is a :class:`Corpus`, else its columns."""
+    return dataset if isinstance(dataset, Corpus) else Corpus.from_samples(dataset)
+
+
+def sample_dataset(world: SyntheticWorld, view: str, n: int, rng_seed: int) -> Corpus:
     """Draw ``n`` clips for one view; deterministic per (world, view, n, seed)."""
     if view not in VIEWS:
         raise InvalidViewError(f"view must be one of {VIEWS}, got {view!r}")
@@ -158,7 +228,10 @@ def sample_dataset(
         )
     rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
     render = world.fpv_render if view == "fpv" else world.tpv_render
-    samples: list[VideoSample] = []
+    frames = np.empty((n, spec.frames_per_clip, spec.feat_dim))
+    narrations = np.empty((n, spec.text_dim))
+    verb_ids = np.empty(n, dtype=int)
+    noun_ids = np.empty(n, dtype=int)
     for i in range(n):
         verb = int(rng.integers(spec.n_verbs))
         if view == "fpv":
@@ -167,21 +240,20 @@ def sample_dataset(
             noun = world.tpv_noun_set[int(rng.integers(len(world.tpv_noun_set)))]
         clean = render[:, verb] + render[:, spec.n_verbs + noun]
         frame_noise = rng.standard_normal((spec.frames_per_clip, spec.feat_dim))
-        frames = clean[None, :] + frame_noise * spec.feat_noise_std
+        frames[i] = clean[None, :] + frame_noise * spec.feat_noise_std
         text_noise = rng.standard_normal(spec.text_dim) * spec.text_noise_std
-        narration = narration_vector(world, verb, noun, text_noise)
-        samples.append(
-            VideoSample(
-                id=f"{view}-{i:06d}",
-                view=view,
-                frames=frames,
-                verb_id=verb,
-                noun_id=noun,
-                action_id=verb * spec.n_nouns + noun,
-                narration=narration,
-            )
-        )
-    return samples
+        narrations[i] = narration_vector(world, verb, noun, text_noise)
+        verb_ids[i] = verb
+        noun_ids[i] = noun
+    return Corpus(
+        frames=frames,
+        labels=verb_ids * spec.n_nouns + noun_ids,
+        verb_ids=verb_ids,
+        noun_ids=noun_ids,
+        narrations=narrations,
+        ids=[f"{view}-{i:06d}" for i in range(n)],
+        view=view,
+    )
 
 
 def _sample_to_record(s: VideoSample) -> dict:
@@ -235,7 +307,8 @@ def write_dataset(samples, path) -> None:
         raise DatasetIOError(f"cannot write {path}: {exc}") from exc
 
 
-def read_dataset(path) -> list[VideoSample]:
+def read_dataset(path) -> Corpus:
+    """Load a JSON Lines dataset; every record must match the first one's view and shapes."""
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -249,5 +322,17 @@ def read_dataset(path) -> list[VideoSample]:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DatasetParseError(f"line {lineno}: invalid JSON ({exc})") from exc
-        samples.append(_record_to_sample(rec, lineno))
-    return samples
+        sample = _record_to_sample(rec, lineno)
+        if samples:
+            first = samples[0]
+            for what, got, want in (
+                ("frames shape", sample.frames.shape, first.frames.shape),
+                ("narration shape", sample.narration.shape, first.narration.shape),
+                ("view", sample.view, first.view),
+            ):
+                if got != want:
+                    raise DatasetParseError(
+                        f"line {lineno}: {what} {got!r} differs from the first record's {want!r}"
+                    )
+        samples.append(sample)
+    return Corpus.from_samples(samples)

@@ -1,8 +1,8 @@
 """Cross-view pseudo-pair mining over narration embeddings.
 
 For every FPV clip the single most narration-similar TPV clip is selected
-by exhaustive cosine-similarity scan (ties break to the smallest TPV
-index).  Pairs can then be gated by a similarity threshold, or by keeping
+by exact exhaustive cosine-similarity search (ties break to the smallest
+TPV index).  Pairs can then be gated by a similarity threshold, or by keeping
 a top fraction, and summarized as a bucket histogram.
 """
 
@@ -13,10 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datagen import Corpus
 from .exceptions import BadEdgesError, DimMismatchError, EmptyCorpusError
 from .numerics import ZERO_NORM_EPS
 
 DEFAULT_BUCKET_EDGES = (-1.0, 0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+
+# Similarities per mining block: 64 Ki float64 values, 512 KiB.
+BLOCK_SIMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -43,43 +47,90 @@ class SimilarityHistogram:
     fractions: np.ndarray
 
 
+def _narration_dims(samples) -> list:
+    if isinstance(samples, Corpus):
+        return [samples.narrations.shape[1]]
+    return [s.narration.shape[0] for s in samples]
+
+
+def _narration_matrix(samples) -> np.ndarray:
+    """Narrations as one C-contiguous (N, D) array; a Corpus already holds it."""
+    if isinstance(samples, Corpus):
+        return np.ascontiguousarray(samples.narrations)
+    return np.stack([s.narration for s in samples])
+
+
+def _norms(M: np.ndarray) -> np.ndarray:
+    # Row by row with np.linalg.norm, the exact norm the reported similarity uses;
+    # an axis-wise norm sums in another order and can differ in the last bit.
+    return np.array([float(np.linalg.norm(v)) for v in M])
+
+
 def mine_pseudo_pairs(fpv_samples, tpv_samples) -> list[PseudoPair]:
-    """Exhaustive-scan argmax of narration cosine similarity, one pair per FPV clip."""
+    """Exact argmax of narration cosine similarity, one pair per FPV clip.
+
+    The reported similarity is ``float(np.dot(f, t) / (|f| * |t|))`` and ties
+    break to the smallest TPV index, exactly as a scalar scan over all TPV
+    clips.  Candidates are screened with one matmul per block of FPV rows:
+    within a row, every TPV clip whose matmul similarity lies within
+    ``16 * dim * eps`` of the row maximum is rescanned in index order with the
+    scalar formula.  Matmul and ``np.dot`` differ by at most about
+    ``dim * eps`` per similarity, so the scalar argmax is always a candidate.
+    Blocks hold at most ``BLOCK_SIMS`` similarities (blocked exact search as
+    in Johnson et al., "Billion-scale similarity search with GPUs", 2019).
+    """
     if len(fpv_samples) == 0 or len(tpv_samples) == 0:
         raise EmptyCorpusError("both corpora must be nonempty")
-    dim = fpv_samples[0].narration.shape[0]
-    for s in fpv_samples:
-        if s.narration.shape[0] != dim:
-            raise DimMismatchError("inconsistent FPV narration dims")
-    for s in tpv_samples:
-        if s.narration.shape[0] != dim:
-            raise DimMismatchError(f"narration dims differ: {s.narration.shape[0]} vs {dim}")
-    tpv_vecs = [s.narration for s in tpv_samples]
-    tpv_norms = [float(np.linalg.norm(v)) for v in tpv_vecs]
-    if any(n < ZERO_NORM_EPS for n in tpv_norms):
+    f_dims = _narration_dims(fpv_samples)
+    dim = f_dims[0]
+    if any(d != dim for d in f_dims):
+        raise DimMismatchError("inconsistent FPV narration dims")
+    for d in _narration_dims(tpv_samples):
+        if d != dim:
+            raise DimMismatchError(f"narration dims differ: {d} vs {dim}")
+    F = _narration_matrix(fpv_samples)
+    T = _narration_matrix(tpv_samples)
+    t_norms = _norms(T)
+    if np.any(t_norms < ZERO_NORM_EPS):
         raise DimMismatchError("zero-norm TPV narration")
+    f_norms = _norms(F)
+    if np.any(f_norms < ZERO_NORM_EPS):
+        raise DimMismatchError("zero-norm FPV narration")
+
+    margin = 16 * dim * np.finfo(np.float64).eps
+    rows_per_block = max(1, BLOCK_SIMS // len(T))
     pairs = []
-    for i, fs in enumerate(fpv_samples):
-        fv = fs.narration
-        fn = float(np.linalg.norm(fv))
-        if fn < ZERO_NORM_EPS:
-            raise DimMismatchError("zero-norm FPV narration")
-        best_j = 0
-        best_sim = -math.inf
-        for j, (tv, tn) in enumerate(zip(tpv_vecs, tpv_norms)):
-            sim = float(np.dot(fv, tv) / (fn * tn))
-            if sim > best_sim:
-                best_sim = sim
-                best_j = j
-        pairs.append(PseudoPair(fpv_index=i, tpv_index=best_j, similarity=best_sim))
+    for start in range(0, len(F), rows_per_block):
+        stop = min(start + rows_per_block, len(F))
+        S = F[start:stop] @ T.T
+        S /= f_norms[start:stop, None] * t_norms[None, :]
+        row_max = S.max(axis=1)
+        for r, i in enumerate(range(start, stop)):
+            if np.isfinite(row_max[r]):
+                candidates = np.flatnonzero(S[r] >= row_max[r] - margin)
+            else:  # overflowed narrations: scan the whole row as the scalar rule does
+                candidates = range(len(T))
+            fv, fn = F[i], f_norms[i]
+            best_j = 0
+            best_sim = -math.inf
+            for j in candidates:
+                sim = float(np.dot(fv, T[j]) / (fn * t_norms[j]))
+                if sim > best_sim:
+                    best_sim = sim
+                    best_j = int(j)
+            pairs.append(PseudoPair(fpv_index=i, tpv_index=best_j, similarity=best_sim))
     return pairs
+
+
+def _similarities(pairs) -> np.ndarray:
+    return np.array([p.similarity for p in pairs], dtype=np.float64)
 
 
 def select_pairs(pairs, theta: float) -> PairBatch:
     """Keep pairs whose similarity is >= theta; order preserved."""
     if not -1.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [-1, 1], got {theta}")
-    mask = np.array([p.similarity >= theta for p in pairs], dtype=bool)
+    mask = _similarities(pairs) >= theta
     return PairBatch(pairs=list(pairs), selected=mask)
 
 
@@ -106,14 +157,10 @@ def similarity_histogram(pairs, bucket_edges=DEFAULT_BUCKET_EDGES) -> Similarity
     if edges[0] > -1.0 or edges[-1] < 1.0:
         raise BadEdgesError("edges must cover [-1, 1]")
     n_buckets = len(edges) - 1
-    counts = np.zeros(n_buckets, dtype=np.int64)
-    for p in pairs:
-        s = p.similarity
-        if s == edges[-1]:
-            counts[n_buckets - 1] += 1
-            continue
-        idx = int(np.searchsorted(edges, s, side="right")) - 1
-        counts[idx] += 1
+    # Rounding can put a cosine one ulp outside [-1, 1]: clip it into the
+    # outer bucket.  The top edge itself belongs to the closed top bucket.
+    idx = np.searchsorted(edges, _similarities(pairs), side="right") - 1
+    counts = np.bincount(np.clip(idx, 0, n_buckets - 1), minlength=n_buckets)
     total = int(counts.sum())
     fractions = counts / total if total > 0 else np.zeros(n_buckets)
     return SimilarityHistogram(bucket_edges=edges, counts=counts, fractions=fractions)

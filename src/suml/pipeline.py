@@ -22,8 +22,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import losses
-from .datagen import SyntheticWorld, VideoSample, WorldSpec, generate_world, sample_dataset
-from .exceptions import ConfigError, EmptySetError
+from .datagen import (
+    SyntheticWorld,
+    WorldSpec,
+    as_corpus,
+    generate_world,
+    sample_dataset,
+)
+from .exceptions import ConfigError, DimMismatchError, EmptySetError
 from .losses import LossConfig
 from .mining import mine_pseudo_pairs
 from .model import (
@@ -149,21 +155,17 @@ def derive_seeds(seed: int) -> dict:
     }
 
 
-def _frames_tensor(samples) -> np.ndarray:
-    return np.stack([s.frames for s in samples])
+def build_world(world_spec: WorldSpec, train_seed: int) -> SyntheticWorld:
+    """The world every command acts on: its seed derives from the train seed.
+
+    ``world_spec.seed`` is replaced, so ``train``, ``synth`` and ``eval`` agree
+    on the world for a given ``train.seed``.
+    """
+    return generate_world(replace(world_spec, seed=derive_seeds(train_seed)["world"]))
 
 
-def _labels(samples) -> np.ndarray:
-    return np.asarray([s.action_id for s in samples], dtype=int)
-
-
-def _narrations(samples) -> np.ndarray:
-    return np.stack([s.narration for s in samples])
-
-
-def _predict_logits(stack: EncoderStack, samples) -> np.ndarray:
+def _predict_logits(stack: EncoderStack, clips: np.ndarray) -> np.ndarray:
     """Task-head logits via f, pooling and g only; the projection head is not used."""
-    clips = _frames_tensor(samples)
     n, t, feat = clips.shape
     hidden = mlp_forward(stack.f, clips.reshape(n * t, feat))[-1].reshape(n, t, -1).mean(axis=1)
     return mlp_forward(stack.g, hidden)[-1]
@@ -173,9 +175,14 @@ def evaluate_fpv(fpv_stack: EncoderStack, dataset) -> float:
     """Top-1 action accuracy using the FPV encoder and task head only."""
     if len(dataset) == 0:
         raise EmptySetError("evaluation dataset is empty")
-    logits = _predict_logits(fpv_stack, dataset)
-    pred = np.argmax(logits, axis=1)
-    return float(np.mean(pred == _labels(dataset)))
+    corpus = as_corpus(dataset)
+    feat, want = corpus.frames.shape[2], fpv_stack.f.weights[0].shape[1]
+    if feat != want:
+        raise DimMismatchError(
+            f"dataset feature dim {feat} does not match encoder input {want}"
+        )
+    pred = np.argmax(_predict_logits(fpv_stack, corpus.frames), axis=1)
+    return float(np.mean(pred == corpus.labels))
 
 
 def _chunk(indices, size, min_size):
@@ -197,6 +204,8 @@ def pretrain_tpv(
     world_spec.validate()
     if len(tpv_dataset) == 0:
         raise ConfigError("TPV dataset must be nonempty for stage 1")
+    tpv = as_corpus(tpv_dataset)
+    tpv_test = as_corpus(tpv_test) if tpv_test else None
     seeds = derive_seeds(config.seed)
     proj_dim = config.proj_dim or world_spec.text_dim
     stack = init_stack(
@@ -211,12 +220,11 @@ def pretrain_tpv(
     state = MomentumState.for_stack(stack)
     for epoch in range(config.epochs_stage1):
         lr = cosine_lr(epoch, config.epochs_stage1, config.base_lr)
-        order = rng.permutation(len(tpv_dataset))
+        order = rng.permutation(len(tpv))
         batch_losses = []
         for idx in _chunk(order, config.batch_size, 1):
-            batch = [tpv_dataset[i] for i in idx]
-            _, _, cache = encode_batch(stack, _frames_tensor(batch))
-            ce = losses.cross_entropy(cache.logits, _labels(batch))
+            _, _, cache = encode_batch(stack, tpv.frames[idx])
+            ce = losses.cross_entropy(cache.logits, tpv.labels[idx])
             grads, _ = backward(stack, cache, None, ce.grads["logits"])
             sgd_momentum_step(stack, grads, lr, state, config.momentum)
             batch_losses.append(ce.value)
@@ -299,9 +307,15 @@ def joint_train(
         if config.tpv_mode == "frozen":
             tpv_stack.frozen = True
 
+    fpv = as_corpus(fpv_dataset)
+    tpv = as_corpus(tpv_dataset)
+    fpv_test = as_corpus(fpv_test) if fpv_test else None
+    tpv_test = as_corpus(tpv_test) if tpv_test else None
     # Narrations are fixed inputs, so mining once equals mining every epoch.
-    pairs = mine_pseudo_pairs(fpv_dataset, tpv_dataset)
+    pairs = mine_pseudo_pairs(fpv, tpv)
     sims = np.asarray([p.similarity for p in pairs])
+    pair_fpv = np.asarray([p.fpv_index for p in pairs], dtype=int)
+    pair_tpv = np.asarray([p.tpv_index for p in pairs], dtype=int)
 
     rng = np.random.default_rng(np.random.SeedSequence(seeds["stage2_shuffle"]))
     shared = fpv_stack is tpv_stack
@@ -320,29 +334,28 @@ def joint_train(
         n_pairs_seen = 0
         n_selected = 0
         for idx in _chunk(order, config.batch_size, 2):
-            batch_pairs = [pairs[i] for i in idx]
-            fpv_batch = [fpv_dataset[p.fpv_index] for p in batch_pairs]
-            tpv_batch = [tpv_dataset[p.tpv_index] for p in batch_pairs]
+            fi = pair_fpv[idx]
+            ti = pair_tpv[idx]
             mask = sims[idx] >= lc.theta
             n_pairs_seen += len(idx)
             n_selected += int(mask.sum())
 
-            Zf, _, cache_f = encode_batch(fpv_stack, _frames_tensor(fpv_batch))
-            lf = losses.cross_entropy(cache_f.logits, _labels(fpv_batch))
+            Zf, _, cache_f = encode_batch(fpv_stack, fpv.frames[fi])
+            lf = losses.cross_entropy(cache_f.logits, fpv.labels[fi])
             d_zf = np.zeros_like(Zf)
             d_logits_f = lf.grads["logits"]
 
             lt_v = law_v = lm_v = 0.0
             tpv_touched = terms["use_t"] or terms["align"] is not None or terms["use_m"]
             if tpv_touched:
-                Zt, _, cache_t = encode_batch(tpv_stack, _frames_tensor(tpv_batch))
+                Zt, _, cache_t = encode_batch(tpv_stack, tpv.frames[ti])
                 d_zt = np.zeros_like(Zt)
                 d_logits_t = np.zeros_like(cache_t.logits)
-                Df = _narrations(fpv_batch)
-                Dt = _narrations(tpv_batch)
+                Df = fpv.narrations[fi]
+                Dt = tpv.narrations[ti]
 
             if terms["use_t"]:
-                lt = losses.cross_entropy(cache_t.logits, _labels(tpv_batch))
+                lt = losses.cross_entropy(cache_t.logits, tpv.labels[ti])
                 lt_v = lt.value
                 d_logits_t = lc.w_t * lt.grads["logits"]
 
@@ -417,7 +430,7 @@ def joint_train(
                 loss_m=sums["m"] / nb,
                 loss_total=sums["total"] / nb,
                 selected_pair_fraction=n_selected / n_pairs_seen if n_pairs_seen else 0.0,
-                fpv_train_acc=evaluate_fpv(fpv_stack, fpv_dataset),
+                fpv_train_acc=evaluate_fpv(fpv_stack, fpv),
                 fpv_test_acc=evaluate_fpv(fpv_stack, fpv_test) if fpv_test else 0.0,
                 tpv_test_acc=evaluate_fpv(tpv_stack, tpv_test) if (tpv_test and tpv_stack) else 0.0,
             )
@@ -443,7 +456,7 @@ def run_experiment(
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     seeds = derive_seeds(config.seed)
-    world = generate_world(replace(world_spec, seed=seeds["world"]))
+    world = build_world(world_spec, config.seed)
     fpv_train = sample_dataset(world, "fpv", config.n_fpv_train, seeds["fpv_train"])
     tpv_train = sample_dataset(world, "tpv", config.n_tpv_train, seeds["tpv_train"])
     fpv_test = sample_dataset(world, "fpv", config.n_fpv_test, seeds["fpv_test"])

@@ -6,6 +6,7 @@ import pytest
 
 from suml.cli import main, parse_config
 from suml.exceptions import ConfigParseError, ConfigValidationError
+from suml.pipeline import derive_seeds
 
 SMALL = {
     "world": {"n_verbs": 3, "n_nouns": 4, "text_dim": 16, "feat_dim": 12,
@@ -140,3 +141,51 @@ def test_cli_reports_errors_with_exit_code_one(tmp_path, capsys):
     bad.write_text(json.dumps({"train": {"frobnicate": 1}}))
     assert main(["train", "--config", str(bad), "--out-dir", str(tmp_path / "x")]) == 1
     assert "frobnicate" in capsys.readouterr().err
+
+
+def test_synth_train_eval_round_trip_scores_the_same_world(tmp_path, capsys):
+    test_set = str(tmp_path / "fpv_test.jsonl")
+    run = tmp_path / "run"
+    fpv_test_seed = str(derive_seeds(0)["fpv_test"])
+    assert main(["synth", "--view", "fpv", "--n", "480", "--sample-seed", fpv_test_seed,
+                 "--out", test_set]) == 0
+    assert main(["train", "--out-dir", str(run)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run / "checkpoint_fpv.json"),
+                 "--dataset", test_set]) == 0
+    acc = json.loads(capsys.readouterr().out)["accuracy"]
+    summary = json.loads((run / "summary.json").read_text())
+    assert acc == summary["final_fpv_test_acc"]
+
+
+def _synth(config_file, path, *extra):
+    assert main(["synth", "--config", config_file, "--view", "fpv", "--n", "4",
+                 "--out", path, *extra]) == 0
+
+
+@pytest.mark.parametrize("field", ["frames", "narration"])
+def test_ragged_dataset_is_a_parse_error_naming_the_line(tmp_path, config_file, capsys, field):
+    path = tmp_path / "ragged.jsonl"
+    _synth(config_file, str(path))
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[2])
+    rec[field] = rec[field][:-1]
+    lines[2] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["mine", "--fpv", str(path), "--tpv", str(path),
+                 "--out", str(tmp_path / "pairs.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "line 3" in err and field in err
+    assert not (tmp_path / "pairs.csv").exists()
+
+
+def test_eval_rejects_feature_dim_mismatch(tmp_path, config_file, capsys):
+    run = tmp_path / "run"
+    assert main(["train", "--config", config_file, "--out-dir", str(run)]) == 0
+    data = str(tmp_path / "wide.jsonl")
+    _synth(config_file, data, "--set", "world.feat_dim=10")
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run / "checkpoint_fpv.json"),
+                 "--dataset", data]) == 1
+    assert "feature dim 10" in capsys.readouterr().err

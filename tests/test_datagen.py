@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from suml.datagen import (
+    Corpus,
     WorldSpec,
     generate_world,
     narration_vector,
@@ -99,6 +100,22 @@ def test_sample_dataset_rejects_bad_args():
         sample_dataset(w, "sideways", 4, 0)
     with pytest.raises(InvalidSpecError):
         sample_dataset(w, "fpv", 0, 0)
+
+
+def test_corpus_items_are_views_over_the_columns():
+    w = generate_world(SPEC)
+    corpus = sample_dataset(w, "fpv", 6, 4)
+    assert isinstance(corpus, Corpus)
+    s = corpus[2]
+    assert np.shares_memory(s.frames, corpus.frames)
+    assert np.shares_memory(s.narration, corpus.narrations)
+    assert (s.id, s.action_id) == (corpus.ids[2], corpus.labels[2])
+    assert [x.id for x in corpus] == corpus.ids
+    rebuilt = Corpus.from_samples(list(corpus))
+    assert rebuilt == corpus
+    assert np.array_equal(rebuilt.frames, corpus.frames)
+    assert np.array_equal(rebuilt.labels, corpus.labels)
+    assert len(Corpus.from_samples([])) == 0
 
 
 def test_jsonl_round_trip_bitwise(tmp_path):

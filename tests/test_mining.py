@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from suml import mining
 from suml.datagen import WorldSpec, generate_world, sample_dataset
 from suml.exceptions import BadEdgesError, DimMismatchError, EmptyCorpusError
 from suml.mining import (
@@ -42,6 +47,60 @@ def test_mining_matches_oracle_on_synthetic_corpora():
         got = mine_pseudo_pairs(fpv, tpv)
         want = oracle_mine(fpv, tpv)
         assert [(p.fpv_index, p.tpv_index, p.similarity) for p in got] == want
+
+
+@st.composite
+def tie_prone_corpora(draw):
+    """FPV/TPV narration lists built from a few base rows, so that exact
+    duplicates, scaled copies and one-ulp neighbours compete for the argmax."""
+    dim = draw(st.integers(1, 5))
+    entry = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 3.0])
+    row = st.lists(entry, min_size=dim, max_size=dim).filter(
+        lambda r: any(x != 0.0 for x in r)
+    )
+    bases = draw(st.lists(row, min_size=1, max_size=4))
+
+    def derived(r):
+        kind = draw(st.sampled_from(["copy", "scaled", "nudged", "fresh"]))
+        v = np.asarray(r, dtype=float)
+        if kind == "scaled":
+            v = v * draw(st.sampled_from([2.0, 0.5, 3.0, 1e-3, 1e3]))
+        elif kind == "nudged":
+            k = draw(st.integers(0, dim - 1))
+            v[k] = np.nextafter(v[k], draw(st.sampled_from([-np.inf, np.inf])))
+        elif kind == "fresh":
+            v = np.asarray(draw(st.lists(
+                st.floats(-5, 5, allow_nan=False, allow_subnormal=False),
+                min_size=dim, max_size=dim,
+            ).filter(lambda r: np.linalg.norm(r) > 1e-3)))
+        return FakeSample(v)
+
+    def rows(min_size, max_size):
+        picks = draw(st.lists(st.sampled_from(bases), min_size=min_size, max_size=max_size))
+        return [derived(r) for r in picks]
+
+    return rows(1, 6), rows(1, 10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_prone_corpora(), st.integers(1, 40))
+def test_mining_matches_scalar_oracle_on_tie_prone_corpora(corpora, block_sims):
+    fpv, tpv = corpora
+    with mock.patch.object(mining, "BLOCK_SIMS", block_sims):
+        got = mine_pseudo_pairs(fpv, tpv)
+    assert [(p.fpv_index, p.tpv_index, p.similarity) for p in got] == oracle_mine(fpv, tpv)
+
+
+@pytest.mark.parametrize("block_sims, n_fpv", [(16, 7), (64, 7), (64, 1), (25, 9)])
+def test_mining_is_exact_across_block_boundaries(block_sims, n_fpv):
+    # 25 TPV clips: a 16-similarity block holds a single FPV row, a 64-one two
+    # rows with a partial last block, and a 25-one exactly one full row.
+    world = generate_world(SPEC)
+    fpv = sample_dataset(world, "fpv", n_fpv, 11)
+    tpv = sample_dataset(world, "tpv", 25, 12)
+    with mock.patch.object(mining, "BLOCK_SIMS", block_sims):
+        got = mine_pseudo_pairs(fpv, tpv)
+    assert [(p.fpv_index, p.tpv_index, p.similarity) for p in got] == oracle_mine(fpv, tpv)
 
 
 def test_mining_breaks_ties_to_smallest_index():
@@ -107,6 +166,13 @@ def test_histogram_matches_independent_bucketing(rng):
     # independent pass: numpy histogram with right-closed final bucket
     want, _ = np.histogram(sims, bins=edges)
     assert hist.counts.tolist() == want.tolist()
+
+
+def test_histogram_puts_rounding_overshoot_in_outer_buckets():
+    above = float(np.nextafter(1.0, 2.0))
+    below = float(np.nextafter(-1.0, -2.0))
+    hist = similarity_histogram(_pairs([above, below, 1.0, -1.0]))
+    assert hist.counts.tolist() == [2, 0, 0, 0, 0, 2]
 
 
 def test_histogram_rejects_bad_edges():
