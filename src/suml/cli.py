@@ -22,12 +22,20 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 
 from . import gradcheck
 from .datagen import WorldSpec, read_dataset, sample_dataset, write_dataset
-from .exceptions import ConfigParseError, ConfigValidationError, SumlError
+from .exceptions import (
+    BadEdgesError,
+    ConfigParseError,
+    ConfigValidationError,
+    DatasetIOError,
+    DatasetParseError,
+    SumlError,
+)
 from .losses import LossConfig
 from .mining import (
     DEFAULT_BUCKET_EDGES,
@@ -188,23 +196,43 @@ def _cmd_mine(args) -> int:
 
 def _read_pairs_csv(path):
     pairs = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            pairs.append(
-                PseudoPair(
-                    fpv_index=int(row["fpv_index"]),
-                    tpv_index=int(row["tpv_index"]),
-                    similarity=float(row["similarity"]),
-                )
-            )
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            try:
+                for row in reader:
+                    pairs.append(
+                        PseudoPair(
+                            fpv_index=int(row["fpv_index"]),
+                            tpv_index=int(row["tpv_index"]),
+                            similarity=float(row["similarity"]),
+                        )
+                    )
+            except (KeyError, TypeError, ValueError, csv.Error) as exc:
+                raise DatasetParseError(
+                    f"{path} line {reader.line_num}: need numeric fpv_index, "
+                    f"tpv_index and similarity ({exc!r})"
+                ) from exc
+    except OSError as exc:
+        raise DatasetIOError(f"cannot read pairs {path}: {exc}") from exc
     return pairs
+
+
+def _parse_edges(text: str) -> tuple:
+    try:
+        edges = tuple(float(e) for e in text.split(","))
+    except ValueError:
+        edges = (math.nan,)
+    if any(math.isnan(e) for e in edges):
+        raise BadEdgesError(f"--edges must be comma-separated numbers, got {text!r}")
+    return edges
 
 
 def _cmd_stats(args) -> int:
     pairs = _read_pairs_csv(args.pairs)
     edges = DEFAULT_BUCKET_EDGES
     if args.edges:
-        edges = tuple(float(e) for e in args.edges.split(","))
+        edges = _parse_edges(args.edges)
     hist = similarity_histogram(pairs, edges)
     tmp = f"{args.out}.tmp"
     with open(tmp, "w", newline="") as fh:

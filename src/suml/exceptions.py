@@ -67,3 +67,7 @@ class ConfigParseError(ConfigError):
 
 class ConfigValidationError(ConfigError):
     """Config values violate a declared invariant."""
+
+
+class DivergenceError(SumlError):
+    """A training loss became non-finite; message names the stage, epoch and batch."""

@@ -9,15 +9,17 @@ Seed handling: the experiment seed feeds a SeedSequence whose spawned
 children drive, in fixed order, world generation, FPV/TPV initialization,
 the four dataset draws, and the per-stage shuffles.  Ablation cells with
 equal seeds therefore share worlds and initializations while varying the
-method.
+method, so the grid builds each seed's world, datasets and stage 1 once.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +31,13 @@ from .datagen import (
     generate_world,
     sample_dataset,
 )
-from .exceptions import ConfigError, DimMismatchError, EmptySetError
+from .exceptions import (
+    ConfigError,
+    ConfigValidationError,
+    DimMismatchError,
+    DivergenceError,
+    EmptySetError,
+)
 from .losses import LossConfig
 from .mining import mine_pseudo_pairs
 from .model import (
@@ -147,6 +155,36 @@ class ExperimentResult:
     final_tpv_test_acc: float
 
 
+class _Splits(NamedTuple):
+    """The four datasets of one seed: FPV/TPV train and test."""
+
+    fpv_train: object
+    tpv_train: object
+    fpv_test: object
+    tpv_test: object
+
+
+def _validate_run(config: TrainConfig, world_spec: WorldSpec) -> None:
+    """Check the config, the world and the fields that depend on both."""
+    config.validate()
+    world_spec.validate()
+    if _method_terms(config.method, config.loss)["use_m"] and config.proj_dim not in (
+        None,
+        world_spec.text_dim,
+    ):
+        raise ConfigValidationError(
+            f"method {config.method!r} aligns video with text, so proj_dim must be "
+            f"None or world.text_dim={world_spec.text_dim}, got {config.proj_dim}"
+        )
+
+
+def _check_finite(loss: float, stage: int, epoch: int, batch: int) -> None:
+    if not math.isfinite(loss):
+        raise DivergenceError(
+            f"stage {stage} diverged at epoch {epoch} batch {batch}: loss is {loss}"
+        )
+
+
 def derive_seeds(seed: int) -> dict:
     children = np.random.SeedSequence(seed).spawn(len(_SEED_STREAMS))
     return {
@@ -222,9 +260,10 @@ def pretrain_tpv(
         lr = cosine_lr(epoch, config.epochs_stage1, config.base_lr)
         order = rng.permutation(len(tpv))
         batch_losses = []
-        for idx in _chunk(order, config.batch_size, 1):
+        for b, idx in enumerate(_chunk(order, config.batch_size, 1)):
             _, _, cache = encode_batch(stack, tpv.frames[idx])
             ce = losses.cross_entropy(cache.logits, tpv.labels[idx])
+            _check_finite(ce.value, 1, epoch, b)
             grads, _ = backward(stack, cache, None, ce.grads["logits"])
             sgd_momentum_step(stack, grads, lr, state, config.momentum)
             batch_losses.append(ce.value)
@@ -324,6 +363,10 @@ def joint_train(
         states[id(tpv_stack)] = MomentumState.for_stack(tpv_stack)
 
     terms = _method_terms(config.method, lc)
+    tpv_touched = terms["use_t"] or terms["align"] is not None or terms["use_m"]
+    # A TPV stack that stage 2 cannot change scores the same every epoch.
+    tpv_static = not shared and (tpv_stack.frozen or not tpv_touched)
+    tpv_acc = None
     records: list[MetricsRecord] = []
 
     for epoch in range(config.epochs_stage2):
@@ -333,7 +376,7 @@ def joint_train(
         n_batches = 0
         n_pairs_seen = 0
         n_selected = 0
-        for idx in _chunk(order, config.batch_size, 2):
+        for b, idx in enumerate(_chunk(order, config.batch_size, 2)):
             fi = pair_fpv[idx]
             ti = pair_tpv[idx]
             mask = sims[idx] >= lc.theta
@@ -346,7 +389,6 @@ def joint_train(
             d_logits_f = lf.grads["logits"]
 
             lt_v = law_v = lm_v = 0.0
-            tpv_touched = terms["use_t"] or terms["align"] is not None or terms["use_m"]
             if tpv_touched:
                 Zt, _, cache_t = encode_batch(tpv_stack, tpv.frames[ti])
                 d_zt = np.zeros_like(Zt)
@@ -399,6 +441,7 @@ def joint_train(
                 d_zt += lc.w_m * lm.grads["zt"]
 
             total_v = lf.value + lc.w_t * lt_v + lc.w_aw * law_v + lc.w_m * lm_v
+            _check_finite(total_v, 2, epoch, b)
 
             grads_f, _ = backward(fpv_stack, cache_f, d_zf, d_logits_f)
             if tpv_touched:
@@ -420,6 +463,10 @@ def joint_train(
             n_batches += 1
 
         nb = max(n_batches, 1)
+        if tpv_test is None:
+            tpv_acc = 0.0
+        elif tpv_acc is None or not tpv_static:
+            tpv_acc = evaluate_fpv(tpv_stack, tpv_test)
         records.append(
             MetricsRecord(
                 epoch=epoch,
@@ -432,7 +479,7 @@ def joint_train(
                 selected_pair_fraction=n_selected / n_pairs_seen if n_pairs_seen else 0.0,
                 fpv_train_acc=evaluate_fpv(fpv_stack, fpv),
                 fpv_test_acc=evaluate_fpv(fpv_stack, fpv_test) if fpv_test else 0.0,
-                tpv_test_acc=evaluate_fpv(tpv_stack, tpv_test) if (tpv_test and tpv_stack) else 0.0,
+                tpv_test_acc=tpv_acc,
             )
         )
     return fpv_stack, tpv_stack, records
@@ -447,36 +494,34 @@ def write_metrics_jsonl(records, path) -> None:
     os.replace(tmp, path)
 
 
-def run_experiment(
-    config: TrainConfig, world_spec: WorldSpec, out_dir=None
-) -> ExperimentResult:
-    """Full stage-1 + stage-2 + evaluation run; deterministic per seed."""
-    config.validate()
-    world_spec.validate()
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
+def _sample_splits(config: TrainConfig, world_spec: WorldSpec) -> _Splits:
+    """Build the seed's world and draw its four datasets."""
     seeds = derive_seeds(config.seed)
     world = build_world(world_spec, config.seed)
-    fpv_train = sample_dataset(world, "fpv", config.n_fpv_train, seeds["fpv_train"])
-    tpv_train = sample_dataset(world, "tpv", config.n_tpv_train, seeds["tpv_train"])
-    fpv_test = sample_dataset(world, "fpv", config.n_fpv_test, seeds["fpv_test"])
-    tpv_test = sample_dataset(world, "tpv", config.n_tpv_test, seeds["tpv_test"])
-
-    records: list[MetricsRecord] = []
-    if config.tpv_mode == "same_init":
-        tpv_stack = None  # joint_train copies the fresh FPV initialization
-    else:
-        tpv_stack = pretrain_tpv(config, world_spec, tpv_train, tpv_test, records)
-        if out_dir is not None:
-            save_checkpoint(tpv_stack, os.path.join(out_dir, "checkpoint_stage1_tpv.json"), "stage1_tpv")
-
-    fpv_stack, tpv_stack, stage2_records = joint_train(
-        config, world_spec, fpv_train, tpv_train, tpv_stack, fpv_test, tpv_test
+    return _Splits(
+        fpv_train=sample_dataset(world, "fpv", config.n_fpv_train, seeds["fpv_train"]),
+        tpv_train=sample_dataset(world, "tpv", config.n_tpv_train, seeds["tpv_train"]),
+        fpv_test=sample_dataset(world, "fpv", config.n_fpv_test, seeds["fpv_test"]),
+        tpv_test=sample_dataset(world, "tpv", config.n_tpv_test, seeds["tpv_test"]),
     )
-    records.extend(stage2_records)
 
-    final_fpv = evaluate_fpv(fpv_stack, fpv_test)
-    final_tpv = evaluate_fpv(tpv_stack, tpv_test)
+
+def _stage2_and_finish(
+    config: TrainConfig,
+    world_spec: WorldSpec,
+    splits: _Splits,
+    tpv_stack: EncoderStack | None,
+    records: list,
+    out_dir=None,
+) -> ExperimentResult:
+    """Stage 2 from a stage-1 stack (None under same_init), final scores, artifacts."""
+    fpv_stack, tpv_stack, stage2_records = joint_train(
+        config, world_spec, splits.fpv_train, splits.tpv_train, tpv_stack,
+        splits.fpv_test, splits.tpv_test,
+    )
+    records = records + stage2_records
+    final_fpv = evaluate_fpv(fpv_stack, splits.fpv_test)
+    final_tpv = evaluate_fpv(tpv_stack, splits.tpv_test)
     if out_dir is not None:
         write_metrics_jsonl(records, os.path.join(out_dir, "metrics.jsonl"))
         save_checkpoint(fpv_stack, os.path.join(out_dir, "checkpoint_fpv.json"), "stage2_fpv")
@@ -503,6 +548,52 @@ def run_experiment(
     )
 
 
+def run_experiment(
+    config: TrainConfig, world_spec: WorldSpec, out_dir=None
+) -> ExperimentResult:
+    """Full stage-1 + stage-2 + evaluation run; deterministic per seed."""
+    _validate_run(config, world_spec)
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+    splits = _sample_splits(config, world_spec)
+    records: list[MetricsRecord] = []
+    if config.tpv_mode == "same_init":
+        tpv_stack = None  # joint_train copies the fresh FPV initialization
+    else:
+        tpv_stack = pretrain_tpv(config, world_spec, splits.tpv_train, splits.tpv_test, records)
+        if out_dir is not None:
+            save_checkpoint(tpv_stack, os.path.join(out_dir, "checkpoint_stage1_tpv.json"), "stage1_tpv")
+    return _stage2_and_finish(config, world_spec, splits, tpv_stack, records, out_dir)
+
+
+def _grid_seed(cell_configs: list, world_spec: WorldSpec) -> list:
+    """Final FPV accuracy of each cell of one seed, in ``cell_configs`` order.
+
+    The world, the datasets and stage 1 read only the seed and the fields the
+    cells share, so they are built once per seed.  Each cell starts from its own
+    clone of the stage-1 stack, because stage 2 trains or freezes it in place.
+    """
+    if not cell_configs:
+        return []
+    splits = _sample_splits(cell_configs[0], world_spec)
+    stage1_config = next((c for c in cell_configs if c.tpv_mode != "same_init"), None)
+    stage1_records: list[MetricsRecord] = []
+    if stage1_config is not None:
+        stage1_stack = pretrain_tpv(
+            stage1_config, world_spec, splits.tpv_train, splits.tpv_test, stage1_records
+        )
+    accs = []
+    for cfg in cell_configs:
+        if cfg.tpv_mode == "same_init":
+            tpv_stack, records = None, []
+        else:
+            tpv_stack = clone_stack(stage1_stack)
+            records = [replace(r) for r in stage1_records]
+        result = _stage2_and_finish(cfg, world_spec, splits, tpv_stack, records)
+        accs.append(result.final_fpv_test_acc)
+    return accs
+
+
 def run_ablation_grid(
     base_config: TrainConfig,
     world_spec: WorldSpec,
@@ -511,33 +602,44 @@ def run_ablation_grid(
     seeds,
     out_dir=None,
 ):
-    """One run per {method x tpv_mode x seed}; returns (per-run rows, per-cell rows)."""
+    """One run per {method x tpv_mode x seed}; returns (per-run rows, per-cell rows).
+
+    Every cell's config is checked before any work starts.  Seeds run outermost,
+    so only one seed's data is alive at a time; each cell's accuracy equals
+    ``run_experiment`` on its config, and rows keep method, tpv_mode, seed order.
+    """
+    cell_keys = [(method, tpv_mode) for method in methods for tpv_mode in tpv_modes]
+    configs = [
+        [replace(base_config, method=m, tpv_mode=t, seed=seed) for m, t in cell_keys]
+        for seed in seeds
+    ]
+    for seed_configs in configs:
+        for cfg in seed_configs:
+            _validate_run(cfg, world_spec)
+    by_seed = [_grid_seed(seed_configs, world_spec) for seed_configs in configs]
+
     runs = []
     cells = []
-    for method in methods:
-        for tpv_mode in tpv_modes:
-            accs = []
-            for seed in seeds:
-                cfg = replace(base_config, method=method, tpv_mode=tpv_mode, seed=seed)
-                res = run_experiment(cfg, world_spec)
-                runs.append(
-                    {
-                        "method": method,
-                        "tpv_mode": tpv_mode,
-                        "seed": seed,
-                        "final_fpv_acc": res.final_fpv_test_acc,
-                    }
-                )
-                accs.append(res.final_fpv_test_acc)
-            cells.append(
+    for c, (method, tpv_mode) in enumerate(cell_keys):
+        accs = [seed_accs[c] for seed_accs in by_seed]
+        for seed, acc in zip(seeds, accs):
+            runs.append(
                 {
                     "method": method,
                     "tpv_mode": tpv_mode,
-                    "n_seeds": len(seeds),
-                    "mean_fpv_acc": float(np.mean(accs)),
-                    "std_fpv_acc": float(np.std(accs)),
+                    "seed": seed,
+                    "final_fpv_acc": acc,
                 }
             )
+        cells.append(
+            {
+                "method": method,
+                "tpv_mode": tpv_mode,
+                "n_seeds": len(seeds),
+                "mean_fpv_acc": float(np.mean(accs)),
+                "std_fpv_acc": float(np.std(accs)),
+            }
+        )
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         _write_csv(os.path.join(out_dir, "runs.csv"), runs)

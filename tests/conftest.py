@@ -12,6 +12,19 @@ def _no_ambient_seed_env(monkeypatch):
     monkeypatch.delenv("SUML_SEED", raising=False)
 
 
+def count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` with a wrapper; returns the list it appends to per call."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def unit_rows(rng, n, d):
     M = rng.standard_normal((n, d))
     return M / np.linalg.norm(M, axis=1, keepdims=True)

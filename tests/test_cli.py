@@ -3,7 +3,9 @@ import json
 import os
 
 import pytest
+from conftest import count_calls
 
+from suml import pipeline
 from suml.cli import main, parse_config
 from suml.exceptions import ConfigParseError, ConfigValidationError
 from suml.pipeline import derive_seeds
@@ -189,3 +191,69 @@ def test_eval_rejects_feature_dim_mismatch(tmp_path, config_file, capsys):
     assert main(["eval", "--checkpoint", str(run / "checkpoint_fpv.json"),
                  "--dataset", data]) == 1
     assert "feature dim 10" in capsys.readouterr().err
+
+
+def test_multimodal_proj_dim_mismatch_fails_before_training(tmp_path, config_file, capsys, monkeypatch):
+    stage1 = count_calls(monkeypatch, pipeline, "pretrain_tpv")
+    out_dir = tmp_path / "run"
+    assert main(["train", "--config", config_file, "--set", "train.proj_dim=8",
+                 "--out-dir", str(out_dir)]) == 1
+    assert "proj_dim" in capsys.readouterr().err
+    assert stage1 == []
+    assert not (out_dir / "metrics.jsonl").exists()
+    # the same proj_dim is fine for a method without the multimodal term
+    assert main(["train", "--config", config_file, "--set", "train.proj_dim=8",
+                 "--set", "train.method=sum_l_no_multimodal",
+                 "--out-dir", str(out_dir)]) == 0
+
+
+def test_ablate_checks_every_cell_before_training(tmp_path, config_file, capsys, monkeypatch):
+    stage1 = count_calls(monkeypatch, pipeline, "pretrain_tpv")
+    out_dir = tmp_path / "grid"
+    assert main(["ablate", "--config", config_file, "--methods", "fpv_only,bogus",
+                 "--tpv-modes", "trainable", "--seeds", "0,1",
+                 "--out-dir", str(out_dir)]) == 1
+    assert "bogus" in capsys.readouterr().err
+    assert main(["ablate", "--config", config_file, "--methods", "fpv_only,sum_l",
+                 "--set", "train.proj_dim=8", "--seeds", "0",
+                 "--out-dir", str(out_dir)]) == 1
+    assert "proj_dim" in capsys.readouterr().err
+    assert stage1 == []
+    assert not (out_dir / "runs.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("tpv_mode,stage", [("trainable", 1), ("same_init", 2)])
+def test_diverging_train_fails_without_metrics(tmp_path, capsys, tpv_mode, stage):
+    out_dir = tmp_path / "run"
+    assert main(["train", "--set", "train.base_lr=1e6", "--set", f"train.tpv_mode={tpv_mode}",
+                 "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert f"stage {stage} diverged at epoch" in err and "batch" in err
+    assert not (out_dir / "metrics.jsonl").exists()
+
+
+def test_stats_missing_pairs_file_is_an_io_error(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    assert main(["stats", "--pairs", str(missing), "--out", str(tmp_path / "h.csv")]) == 1
+    assert "missing.csv" in capsys.readouterr().err
+    assert not (tmp_path / "h.csv").exists()
+
+
+@pytest.mark.parametrize("row", ["1,,0.3", "1,2,abc", "1,2"])
+def test_stats_bad_pair_row_is_a_parse_error_naming_the_line(tmp_path, capsys, row):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text(f"fpv_index,tpv_index,similarity\n0,1,0.5\n{row}\n")
+    assert main(["stats", "--pairs", str(pairs), "--out", str(tmp_path / "h.csv")]) == 1
+    assert "line 3" in capsys.readouterr().err
+    assert not (tmp_path / "h.csv").exists()
+
+
+@pytest.mark.parametrize("edges", ["-1,x,1", "-1,nan,1"])
+def test_stats_non_numeric_edges_are_rejected(tmp_path, capsys, edges):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("fpv_index,tpv_index,similarity\n0,1,0.5\n")
+    assert main(["stats", "--pairs", str(pairs), f"--edges={edges}",
+                 "--out", str(tmp_path / "h.csv")]) == 1
+    assert "--edges" in capsys.readouterr().err

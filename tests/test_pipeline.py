@@ -4,7 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import count_calls
+from test_golden import GRID_TRAIN, GRID_WORLD
 
+from suml import pipeline
 from suml.datagen import WorldSpec, generate_world, sample_dataset
 from suml.exceptions import ConfigError, EmptySetError
 from suml.losses import LossConfig
@@ -199,3 +202,62 @@ def test_train_config_validation():
         replace(FAST, momentum=1.0).validate()
     with pytest.raises(ConfigError):
         replace(FAST, base_lr=0.0).validate()
+
+
+def test_grid_cells_equal_independent_runs():
+    seeds = [0, 1]
+    runs, cells = run_ablation_grid(GRID_TRAIN, GRID_WORLD, METHODS, TPV_MODES, seeds)
+    want = [
+        {
+            "method": m,
+            "tpv_mode": t,
+            "seed": s,
+            "final_fpv_acc": run_experiment(
+                replace(GRID_TRAIN, method=m, tpv_mode=t, seed=s), GRID_WORLD
+            ).final_fpv_test_acc,
+        }
+        for m in METHODS
+        for t in TPV_MODES
+        for s in seeds
+    ]
+    assert runs == want
+    assert [(c["method"], c["tpv_mode"]) for c in cells] == [
+        (m, t) for m in METHODS for t in TPV_MODES
+    ]
+
+
+def test_grid_shares_datasets_and_stage1_per_seed(monkeypatch):
+    stage1 = count_calls(monkeypatch, pipeline, "pretrain_tpv")
+    draws = count_calls(monkeypatch, pipeline, "sample_dataset")
+    seeds = [0, 1, 2]
+    run_ablation_grid(GRID_TRAIN, GRID_WORLD, METHODS[:3], TPV_MODES, seeds)
+    assert len(stage1) == len(seeds)
+    assert len(draws) == 4 * len(seeds)
+
+
+def test_same_init_grid_skips_stage1(monkeypatch):
+    stage1 = count_calls(monkeypatch, pipeline, "pretrain_tpv")
+    draws = count_calls(monkeypatch, pipeline, "sample_dataset")
+    run_ablation_grid(GRID_TRAIN, GRID_WORLD, ["fpv_only", "sum_l"], ["same_init"], [0, 1])
+    assert stage1 == []
+    assert len(draws) == 8
+
+
+@pytest.mark.parametrize(
+    "method,tpv_mode,tpv_scores",
+    [
+        ("fpv_only", "trainable", 1),
+        ("sum_l", "frozen", 1),
+        ("sum_l", "trainable", FAST.epochs_stage2),
+        # the FPV loss trains the one shared stack, so its TPV score moves
+        ("fpv_only", "shared_weights", FAST.epochs_stage2),
+    ],
+)
+def test_static_tpv_stack_is_scored_once(monkeypatch, method, tpv_mode, tpv_scores):
+    cfg = replace(FAST, method=method, tpv_mode=tpv_mode)
+    evals = count_calls(monkeypatch, pipeline, "evaluate_fpv")
+    result = run_experiment(cfg, WORLD)
+    # stage 1 scores once per epoch, stage 2 twice per epoch for FPV, and the
+    # final evaluation once per view
+    assert len(evals) == cfg.epochs_stage1 + 2 * cfg.epochs_stage2 + tpv_scores + 2
+    assert result.records[-1].tpv_test_acc == result.final_tpv_test_acc
