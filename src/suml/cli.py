@@ -12,8 +12,9 @@ Config layout (all keys optional; unknown keys are rejected):
 Dotted overrides (``--set loss.theta=0.8``) supersede file values; the
 ``SUML_SEED`` environment variable overrides ``train.seed`` with lower
 precedence than ``--set``.  Every command writes the effective config
-alongside its outputs; outputs are written to temp files and renamed so
-failures never leave partial results.
+alongside its outputs.  Outputs are written to temp files and renamed, and
+``train``/``ablate`` write theirs only after the whole run succeeds, so a
+failure leaves no partial result.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import os
 import sys
 
 from . import gradcheck
+from .atomic import write_atomic
 from .datagen import WorldSpec, read_dataset, sample_dataset, write_dataset
 from .exceptions import (
     BadEdgesError,
@@ -54,13 +56,6 @@ from .pipeline import (
 )
 
 SEED_ENV_VAR = "SUML_SEED"
-
-
-def _atomic_write_text(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _coerce(raw: str, current):
@@ -161,9 +156,8 @@ def effective_config_dict(world: WorldSpec, loss: LossConfig, train: TrainConfig
 
 
 def _write_effective_config(world, loss, train, target: str) -> None:
-    _atomic_write_text(
-        target, json.dumps(effective_config_dict(world, loss, train), indent=2) + "\n"
-    )
+    text = json.dumps(effective_config_dict(world, loss, train), indent=2) + "\n"
+    write_atomic(target, lambda fh: fh.write(text))
 
 
 def _cmd_synth(args) -> int:
@@ -183,13 +177,14 @@ def _cmd_mine(args) -> int:
     fpv = read_dataset(args.fpv)
     tpv = read_dataset(args.tpv)
     pairs = mine_pseudo_pairs(fpv, tpv)
-    tmp = f"{args.out}.tmp"
-    with open(tmp, "w", newline="") as fh:
+
+    def write(fh):
         writer = csv.writer(fh)
         writer.writerow(["fpv_index", "tpv_index", "similarity"])
         for p in pairs:
             writer.writerow([p.fpv_index, p.tpv_index, repr(p.similarity)])
-    os.replace(tmp, args.out)
+
+    write_atomic(args.out, write)
     print(f"wrote {len(pairs)} pairs to {args.out}")
     return 0
 
@@ -234,24 +229,24 @@ def _cmd_stats(args) -> int:
     if args.edges:
         edges = _parse_edges(args.edges)
     hist = similarity_histogram(pairs, edges)
-    tmp = f"{args.out}.tmp"
-    with open(tmp, "w", newline="") as fh:
+
+    def write(fh):
         writer = csv.writer(fh)
         writer.writerow(["bucket_low", "bucket_high", "count", "fraction"])
         for lo, hi, count, frac in zip(
             hist.bucket_edges, hist.bucket_edges[1:], hist.counts, hist.fractions
         ):
             writer.writerow([repr(lo), repr(hi), int(count), repr(float(frac))])
-    os.replace(tmp, args.out)
+
+    write_atomic(args.out, write)
     print(f"wrote histogram ({len(hist.counts)} buckets) to {args.out}")
     return 0
 
 
 def _cmd_train(args) -> int:
     world, loss, train = parse_config(args.config, args.set)
-    os.makedirs(args.out_dir, exist_ok=True)
-    _write_effective_config(world, loss, train, os.path.join(args.out_dir, "effective_config.json"))
     result = run_experiment(train, world, out_dir=args.out_dir)
+    _write_effective_config(world, loss, train, os.path.join(args.out_dir, "effective_config.json"))
     print(
         f"method={train.method} tpv_mode={train.tpv_mode} seed={train.seed} "
         f"final_fpv_test_acc={result.final_fpv_test_acc:.4f} "
@@ -290,9 +285,8 @@ def _cmd_ablate(args) -> int:
     methods = args.methods.split(",")
     tpv_modes = args.tpv_modes.split(",")
     seeds = [int(s) for s in args.seeds.split(",")]
-    os.makedirs(args.out_dir, exist_ok=True)
-    _write_effective_config(world, loss, train, os.path.join(args.out_dir, "effective_config.json"))
     _, cells = run_ablation_grid(train, world, methods, tpv_modes, seeds, out_dir=args.out_dir)
+    _write_effective_config(world, loss, train, os.path.join(args.out_dir, "effective_config.json"))
     for cell in cells:
         print(
             f"{cell['method']:22s} {cell['tpv_mode']:15s} "

@@ -14,11 +14,11 @@ generation is a pure function of (spec, seed).
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import write_atomic
 from .exceptions import (
     DatasetIOError,
     DatasetParseError,
@@ -296,15 +296,9 @@ def _record_to_sample(rec: dict, lineno: int) -> VideoSample:
 
 def write_dataset(samples, path) -> None:
     """Write samples as JSON Lines; floats serialize losslessly (repr round-trip)."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w") as fh:
-            for s in samples:
-                fh.write(json.dumps(_sample_to_record(s)))
-                fh.write("\n")
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise DatasetIOError(f"cannot write {path}: {exc}") from exc
+    write_atomic(path, lambda fh: fh.writelines(
+        json.dumps(_sample_to_record(s)) + "\n" for s in samples
+    ))
 
 
 def read_dataset(path) -> Corpus:

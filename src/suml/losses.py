@@ -10,6 +10,8 @@ The InfoNCE direction is the mean diagonal negative log-softmax of A;
 the decoupled direction drops the diagonal term from the denominator and
 may therefore go negative.  The weighted alignment direction multiplies
 each positive term by a per-pair semantic weight with batch mean one.
+Every decoupled loss here is ``_decoupled`` with its own positives,
+negative pool and weights.
 """
 
 from __future__ import annotations
@@ -88,23 +90,44 @@ def info_nce_symmetric(Zf, Zt, tau: float) -> LossOutput:
     )
 
 
-def _dcl_core(Z1, Z2, tau, weights):
-    """Decoupled direction with per-pair positive weights (ones => plain DCL)."""
-    n = Z1.shape[0]
-    A = (Z1 @ Z2.T) / tau
-    A_off = A.copy()
-    np.fill_diagonal(A_off, -np.inf)
-    lse = logsumexp_rows(A_off)
-    value = float(np.mean(lse - weights * np.diagonal(A)))
-    Q = np.exp(A_off - lse[:, None])  # row-softmax over negatives, zero diagonal
-    G = (Q - np.diag(weights)) / (n * tau)
-    return value, G @ Z2, G.T @ Z1
+def _decoupled(anchors, pool, pos_idx, tau, weights):
+    """Weighted decoupled direction: the one kernel behind every alignment term.
+
+    Anchor row i is positive with ``pool[pos_idx[i]]`` (the diagonal when
+    ``pos_idx`` is None); every other pool row is a negative.  Returns the
+    value and the gradients w.r.t. the anchors and the pool.
+    """
+    n, m = anchors.shape[0], pool.shape[0]
+    A = (anchors @ pool.T) / tau
+    pos_flat = slice(None, None, m + 1) if pos_idx is None else np.arange(n) * m + pos_idx
+    pos = A.flat[pos_flat]
+    A.flat[pos_flat] = -np.inf
+    lse = logsumexp_rows(A)
+    value = float(np.mean(lse - weights * pos))
+    G = np.exp(A - lse[:, None])  # row-softmax over the negatives, zero at positives
+    G /= n * tau
+    G.flat[pos_flat] -= weights / (n * tau)
+    return value, G @ pool, G.T @ anchors
+
+
+def _both_directions(Za, Zb, pool_a, pool_b, pos_idx, tau, weights):
+    """Za rows against pool_b, then Zb rows against pool_a.
+
+    Returns both direction values and the gradients w.r.t. pool_a and pool_b;
+    anchor gradients land on rows ``pos_idx`` of their pool (all rows if None).
+    """
+    v1, ga, g_pool_b = _decoupled(Za, pool_b, pos_idx, tau, weights)
+    v2, gb, g_pool_a = _decoupled(Zb, pool_a, pos_idx, tau, weights)
+    rows = slice(None) if pos_idx is None else pos_idx
+    g_pool_a[rows] += ga
+    g_pool_b[rows] += gb
+    return v1, v2, g_pool_a, g_pool_b
 
 
 def dcl_direction(Z1, Z2, tau: float) -> LossOutput:
     """Decoupled contrastive direction: positive term removed from the denominator."""
     Z1, Z2 = _check_pair_batch(Z1, Z2)
-    value, g1, g2 = _dcl_core(Z1, Z2, tau, np.ones(Z1.shape[0]))
+    value, g1, g2 = _decoupled(Z1, Z2, None, tau, 1.0)
     return LossOutput(value, {"z1": g1, "z2": g2})
 
 
@@ -124,13 +147,15 @@ def semantic_weights(Df, Dt, sigma: float) -> np.ndarray:
     return e / np.mean(e)
 
 
+def _alignment(Zf, Zt, pool_f, pool_t, pos_idx, tau, weights) -> LossOutput:
+    v1, v2, gf, gt = _both_directions(Zf, Zt, pool_f, pool_t, pos_idx, tau, weights)
+    return LossOutput(v1 + v2, {"zf": gf, "zt": gt})
+
+
 def alignment_loss_unweighted(Zf, Zt, tau: float) -> LossOutput:
     """Both decoupled directions on the selected pseudo-pairs."""
     Zf, Zt = _check_pair_batch(Zf, Zt)
-    ones = np.ones(Zf.shape[0])
-    v1, gf1, gt1 = _dcl_core(Zf, Zt, tau, ones)
-    v2, gt2, gf2 = _dcl_core(Zt, Zf, tau, ones)
-    return LossOutput(v1 + v2, {"zf": gf1 + gf2, "zt": gt1 + gt2})
+    return _alignment(Zf, Zt, Zf, Zt, None, tau, 1.0)
 
 
 def weighted_alignment_loss(Zf, Zt, Df, Dt, tau: float, sigma: float) -> LossOutput:
@@ -139,28 +164,7 @@ def weighted_alignment_loss(Zf, Zt, Df, Dt, tau: float, sigma: float) -> LossOut
     w = semantic_weights(Df, Dt, sigma)
     if w.shape[0] != Zf.shape[0]:
         raise ShapeMismatchError("text batch size must match feature batch size")
-    v1, gf1, gt1 = _dcl_core(Zf, Zt, tau, w)
-    v2, gt2, gf2 = _dcl_core(Zt, Zf, tau, w)
-    return LossOutput(v1 + v2, {"zf": gf1 + gf2, "zt": gt1 + gt2})
-
-
-def _pooled_direction(Z_sel, Z_pool, pos_idx, tau, weights):
-    """Weighted decoupled direction whose negatives come from a larger pool.
-
-    Z_sel row i is positive with Z_pool[pos_idx[i]]; negatives are all other
-    pool rows.  Used by the full-batch negative-set mode.
-    """
-    n = Z_sel.shape[0]
-    A = (Z_sel @ Z_pool.T) / tau
-    A_neg = A.copy()
-    A_neg[np.arange(n), pos_idx] = -np.inf
-    lse = logsumexp_rows(A_neg)
-    pos = A[np.arange(n), pos_idx]
-    value = float(np.mean(lse - weights * pos))
-    Q = np.exp(A_neg - lse[:, None])
-    G = Q / (n * tau)
-    G[np.arange(n), pos_idx] -= weights / (n * tau)
-    return value, G @ Z_pool, G.T @ Z_sel
+    return _alignment(Zf, Zt, Zf, Zt, None, tau, w)
 
 
 def weighted_alignment_loss_pooled(
@@ -174,28 +178,21 @@ def weighted_alignment_loss_pooled(
     Pass ``weights`` explicitly (e.g. ones) to bypass the semantic weighting.
     """
     Zf_sel, Zt_sel = _check_pair_batch(Zf_sel, Zt_sel)
+    Zf_pool, Zt_pool = _check_pair_batch(Zf_pool, Zt_pool)
     sel_idx = np.asarray(sel_idx, dtype=int)
+    if sel_idx.shape != Zf_sel.shape[:1] or np.any((sel_idx < 0) | (sel_idx >= len(Zf_pool))):
+        raise ShapeMismatchError("sel_idx needs one pool row index per selected row")
     w = semantic_weights(Df_sel, Dt_sel, sigma) if weights is None else as_f64(weights)
-    v1, gf_sel1, gt_pool1 = _pooled_direction(Zf_sel, Zt_pool, sel_idx, tau, w)
-    v2, gt_sel2, gf_pool2 = _pooled_direction(Zt_sel, Zf_pool, sel_idx, tau, w)
-    gf = gf_pool2
-    gf[sel_idx] += gf_sel1
-    gt = gt_pool1
-    gt[sel_idx] += gt_sel2
-    return LossOutput(v1 + v2, {"zf": gf, "zt": gt})
+    return _alignment(Zf_sel, Zt_sel, Zf_pool, Zt_pool, sel_idx, tau, w)
 
 
 def multimodal_loss(Zf, Df, Zt, Dt, tau: float) -> LossOutput:
     """Video-text alignment over the full batch; text vectors are constants."""
     Zf, Df = _check_pair_batch(Zf, Df)
     Zt, Dt = _check_pair_batch(Zt, Dt)
-    ones_f = np.ones(Zf.shape[0])
-    ones_t = np.ones(Zt.shape[0])
-    v1, gzf1, _ = _dcl_core(Zf, Df, tau, ones_f)
-    v2, _, gzf2 = _dcl_core(Df, Zf, tau, ones_f)
-    v3, gzt1, _ = _dcl_core(Zt, Dt, tau, ones_t)
-    v4, _, gzt2 = _dcl_core(Dt, Zt, tau, ones_t)
-    return LossOutput(v1 + v2 + v3 + v4, {"zf": gzf1 + gzf2, "zt": gzt1 + gzt2})
+    v1, v2, gzf, _ = _both_directions(Zf, Df, Zf, Df, None, tau, 1.0)
+    v3, v4, gzt, _ = _both_directions(Zt, Dt, Zt, Dt, None, tau, 1.0)
+    return LossOutput(v1 + v2 + v3 + v4, {"zf": gzf, "zt": gzt})
 
 
 def cross_entropy(logits, labels) -> LossOutput:
@@ -240,22 +237,15 @@ def triplet_loss(Zf, Zt, margin: float) -> LossOutput:
     return LossOutput(value, {"zf": gf, "zt": gt})
 
 
-def total_loss(lf: LossOutput, lt: LossOutput, law: LossOutput, lm: LossOutput,
-               config: LossConfig) -> LossOutput:
-    """Weighted combination of the four training terms."""
-    value = (
-        lf.value
-        + config.w_t * lt.value
-        + config.w_aw * law.value
-        + config.w_m * lm.value
-    )
+def total_loss(weighted_terms) -> LossOutput:
+    """Weighted sum of (weight, LossOutput) terms: values added in the given
+    order, gradients summed per input name (same name, same shape)."""
+    value = 0.0
     grads = {}
-    for prefix, out, w in (
-        ("f", lf, 1.0),
-        ("t", lt, config.w_t),
-        ("aw", law, config.w_aw),
-        ("m", lm, config.w_m),
-    ):
+    for w, out in weighted_terms:
+        value += w * out.value
         for key, g in out.grads.items():
-            grads[f"{prefix}.{key}"] = w * g
+            if key not in grads:
+                grads[key] = np.zeros_like(g)
+            grads[key] += w * g
     return LossOutput(value, grads)

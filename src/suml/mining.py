@@ -2,8 +2,8 @@
 
 For every FPV clip the single most narration-similar TPV clip is selected
 by exact exhaustive cosine-similarity search (ties break to the smallest
-TPV index).  Pairs can then be gated by a similarity threshold, or by keeping
-a top fraction, and summarized as a bucket histogram.
+TPV index).  Pairs can then be gated by a similarity threshold and
+summarized as a bucket histogram.
 """
 
 from __future__ import annotations
@@ -131,19 +131,6 @@ def select_pairs(pairs, theta: float) -> PairBatch:
     if not -1.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [-1, 1], got {theta}")
     mask = _similarities(pairs) >= theta
-    return PairBatch(pairs=list(pairs), selected=mask)
-
-
-def select_top_fraction(pairs, fraction: float) -> PairBatch:
-    """Alternative gate: keep the ceil(fraction * n) most similar pairs."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must lie in [0, 1], got {fraction}")
-    n = len(pairs)
-    k = int(math.ceil(fraction * n))
-    mask = np.zeros(n, dtype=bool)
-    if k > 0 and n > 0:
-        order = sorted(range(n), key=lambda i: (-pairs[i].similarity, i))
-        mask[order[:k]] = True
     return PairBatch(pairs=list(pairs), selected=mask)
 
 

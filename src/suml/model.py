@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import copy
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import write_atomic
 from .exceptions import (
     DatasetIOError,
     DatasetParseError,
@@ -74,7 +74,6 @@ class ForwardCache:
     f_acts: list          # activations per f layer, flattened over frames
     pooled: np.ndarray    # (N, hidden)
     h_acts: list
-    z_raw: np.ndarray
     norms: np.ndarray
     z: np.ndarray
     g_acts: list
@@ -137,8 +136,12 @@ def mlp_backward(p: MlpParams, acts: list, d_out: np.ndarray):
     return MlpGrads(weights=dW, biases=db), dA
 
 
-def encode_batch(stack: EncoderStack, clips: np.ndarray):
-    """Forward a batch of clips (N, T, feat) -> (Z unit rows, pooled hidden, cache)."""
+def pool_frames(stack: EncoderStack, clips):
+    """Check clips (N, T, feat), run f on every frame and average over frames.
+
+    Returns (clips shape, f activations, pooled hidden (N, hidden)); the shared
+    trunk of training (``encode_batch``) and evaluation.
+    """
     clips = np.asarray(clips, dtype=np.float64)
     if clips.ndim != 3:
         raise ShapeMismatchError(f"clips must be (N, T, feat), got {clips.shape}")
@@ -150,45 +153,30 @@ def encode_batch(stack: EncoderStack, clips: np.ndarray):
             f"clip feature dim {feat} does not match encoder input "
             f"{stack.f.weights[0].shape[1]}"
         )
-    flat = clips.reshape(n * t, feat)
-    f_acts = mlp_forward(stack.f, flat)
-    pooled = f_acts[-1].reshape(n, t, -1).mean(axis=1)
+    f_acts = mlp_forward(stack.f, clips.reshape(n * t, feat))
+    return clips.shape, f_acts, f_acts[-1].reshape(n, t, -1).mean(axis=1)
+
+
+def encode_batch(stack: EncoderStack, clips: np.ndarray):
+    """Forward a batch of clips (N, T, feat) -> (Z unit rows, pooled hidden, cache)."""
+    x_shape, f_acts, pooled = pool_frames(stack, clips)
     h_acts = mlp_forward(stack.h, pooled)
-    z_raw = h_acts[-1]
-    norms = np.linalg.norm(z_raw, axis=1)
+    norms = np.linalg.norm(h_acts[-1], axis=1)
     if np.any(norms < ZERO_NORM_EPS):
         raise ZeroNormError("projection head output collapsed to zero norm")
-    z = z_raw / norms[:, None]
+    z = h_acts[-1] / norms[:, None]
     g_acts = mlp_forward(stack.g, pooled)
     cache = ForwardCache(
-        x_shape=clips.shape,
+        x_shape=x_shape,
         f_acts=f_acts,
         pooled=pooled,
         h_acts=h_acts,
-        z_raw=z_raw,
         norms=norms,
         z=z,
         g_acts=g_acts,
         logits=g_acts[-1],
     )
     return z, pooled, cache
-
-
-def encode(stack: EncoderStack, frames: np.ndarray):
-    """Single-clip forward: frames (T, feat) -> (z, hidden, cache)."""
-    z, pooled, cache = encode_batch(stack, np.asarray(frames, dtype=np.float64)[None])
-    return z[0], pooled[0], cache
-
-
-def classify(stack: EncoderStack, hidden: np.ndarray) -> np.ndarray:
-    """Raw logits from pooled hidden features (no softmax)."""
-    hidden = np.asarray(hidden, dtype=np.float64)
-    single = hidden.ndim == 1
-    H = hidden[None] if single else hidden
-    if H.shape[1] != stack.g.weights[0].shape[1]:
-        raise ShapeMismatchError("hidden dim does not match task head input")
-    out = mlp_forward(stack.g, H)[-1]
-    return out[0] if single else out
 
 
 def backward(stack: EncoderStack, cache: ForwardCache, grad_z, grad_logits):
@@ -216,16 +204,6 @@ def backward(stack: EncoderStack, cache: ForwardCache, grad_z, grad_logits):
     d_frames_out = np.repeat(d_pool / t, t, axis=0)
     f_grads, d_flat = mlp_backward(stack.f, cache.f_acts, d_frames_out)
     return StackGrads(f=f_grads, h=h_grads, g=g_grads), d_flat.reshape(n, t, feat)
-
-
-def zero_grads_like(stack: EncoderStack) -> StackGrads:
-    def zeros(mlp):
-        return MlpGrads(
-            weights=[np.zeros_like(w) for w in mlp.weights],
-            biases=[np.zeros_like(b) for b in mlp.biases],
-        )
-
-    return StackGrads(f=zeros(stack.f), h=zeros(stack.h), g=zeros(stack.g))
 
 
 def add_grads(acc: StackGrads, other: StackGrads) -> None:
@@ -285,11 +263,30 @@ def _mlp_to_json(p: MlpParams) -> dict:
     }
 
 
-def _mlp_from_json(d: dict) -> MlpParams:
-    return MlpParams(
-        weights=[np.asarray(w, dtype=np.float64) for w in d["weights"]],
-        biases=[np.asarray(b, dtype=np.float64) for b in d["biases"]],
-    )
+def _mlp_from_json(doc: dict, name: str, in_dim) -> MlpParams:
+    """Parse layer set ``name``; its shapes must chain, from ``in_dim`` unless None."""
+    layers = doc[name]
+    if not isinstance(layers, dict) or not all(
+        isinstance(layers.get(key), list) for key in ("weights", "biases")
+    ):
+        raise DatasetParseError(f"checkpoint {name!r} needs 'weights' and 'biases' lists")
+    try:
+        p = MlpParams(
+            weights=[np.asarray(w, dtype=np.float64) for w in layers["weights"]],
+            biases=[np.asarray(b, dtype=np.float64) for b in layers["biases"]],
+        )
+    except (TypeError, ValueError) as exc:
+        raise DatasetParseError(f"checkpoint {name!r} has a non-numeric or ragged layer") from exc
+    if not p.weights or len(p.weights) != len(p.biases):
+        raise DatasetParseError(f"checkpoint {name!r} needs layers with one bias per weight")
+    for l, (W, b) in enumerate(zip(p.weights, p.biases)):
+        if W.ndim != 2 or b.shape != W.shape[:1] or in_dim not in (None, W.shape[1]):
+            raise DatasetParseError(
+                f"checkpoint {name!r} layer {l}: weight {W.shape} and bias {b.shape} "
+                f"do not chain from input dim {in_dim}"
+            )
+        in_dim = W.shape[0]
+    return p
 
 
 def save_checkpoint(stack: EncoderStack, path, stage: str) -> None:
@@ -303,13 +300,7 @@ def save_checkpoint(stack: EncoderStack, path, stage: str) -> None:
         "h": _mlp_to_json(stack.h),
         "g": _mlp_to_json(stack.g),
     }
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise DatasetIOError(f"cannot write checkpoint {path}: {exc}") from exc
+    write_atomic(path, lambda fh: json.dump(doc, fh))
 
 
 def load_checkpoint(path):
@@ -320,13 +311,19 @@ def load_checkpoint(path):
         raise DatasetIOError(f"cannot read checkpoint {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DatasetParseError(f"invalid checkpoint JSON: {exc}") from exc
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise DatasetParseError(f"unexpected checkpoint format {doc.get('format')!r}")
-    stack = EncoderStack(
-        f=_mlp_from_json(doc["f"]),
-        h=_mlp_from_json(doc["h"]),
-        g=_mlp_from_json(doc["g"]),
-        view=doc["view"],
-        frozen=bool(doc["frozen"]),
-    )
-    return stack, doc["stage"]
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt != CHECKPOINT_FORMAT:
+        raise DatasetParseError(f"unexpected checkpoint format {fmt!r}")
+    try:
+        f = _mlp_from_json(doc, "f", None)
+        hidden = f.weights[-1].shape[0]
+        stack = EncoderStack(
+            f=f,
+            h=_mlp_from_json(doc, "h", hidden),
+            g=_mlp_from_json(doc, "g", hidden),
+            view=doc["view"],
+            frozen=bool(doc["frozen"]),
+        )
+        return stack, doc["stage"]
+    except KeyError as exc:
+        raise DatasetParseError(f"checkpoint {path} has no key {exc}") from exc

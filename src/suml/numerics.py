@@ -8,11 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import DimMismatchError, EmptyInputError, ZeroNormError
+from .exceptions import EmptyInputError, ZeroNormError
 
 ZERO_NORM_EPS = 1e-12
-IDENTITY_TOL = 1e-12
-GRAD_CHECK_TOL = 1e-5
 
 
 def as_f64(x) -> np.ndarray:
@@ -26,19 +24,6 @@ def l2_normalize(v) -> np.ndarray:
     if n < ZERO_NORM_EPS:
         raise ZeroNormError(f"cannot normalize vector with norm {n!r}")
     return v / n
-
-
-def cosine_similarity(a, b) -> float:
-    """Cosine of the angle between ``a`` and ``b``."""
-    a = as_f64(a)
-    b = as_f64(b)
-    if a.shape != b.shape:
-        raise DimMismatchError(f"dims differ: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na < ZERO_NORM_EPS or nb < ZERO_NORM_EPS:
-        raise ZeroNormError("cosine similarity undefined for zero-norm input")
-    return float(np.dot(a, b) / (na * nb))
 
 
 def logsumexp(xs) -> float:

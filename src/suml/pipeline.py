@@ -24,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import losses
+from .atomic import make_dirs, write_atomic
 from .datagen import (
     SyntheticWorld,
     WorldSpec,
@@ -34,14 +35,14 @@ from .datagen import (
 from .exceptions import (
     ConfigError,
     ConfigValidationError,
-    DimMismatchError,
     DivergenceError,
     EmptySetError,
 )
-from .losses import LossConfig
+from .losses import LossConfig, LossOutput
 from .mining import mine_pseudo_pairs
 from .model import (
     EncoderStack,
+    ForwardCache,
     MomentumState,
     add_grads,
     backward,
@@ -50,18 +51,87 @@ from .model import (
     encode_batch,
     init_stack,
     mlp_forward,
+    pool_frames,
     save_checkpoint,
     sgd_momentum_step,
 )
 
-METHODS = (
-    "fpv_only",
-    "typical_cl",
-    "triplet",
-    "sum_l",
-    "sum_l_no_weighting",
-    "sum_l_no_multimodal",
-)
+
+class _Batch(NamedTuple):
+    """What the stage-2 loss terms read from one batch of pseudo-pairs."""
+
+    f: ForwardCache  # FPV forward pass
+    t: ForwardCache | None  # TPV forward pass; None when no term reads it
+    labels_f: np.ndarray
+    labels_t: np.ndarray
+    df: np.ndarray  # narrations, constants
+    dt: np.ndarray
+    sel: np.ndarray  # batch rows whose pair similarity passes theta
+    lc: LossConfig
+    full_batch: bool  # negative_set_mode: negatives from every pair of the batch
+
+
+def _fpv_task(b: _Batch) -> LossOutput:
+    ce = losses.cross_entropy(b.f.logits, b.labels_f)
+    return LossOutput(ce.value, {"logits_f": ce.grads["logits"]})
+
+
+def _tpv_task(b: _Batch) -> LossOutput:
+    ce = losses.cross_entropy(b.t.logits, b.labels_t)
+    return LossOutput(ce.value, {"logits_t": ce.grads["logits"]})
+
+
+def _all_pairs_dcl(b: _Batch) -> LossOutput:
+    return losses.alignment_loss_unweighted(b.f.z, b.t.z, b.lc.tau)
+
+
+def _triplet(b: _Batch) -> LossOutput:
+    return losses.triplet_loss(b.f.z, b.t.z, b.lc.triplet_margin)
+
+
+def _selected_alignment(weighted: bool):
+    """Alignment on the theta-gated pairs, semantically weighted or not;
+    skipped when fewer than two pairs pass."""
+
+    def term(b: _Batch) -> LossOutput | None:
+        sel, lc = b.sel, b.lc
+        if len(sel) < 2:
+            return None
+        zf, zt, df, dt = b.f.z[sel], b.t.z[sel], b.df[sel], b.dt[sel]
+        if b.full_batch:
+            return losses.weighted_alignment_loss_pooled(
+                zf, zt, df, dt, b.f.z, b.t.z, sel, lc.tau, lc.sigma,
+                weights=None if weighted else np.ones(len(sel)),
+            )
+        if weighted:
+            out = losses.weighted_alignment_loss(zf, zt, df, dt, lc.tau, lc.sigma)
+        else:
+            out = losses.alignment_loss_unweighted(zf, zt, lc.tau)
+        grads = {key: np.zeros_like(b.f.z) for key in out.grads}
+        for key, g in out.grads.items():
+            grads[key][sel] = g
+        return LossOutput(out.value, grads)
+
+    return term
+
+
+def _video_text(b: _Batch) -> LossOutput:
+    return losses.multimodal_loss(b.f.z, b.df, b.t.z, b.dt, b.lc.tau)
+
+
+# Stage-2 terms of each method beyond the FPV task, as (record slot, term).
+# A term in slot s is weighted by LossConfig.w_s.
+_STAGE2_TERMS = {
+    "fpv_only": (),
+    "typical_cl": (("t", _tpv_task), ("aw", _all_pairs_dcl)),
+    "triplet": (("t", _tpv_task), ("aw", _triplet)),
+    "sum_l": (("t", _tpv_task), ("aw", _selected_alignment(True)), ("m", _video_text)),
+    "sum_l_no_weighting": (
+        ("t", _tpv_task), ("aw", _selected_alignment(False)), ("m", _video_text),
+    ),
+    "sum_l_no_multimodal": (("t", _tpv_task), ("aw", _selected_alignment(True))),
+}
+METHODS = tuple(_STAGE2_TERMS)
 TPV_MODES = ("trainable", "frozen", "shared_weights", "same_init")
 NEGATIVE_SET_MODES = ("selected_subset", "full_batch")
 
@@ -168,10 +238,8 @@ def _validate_run(config: TrainConfig, world_spec: WorldSpec) -> None:
     """Check the config, the world and the fields that depend on both."""
     config.validate()
     world_spec.validate()
-    if _method_terms(config.method, config.loss)["use_m"] and config.proj_dim not in (
-        None,
-        world_spec.text_dim,
-    ):
+    slots = [slot for slot, _, _ in _stage2_terms(config.method, config.loss)]
+    if "m" in slots and config.proj_dim not in (None, world_spec.text_dim):
         raise ConfigValidationError(
             f"method {config.method!r} aligns video with text, so proj_dim must be "
             f"None or world.text_dim={world_spec.text_dim}, got {config.proj_dim}"
@@ -202,24 +270,13 @@ def build_world(world_spec: WorldSpec, train_seed: int) -> SyntheticWorld:
     return generate_world(replace(world_spec, seed=derive_seeds(train_seed)["world"]))
 
 
-def _predict_logits(stack: EncoderStack, clips: np.ndarray) -> np.ndarray:
-    """Task-head logits via f, pooling and g only; the projection head is not used."""
-    n, t, feat = clips.shape
-    hidden = mlp_forward(stack.f, clips.reshape(n * t, feat))[-1].reshape(n, t, -1).mean(axis=1)
-    return mlp_forward(stack.g, hidden)[-1]
-
-
 def evaluate_fpv(fpv_stack: EncoderStack, dataset) -> float:
     """Top-1 action accuracy using the FPV encoder and task head only."""
     if len(dataset) == 0:
         raise EmptySetError("evaluation dataset is empty")
     corpus = as_corpus(dataset)
-    feat, want = corpus.frames.shape[2], fpv_stack.f.weights[0].shape[1]
-    if feat != want:
-        raise DimMismatchError(
-            f"dataset feature dim {feat} does not match encoder input {want}"
-        )
-    pred = np.argmax(_predict_logits(fpv_stack, corpus.frames), axis=1)
+    _, _, pooled = pool_frames(fpv_stack, corpus.frames)
+    pred = np.argmax(mlp_forward(fpv_stack.g, pooled)[-1], axis=1)
     return float(np.mean(pred == corpus.labels))
 
 
@@ -287,22 +344,17 @@ def pretrain_tpv(
     return stack
 
 
-def _method_terms(method: str, cfg: LossConfig) -> dict:
-    """Which loss terms are active for a method (zero-weight terms are skipped
-    entirely so the all-weights-zero path is bitwise-identical to fpv_only)."""
-    align = {
-        "fpv_only": None,
-        "typical_cl": "all_dcl",
-        "triplet": "triplet",
-        "sum_l": "selected_weighted",
-        "sum_l_no_weighting": "selected_unweighted",
-        "sum_l_no_multimodal": "selected_weighted",
-    }[method]
-    return {
-        "use_t": method != "fpv_only" and cfg.w_t > 0,
-        "align": align if (align and cfg.w_aw > 0) else None,
-        "use_m": method in ("sum_l", "sum_l_no_weighting") and cfg.w_m > 0,
-    }
+def _stage2_terms(method: str, lc: LossConfig) -> list:
+    """(slot, weight, term) of every stage-2 term in use, the FPV task first.
+
+    Zero-weight terms are dropped, so all-zero weights train exactly like
+    fpv_only.
+    """
+    return [("f", 1.0, _fpv_task)] + [
+        (slot, getattr(lc, f"w_{slot}"), term)
+        for slot, term in _STAGE2_TERMS[method]
+        if getattr(lc, f"w_{slot}") > 0
+    ]
 
 
 def joint_train(
@@ -358,14 +410,14 @@ def joint_train(
 
     rng = np.random.default_rng(np.random.SeedSequence(seeds["stage2_shuffle"]))
     shared = fpv_stack is tpv_stack
-    states = {id(fpv_stack): MomentumState.for_stack(fpv_stack)}
-    if not shared:
-        states[id(tpv_stack)] = MomentumState.for_stack(tpv_stack)
-
-    terms = _method_terms(config.method, lc)
-    tpv_touched = terms["use_t"] or terms["align"] is not None or terms["use_m"]
+    terms = _stage2_terms(config.method, lc)
+    tpv_touched = len(terms) > 1
+    # A frozen stack ignores its gradients, so its backward pass is skipped.
+    tpv_learns = tpv_touched and not tpv_stack.frozen
+    fpv_state = MomentumState.for_stack(fpv_stack)
+    tpv_state = MomentumState.for_stack(tpv_stack) if tpv_learns and not shared else None
     # A TPV stack that stage 2 cannot change scores the same every epoch.
-    tpv_static = not shared and (tpv_stack.frozen or not tpv_touched)
+    tpv_static = not shared and not tpv_learns
     tpv_acc = None
     records: list[MetricsRecord] = []
 
@@ -379,87 +431,34 @@ def joint_train(
         for b, idx in enumerate(_chunk(order, config.batch_size, 2)):
             fi = pair_fpv[idx]
             ti = pair_tpv[idx]
-            mask = sims[idx] >= lc.theta
+            sel = np.flatnonzero(sims[idx] >= lc.theta)
             n_pairs_seen += len(idx)
-            n_selected += int(mask.sum())
+            n_selected += len(sel)
 
-            Zf, _, cache_f = encode_batch(fpv_stack, fpv.frames[fi])
-            lf = losses.cross_entropy(cache_f.logits, fpv.labels[fi])
-            d_zf = np.zeros_like(Zf)
-            d_logits_f = lf.grads["logits"]
+            _, _, cache_f = encode_batch(fpv_stack, fpv.frames[fi])
+            cache_t = encode_batch(tpv_stack, tpv.frames[ti])[2] if tpv_touched else None
+            batch = _Batch(
+                cache_f, cache_t, fpv.labels[fi], tpv.labels[ti],
+                fpv.narrations[fi], tpv.narrations[ti], sel, lc,
+                config.negative_set_mode == "full_batch",
+            )
+            outs = [(slot, w, out) for slot, w, term in terms if (out := term(batch)) is not None]
+            total = losses.total_loss([(w, out) for _, w, out in outs])
+            _check_finite(total.value, 2, epoch, b)
 
-            lt_v = law_v = lm_v = 0.0
-            if tpv_touched:
-                Zt, _, cache_t = encode_batch(tpv_stack, tpv.frames[ti])
-                d_zt = np.zeros_like(Zt)
-                d_logits_t = np.zeros_like(cache_t.logits)
-                Df = fpv.narrations[fi]
-                Dt = tpv.narrations[ti]
-
-            if terms["use_t"]:
-                lt = losses.cross_entropy(cache_t.logits, tpv.labels[ti])
-                lt_v = lt.value
-                d_logits_t = lc.w_t * lt.grads["logits"]
-
-            align = terms["align"]
-            if align == "all_dcl":
-                out = losses.alignment_loss_unweighted(Zf, Zt, lc.tau)
-                law_v = out.value
-                d_zf += lc.w_aw * out.grads["zf"]
-                d_zt += lc.w_aw * out.grads["zt"]
-            elif align == "triplet":
-                out = losses.triplet_loss(Zf, Zt, lc.triplet_margin)
-                law_v = out.value
-                d_zf += lc.w_aw * out.grads["zf"]
-                d_zt += lc.w_aw * out.grads["zt"]
-            elif align in ("selected_weighted", "selected_unweighted") and mask.sum() >= 2:
-                sel = np.flatnonzero(mask)
-                if config.negative_set_mode == "full_batch":
-                    weights = None if align == "selected_weighted" else np.ones(len(sel))
-                    out = losses.weighted_alignment_loss_pooled(
-                        Zf[sel], Zt[sel], Df[sel], Dt[sel], Zf, Zt, sel,
-                        lc.tau, lc.sigma, weights=weights,
-                    )
-                    law_v = out.value
-                    d_zf += lc.w_aw * out.grads["zf"]
-                    d_zt += lc.w_aw * out.grads["zt"]
-                else:
-                    if align == "selected_weighted":
-                        out = losses.weighted_alignment_loss(
-                            Zf[sel], Zt[sel], Df[sel], Dt[sel], lc.tau, lc.sigma
-                        )
-                    else:
-                        out = losses.alignment_loss_unweighted(Zf[sel], Zt[sel], lc.tau)
-                    law_v = out.value
-                    d_zf[sel] += lc.w_aw * out.grads["zf"]
-                    d_zt[sel] += lc.w_aw * out.grads["zt"]
-
-            if terms["use_m"]:
-                lm = losses.multimodal_loss(Zf, Df, Zt, Dt, lc.tau)
-                lm_v = lm.value
-                d_zf += lc.w_m * lm.grads["zf"]
-                d_zt += lc.w_m * lm.grads["zt"]
-
-            total_v = lf.value + lc.w_t * lt_v + lc.w_aw * law_v + lc.w_m * lm_v
-            _check_finite(total_v, 2, epoch, b)
-
-            grads_f, _ = backward(fpv_stack, cache_f, d_zf, d_logits_f)
-            if tpv_touched:
-                grads_t, _ = backward(tpv_stack, cache_t, d_zt, d_logits_t)
-            if shared:
-                if tpv_touched:
+            g = total.grads
+            grads_f, _ = backward(fpv_stack, cache_f, g.get("zf"), g["logits_f"])
+            if tpv_learns:
+                grads_t, _ = backward(tpv_stack, cache_t, g.get("zt"), g.get("logits_t"))
+                if shared:
                     add_grads(grads_f, grads_t)
-                sgd_momentum_step(fpv_stack, grads_f, lr, states[id(fpv_stack)], config.momentum)
-            else:
-                sgd_momentum_step(fpv_stack, grads_f, lr, states[id(fpv_stack)], config.momentum)
-                if tpv_touched:
-                    sgd_momentum_step(tpv_stack, grads_t, lr, states[id(tpv_stack)], config.momentum)
+                else:
+                    sgd_momentum_step(tpv_stack, grads_t, lr, tpv_state, config.momentum)
+            sgd_momentum_step(fpv_stack, grads_f, lr, fpv_state, config.momentum)
 
-            sums["f"] += lf.value
-            sums["t"] += lt_v
-            sums["aw"] += law_v
-            sums["m"] += lm_v
-            sums["total"] += total_v
+            for slot, _, out in outs:
+                sums[slot] += out.value
+            sums["total"] += total.value
             n_batches += 1
 
         nb = max(n_batches, 1)
@@ -486,12 +485,7 @@ def joint_train(
 
 
 def write_metrics_jsonl(records, path) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        for r in records:
-            fh.write(json.dumps(r.to_dict()))
-            fh.write("\n")
-    os.replace(tmp, path)
+    write_atomic(path, lambda fh: fh.writelines(json.dumps(r.to_dict()) + "\n" for r in records))
 
 
 def _sample_splits(config: TrainConfig, world_spec: WorldSpec) -> _Splits:
@@ -512,58 +506,64 @@ def _stage2_and_finish(
     splits: _Splits,
     tpv_stack: EncoderStack | None,
     records: list,
-    out_dir=None,
 ) -> ExperimentResult:
-    """Stage 2 from a stage-1 stack (None under same_init), final scores, artifacts."""
+    """Stage 2 from a stage-1 stack (None under same_init) and the final scores."""
     fpv_stack, tpv_stack, stage2_records = joint_train(
         config, world_spec, splits.fpv_train, splits.tpv_train, tpv_stack,
         splits.fpv_test, splits.tpv_test,
     )
-    records = records + stage2_records
-    final_fpv = evaluate_fpv(fpv_stack, splits.fpv_test)
-    final_tpv = evaluate_fpv(tpv_stack, splits.tpv_test)
-    if out_dir is not None:
-        write_metrics_jsonl(records, os.path.join(out_dir, "metrics.jsonl"))
-        save_checkpoint(fpv_stack, os.path.join(out_dir, "checkpoint_fpv.json"), "stage2_fpv")
-        save_checkpoint(tpv_stack, os.path.join(out_dir, "checkpoint_tpv.json"), "stage2_tpv")
-        summary = {
-            "method": config.method,
-            "tpv_mode": config.tpv_mode,
-            "seed": config.seed,
-            "final_fpv_test_acc": final_fpv,
-            "final_tpv_test_acc": final_tpv,
-        }
-        tmp = os.path.join(out_dir, "summary.json.tmp")
-        with open(tmp, "w") as fh:
-            json.dump(summary, fh, indent=2)
-        os.replace(tmp, os.path.join(out_dir, "summary.json"))
     return ExperimentResult(
         config=config,
         world_spec=world_spec,
-        records=records,
+        records=records + stage2_records,
         fpv_stack=fpv_stack,
         tpv_stack=tpv_stack,
-        final_fpv_test_acc=final_fpv,
-        final_tpv_test_acc=final_tpv,
+        final_fpv_test_acc=evaluate_fpv(fpv_stack, splits.fpv_test),
+        final_tpv_test_acc=evaluate_fpv(tpv_stack, splits.tpv_test),
     )
+
+
+def _write_run(result: ExperimentResult, stage1_stack: EncoderStack | None, out_dir) -> None:
+    """The run's artifacts, written only once the whole run has succeeded."""
+    config = result.config
+    write_metrics_jsonl(result.records, os.path.join(out_dir, "metrics.jsonl"))
+    if stage1_stack is not None:
+        path = os.path.join(out_dir, "checkpoint_stage1_tpv.json")
+        save_checkpoint(stage1_stack, path, "stage1_tpv")
+    save_checkpoint(result.fpv_stack, os.path.join(out_dir, "checkpoint_fpv.json"), "stage2_fpv")
+    save_checkpoint(result.tpv_stack, os.path.join(out_dir, "checkpoint_tpv.json"), "stage2_tpv")
+    summary = {
+        "method": config.method,
+        "tpv_mode": config.tpv_mode,
+        "seed": config.seed,
+        "final_fpv_test_acc": result.final_fpv_test_acc,
+        "final_tpv_test_acc": result.final_tpv_test_acc,
+    }
+    write_atomic(os.path.join(out_dir, "summary.json"), lambda fh: json.dump(summary, fh, indent=2))
 
 
 def run_experiment(
     config: TrainConfig, world_spec: WorldSpec, out_dir=None
 ) -> ExperimentResult:
-    """Full stage-1 + stage-2 + evaluation run; deterministic per seed."""
+    """Full stage-1 + stage-2 + evaluation run; deterministic per seed.
+
+    With ``out_dir``, the artifacts are written after the run succeeds, so a
+    failed run leaves no file behind.
+    """
     _validate_run(config, world_spec)
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
+        make_dirs(out_dir)
     splits = _sample_splits(config, world_spec)
     records: list[MetricsRecord] = []
-    if config.tpv_mode == "same_init":
-        tpv_stack = None  # joint_train copies the fresh FPV initialization
-    else:
+    tpv_stack = stage1_stack = None  # under same_init joint_train copies the FPV init
+    if config.tpv_mode != "same_init":
         tpv_stack = pretrain_tpv(config, world_spec, splits.tpv_train, splits.tpv_test, records)
-        if out_dir is not None:
-            save_checkpoint(tpv_stack, os.path.join(out_dir, "checkpoint_stage1_tpv.json"), "stage1_tpv")
-    return _stage2_and_finish(config, world_spec, splits, tpv_stack, records, out_dir)
+        # stage 2 trains tpv_stack in place; keep the stage-1 weights to save
+        stage1_stack = clone_stack(tpv_stack) if out_dir is not None else None
+    result = _stage2_and_finish(config, world_spec, splits, tpv_stack, records)
+    if out_dir is not None:
+        _write_run(result, stage1_stack, out_dir)
+    return result
 
 
 def _grid_seed(cell_configs: list, world_spec: WorldSpec) -> list:
@@ -616,6 +616,8 @@ def run_ablation_grid(
     for seed_configs in configs:
         for cfg in seed_configs:
             _validate_run(cfg, world_spec)
+    if out_dir is not None:
+        make_dirs(out_dir)
     by_seed = [_grid_seed(seed_configs, world_spec) for seed_configs in configs]
 
     runs = []
@@ -641,7 +643,6 @@ def run_ablation_grid(
             }
         )
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         _write_csv(os.path.join(out_dir, "runs.csv"), runs)
         _write_csv(os.path.join(out_dir, "summary.csv"), cells)
     return runs, cells
@@ -650,9 +651,10 @@ def run_ablation_grid(
 def _write_csv(path, rows) -> None:
     if not rows:
         return
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
+
+    def write(fh):
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
-    os.replace(tmp, path)
+
+    write_atomic(path, write)

@@ -8,6 +8,7 @@ from conftest import count_calls
 from suml import pipeline
 from suml.cli import main, parse_config
 from suml.exceptions import ConfigParseError, ConfigValidationError
+from suml.model import init_stack, save_checkpoint
 from suml.pipeline import derive_seeds
 
 SMALL = {
@@ -257,3 +258,74 @@ def test_stats_non_numeric_edges_are_rejected(tmp_path, capsys, edges):
     assert main(["stats", "--pairs", str(pairs), f"--edges={edges}",
                  "--out", str(tmp_path / "h.csv")]) == 1
     assert "--edges" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # stage 1 succeeds, stage 2 diverges
+        ["train.base_lr=30", "train.epochs_stage1=2"],
+        # rejected by the cross-field check
+        ["train.proj_dim=8"],
+    ],
+)
+def test_failed_train_leaves_no_file(tmp_path, capsys, overrides):
+    out_dir = tmp_path / "run"
+    argv = ["train", "--out-dir", str(out_dir)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+    assert list(out_dir.glob("*")) == []
+
+
+def test_unusable_out_dir_is_an_io_error(tmp_path, config_file, capsys, monkeypatch):
+    stage1 = count_calls(monkeypatch, pipeline, "pretrain_tpv")
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert main(["train", "--config", config_file, "--out-dir", str(afile)]) == 1
+    assert "cannot create output directory" in capsys.readouterr().err
+    assert main(["ablate", "--config", config_file, "--methods", "fpv_only",
+                 "--tpv-modes", "trainable", "--seeds", "0",
+                 "--out-dir", str(afile / "sub")]) == 1
+    assert "cannot create output directory" in capsys.readouterr().err
+    assert stage1 == []
+
+
+def _drop_last_column(layers, key, index):
+    layers[key][index] = [row[:-1] for row in layers[key][index]]
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda doc: doc.pop("g"),
+        lambda doc: doc.pop("view"),
+        lambda doc: doc["h"].pop("biases"),
+        lambda doc: doc["f"].update(weights=3.0),
+        lambda doc: doc["g"].update(biases={"0": [0.0]}),
+        lambda doc: doc["f"].update(weights=[[[1.0, 2.0], [3.0]]]),
+        lambda doc: doc["f"]["biases"][0].pop(),
+        lambda doc: doc["f"]["biases"].pop(),
+        lambda doc: _drop_last_column(doc["f"], "weights", 1),
+        lambda doc: _drop_last_column(doc["h"], "weights", 0),
+        lambda doc: _drop_last_column(doc["g"], "weights", 0),
+    ],
+    ids=["no_g", "no_view", "no_h_biases", "f_weights_not_a_list", "g_biases_not_a_list",
+         "ragged_layer", "short_f_bias", "f_bias_count", "f_layers_do_not_chain",
+         "h_does_not_chain_from_f", "g_does_not_chain_from_f"],
+)
+def test_eval_rejects_malformed_checkpoints(tmp_path, config_file, capsys, damage):
+    ckpt = tmp_path / "ckpt.json"
+    save_checkpoint(init_stack(12, 12, 16, seed=0, hidden_dim=12), str(ckpt), "stage2_fpv")
+    data = str(tmp_path / "fpv.jsonl")
+    _synth(config_file, data)
+    assert main(["eval", "--checkpoint", str(ckpt), "--dataset", data]) == 0
+    doc = json.loads(ckpt.read_text())
+    damage(doc)
+    ckpt.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--dataset", data]) == 1
+    assert "checkpoint" in capsys.readouterr().err

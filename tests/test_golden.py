@@ -46,6 +46,8 @@ DEFAULT_RUN_SHA256 = {
 
 GRID_ROWS_SHA256 = "194bdd04d545c66c44c82b4195a2817588bc31d1602f9d5714fc25749739bbb3"
 
+CELL_RECORDS_SHA256 = "580bef3bc9fe1ae2fe6193d18ae6b1231bdeb41c551f628d0ba263c1e904e226"
+
 
 def default_run_digests(out_dir) -> dict:
     run_experiment(TrainConfig(), WorldSpec(), out_dir=str(out_dir))
@@ -66,6 +68,21 @@ def grid_rows() -> list:
     return rows
 
 
+def cell_records() -> list:
+    """Every per-epoch record of each grid cell at seed 0, one run per cell."""
+    cells = []
+    for mode in NEGATIVE_SET_MODES:
+        for method in METHODS:
+            for tpv_mode in TPV_MODES:
+                cfg = replace(GRID_TRAIN, method=method, tpv_mode=tpv_mode, negative_set_mode=mode)
+                records = run_experiment(cfg, GRID_WORLD).records
+                cells.append({
+                    "method": method, "tpv_mode": tpv_mode, "negative_set_mode": mode,
+                    "records": [r.to_dict() for r in records],
+                })
+    return cells
+
+
 def rows_digest(rows) -> str:
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
@@ -80,6 +97,12 @@ def test_all_modes_grid_matches_pin():
     assert rows_digest(rows) == GRID_ROWS_SHA256
 
 
+def test_all_modes_cell_records_match_pin():
+    cells = cell_records()
+    assert len(cells) == len(METHODS) * len(TPV_MODES) * len(NEGATIVE_SET_MODES)
+    assert rows_digest(cells) == CELL_RECORDS_SHA256
+
+
 if __name__ == "__main__":
     import pathlib
     import tempfile
@@ -88,3 +111,4 @@ if __name__ == "__main__":
         json.dump(default_run_digests(pathlib.Path(tmp)), sys.stdout, indent=4)
     print()
     print(rows_digest(grid_rows()))
+    print(rows_digest(cell_records()))

@@ -158,10 +158,13 @@ def test_total_loss_recombination(rng):
     lt = cross_entropy(rng.standard_normal((n, 3)), np.ones(n, dtype=int))
     law = alignment_loss_unweighted(Z, unit_rows(rng, n, d), cfg.tau)
     lm = multimodal_loss(Z, unit_rows(rng, n, d), Z, unit_rows(rng, n, d), cfg.tau)
-    out = total_loss(lf, lt, law, lm, cfg)
-    want = lf.value + 0.5 * lt.value + 0.25 * law.value + 2.0 * lm.value
-    assert out.value == pytest.approx(want, abs=1e-12)
-    assert np.allclose(out.grads["aw.zf"], 0.25 * law.grads["zf"], atol=1e-15)
+    out = total_loss([(1.0, lf), (cfg.w_t, lt), (cfg.w_aw, law), (cfg.w_m, lm)])
+    # values add in the given order, so the sum is exact
+    assert out.value == lf.value + 0.5 * lt.value + 0.25 * law.value + 2.0 * lm.value
+    want_zf = 0.25 * law.grads["zf"] + 2.0 * lm.grads["zf"]
+    assert np.allclose(out.grads["zf"], want_zf, atol=1e-15)
+    want_logits = lf.grads["logits"] + 0.5 * lt.grads["logits"]
+    assert np.allclose(out.grads["logits"], want_logits, atol=1e-15)
 
 
 # ------------------------------------------------------------- gradients
@@ -242,6 +245,11 @@ def test_shape_and_batch_errors(rng):
         cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
     with pytest.raises(ShapeMismatchError):
         semantic_weights(np.ones((2, 3)), np.ones((3, 3)), 1.0)
+    # pool row indices: one per selected row, inside the pool
+    Z, D = unit_rows(rng, 4, 3), unit_rows(rng, 2, 5)
+    for sel in ([0, 4], [-1, 2], [0]):
+        with pytest.raises(ShapeMismatchError):
+            weighted_alignment_loss_pooled(Z[:2], Z[:2], D, D, Z, Z, sel, 0.5, 1.0)
 
 
 def test_loss_config_validation():

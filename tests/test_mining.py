@@ -13,7 +13,6 @@ from suml.mining import (
     PseudoPair,
     mine_pseudo_pairs,
     select_pairs,
-    select_top_fraction,
     similarity_histogram,
 )
 
@@ -136,17 +135,6 @@ def test_select_pairs_threshold_and_monotonicity():
     assert counts == sorted(counts, reverse=True)
     with pytest.raises(ValueError):
         select_pairs(pairs, 1.5)
-
-
-def test_select_top_fraction():
-    pairs = _pairs([0.3, 0.9, 0.1, 0.9])
-    batch = select_top_fraction(pairs, 0.5)
-    assert batch.n_selected == 2
-    assert batch.selected.tolist() == [False, True, False, True]
-    assert select_top_fraction(pairs, 0.0).n_selected == 0
-    assert select_top_fraction(pairs, 1.0).n_selected == 4
-    # ceil: 0.26 of 4 pairs keeps 2
-    assert select_top_fraction(pairs, 0.26).n_selected == 2
 
 
 def test_histogram_counts_fractions_and_edge_cases():

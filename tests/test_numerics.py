@@ -4,7 +4,6 @@ import pytest
 from suml.exceptions import ZeroNormError
 from suml.numerics import (
     as_f64,
-    cosine_similarity,
     l2_normalize,
     logsumexp,
     logsumexp_rows,
@@ -23,23 +22,6 @@ def test_l2_normalize_unit_norm(rng):
 def test_l2_normalize_zero_vector_raises():
     with pytest.raises(ZeroNormError):
         l2_normalize(np.zeros(5))
-
-
-def test_cosine_similarity_bounds_and_known_values(rng):
-    a = np.array([1.0, 0.0])
-    assert cosine_similarity(a, a) == pytest.approx(1.0)
-    assert cosine_similarity(a, -a) == pytest.approx(-1.0)
-    assert cosine_similarity(a, np.array([0.0, 3.0])) == pytest.approx(0.0)
-    for _ in range(100):
-        x = rng.standard_normal(8)
-        y = rng.standard_normal(8)
-        s = cosine_similarity(x, y)
-        assert -1.0 - 1e-12 <= s <= 1.0 + 1e-12
-
-
-def test_cosine_similarity_zero_norm_raises():
-    with pytest.raises(ZeroNormError):
-        cosine_similarity(np.zeros(3), np.ones(3))
 
 
 def test_logsumexp_matches_naive_in_safe_range(rng):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from dataclasses import replace
 
@@ -261,3 +262,13 @@ def test_static_tpv_stack_is_scored_once(monkeypatch, method, tpv_mode, tpv_scor
     # final evaluation once per view
     assert len(evals) == cfg.epochs_stage1 + 2 * cfg.epochs_stage2 + tpv_scores + 2
     assert result.records[-1].tpv_test_acc == result.final_tpv_test_acc
+
+
+@pytest.mark.parametrize("tpv_mode,tpv_passes", [("trainable", 1), ("frozen", 0)])
+def test_frozen_tpv_stack_skips_its_backward_pass(monkeypatch, tpv_mode, tpv_passes):
+    cfg = replace(FAST, tpv_mode=tpv_mode)
+    passes = count_calls(monkeypatch, pipeline, "backward")
+    run_experiment(cfg, WORLD)
+    stage1_batches = cfg.epochs_stage1 * math.ceil(cfg.n_tpv_train / cfg.batch_size)
+    stage2_batches = cfg.epochs_stage2 * (cfg.n_fpv_train // cfg.batch_size)
+    assert len(passes) == stage1_batches + (1 + tpv_passes) * stage2_batches
