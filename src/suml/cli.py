@@ -1,7 +1,7 @@
 """Command-line entry point: data synthesis, mining stats, training, evaluation,
 gradient checks and ablation grids, driven by a JSON config file.
 
-Config layout (all keys optional; unknown keys are rejected):
+Config layout (all keys optional; unknown keys and wrong-typed values are rejected):
 
     {
       "world": { ... WorldSpec fields ... },
@@ -58,31 +58,45 @@ from .pipeline import (
 SEED_ENV_VAR = "SUML_SEED"
 
 
-def _coerce(raw: str, current):
-    if isinstance(current, bool):
+def _coerce(raw: str, default):
+    """Parse a ``--set`` value by its field's declared type, the default's type."""
+    if isinstance(default, bool):
         if raw.lower() in ("true", "1"):
             return True
         if raw.lower() in ("false", "0"):
             return False
         raise ConfigValidationError(f"cannot parse {raw!r} as bool")
-    if isinstance(current, int) and not isinstance(current, bool):
+    if isinstance(default, int):
         return int(raw)
-    if isinstance(current, float):
+    if isinstance(default, float):
         return float(raw)
-    if current is None:  # optional ints (proj_dim)
+    if default is None:  # optional ints (proj_dim)
         return None if raw.lower() in ("none", "null") else int(raw)
     return raw
 
 
-def _build_section(cls, data: dict, path: str, defaults=None):
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    kwargs = {}
+# The JSON values a field takes, keyed by the type of its default.
+_JSON_TYPES = {
+    bool: ("a bool", (bool,)),
+    int: ("an int", (int,)),
+    float: ("a number", (int, float)),
+    str: ("a string", (str,)),
+    type(None): ("an int or null", (int, type(None))),  # optional ints (proj_dim)
+}
+
+
+def _build_section(cls, data: dict, path: str):
+    fields = {f.name for f in dataclasses.fields(cls)}
+    base = cls()
     for key, value in data.items():
         if key not in fields:
             raise ConfigParseError(f"unknown key {path}.{key}")
-        kwargs[key] = value
-    base = defaults or cls()
-    return dataclasses.replace(base, **kwargs)
+        default = getattr(base, key)
+        name, types = _JSON_TYPES[type(default)]
+        # bool is an int subclass, so it fits only a bool field
+        if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, types):
+            raise ConfigValidationError(f"{path}.{key} must be {name}, got {json.dumps(value)}")
+    return dataclasses.replace(base, **data)
 
 
 def parse_config(path=None, overrides=(), env=None):
@@ -124,9 +138,8 @@ def parse_config(path=None, overrides=(), env=None):
         fields = {f.name: f for f in dataclasses.fields(cls)}
         if key not in fields or key == "loss":
             raise ConfigParseError(f"unknown override key {dotted}")
-        current = data[section].get(key, getattr(cls(), key))
         try:
-            data[section][key] = _coerce(raw, current)
+            data[section][key] = _coerce(raw, getattr(cls(), key))
         except ValueError as exc:
             raise ConfigValidationError(f"bad value for {dotted}: {raw!r}") from exc
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import Corpus
-from .exceptions import BadEdgesError, DimMismatchError, EmptyCorpusError
+from .exceptions import BadEdgesError, DimMismatchError, EmptyCorpusError, ZeroNormError
 from .numerics import ZERO_NORM_EPS
 
 DEFAULT_BUCKET_EDGES = (-1.0, 0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
@@ -92,10 +92,10 @@ def mine_pseudo_pairs(fpv_samples, tpv_samples) -> list[PseudoPair]:
     T = _narration_matrix(tpv_samples)
     t_norms = _norms(T)
     if np.any(t_norms < ZERO_NORM_EPS):
-        raise DimMismatchError("zero-norm TPV narration")
+        raise ZeroNormError("zero-norm TPV narration")
     f_norms = _norms(F)
     if np.any(f_norms < ZERO_NORM_EPS):
-        raise DimMismatchError("zero-norm FPV narration")
+        raise ZeroNormError("zero-norm FPV narration")
 
     margin = 16 * dim * np.finfo(np.float64).eps
     rows_per_block = max(1, BLOCK_SIMS // len(T))

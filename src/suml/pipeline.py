@@ -500,29 +500,6 @@ def _sample_splits(config: TrainConfig, world_spec: WorldSpec) -> _Splits:
     )
 
 
-def _stage2_and_finish(
-    config: TrainConfig,
-    world_spec: WorldSpec,
-    splits: _Splits,
-    tpv_stack: EncoderStack | None,
-    records: list,
-) -> ExperimentResult:
-    """Stage 2 from a stage-1 stack (None under same_init) and the final scores."""
-    fpv_stack, tpv_stack, stage2_records = joint_train(
-        config, world_spec, splits.fpv_train, splits.tpv_train, tpv_stack,
-        splits.fpv_test, splits.tpv_test,
-    )
-    return ExperimentResult(
-        config=config,
-        world_spec=world_spec,
-        records=records + stage2_records,
-        fpv_stack=fpv_stack,
-        tpv_stack=tpv_stack,
-        final_fpv_test_acc=evaluate_fpv(fpv_stack, splits.fpv_test),
-        final_tpv_test_acc=evaluate_fpv(tpv_stack, splits.tpv_test),
-    )
-
-
 def _write_run(result: ExperimentResult, stage1_stack: EncoderStack | None, out_dir) -> None:
     """The run's artifacts, written only once the whole run has succeeded."""
     config = result.config
@@ -560,7 +537,19 @@ def run_experiment(
         tpv_stack = pretrain_tpv(config, world_spec, splits.tpv_train, splits.tpv_test, records)
         # stage 2 trains tpv_stack in place; keep the stage-1 weights to save
         stage1_stack = clone_stack(tpv_stack) if out_dir is not None else None
-    result = _stage2_and_finish(config, world_spec, splits, tpv_stack, records)
+    fpv_stack, tpv_stack, stage2_records = joint_train(
+        config, world_spec, splits.fpv_train, splits.tpv_train, tpv_stack,
+        splits.fpv_test, splits.tpv_test,
+    )
+    result = ExperimentResult(
+        config=config,
+        world_spec=world_spec,
+        records=records + stage2_records,
+        fpv_stack=fpv_stack,
+        tpv_stack=tpv_stack,
+        final_fpv_test_acc=evaluate_fpv(fpv_stack, splits.fpv_test),
+        final_tpv_test_acc=evaluate_fpv(tpv_stack, splits.tpv_test),
+    )
     if out_dir is not None:
         _write_run(result, stage1_stack, out_dir)
     return result
@@ -572,25 +561,22 @@ def _grid_seed(cell_configs: list, world_spec: WorldSpec) -> list:
     The world, the datasets and stage 1 read only the seed and the fields the
     cells share, so they are built once per seed.  Each cell starts from its own
     clone of the stage-1 stack, because stage 2 trains or freezes it in place.
+    A cell reports only its final FPV test accuracy, so no epoch is scored on
+    the test sets; evaluation reads the stacks only, so accuracies are exact.
     """
     if not cell_configs:
         return []
     splits = _sample_splits(cell_configs[0], world_spec)
     stage1_config = next((c for c in cell_configs if c.tpv_mode != "same_init"), None)
-    stage1_records: list[MetricsRecord] = []
     if stage1_config is not None:
-        stage1_stack = pretrain_tpv(
-            stage1_config, world_spec, splits.tpv_train, splits.tpv_test, stage1_records
-        )
+        stage1_stack = pretrain_tpv(stage1_config, world_spec, splits.tpv_train)
     accs = []
     for cfg in cell_configs:
-        if cfg.tpv_mode == "same_init":
-            tpv_stack, records = None, []
-        else:
-            tpv_stack = clone_stack(stage1_stack)
-            records = [replace(r) for r in stage1_records]
-        result = _stage2_and_finish(cfg, world_spec, splits, tpv_stack, records)
-        accs.append(result.final_fpv_test_acc)
+        tpv_stack = None if cfg.tpv_mode == "same_init" else clone_stack(stage1_stack)
+        fpv_stack, _, _ = joint_train(
+            cfg, world_spec, splits.fpv_train, splits.tpv_train, tpv_stack
+        )
+        accs.append(evaluate_fpv(fpv_stack, splits.fpv_test))
     return accs
 
 

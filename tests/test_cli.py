@@ -1,15 +1,20 @@
 import csv
+import dataclasses
 import json
 import os
 
 import pytest
 from conftest import count_calls
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from suml import pipeline
 from suml.cli import main, parse_config
+from suml.datagen import WorldSpec
 from suml.exceptions import ConfigParseError, ConfigValidationError
 from suml.model import init_stack, save_checkpoint
-from suml.pipeline import derive_seeds
+from suml.losses import LossConfig
+from suml.pipeline import TrainConfig, derive_seeds
 
 SMALL = {
     "world": {"n_verbs": 3, "n_nouns": 4, "text_dim": 16, "feat_dim": 12,
@@ -70,6 +75,72 @@ def test_parse_config_rejects_invalid_values(tmp_path):
     bad.write_text(json.dumps({"loss": {"tau": -1.0}}))
     with pytest.raises(ConfigValidationError):
         parse_config(str(bad), env={})
+
+
+# Every config field as (section, key, default); train.loss lives in its own section.
+CONFIG_FIELDS = [
+    (section, f.name, getattr(cls(), f.name))
+    for section, cls in (("world", WorldSpec), ("loss", LossConfig), ("train", TrainConfig))
+    for f in dataclasses.fields(cls)
+    if f.name != "loss"
+]
+
+
+def _fits(default, value) -> bool:
+    """Whether a JSON value has the type a field declares through its default."""
+    if isinstance(default, bool) or isinstance(value, bool):
+        return isinstance(default, bool) and isinstance(value, bool)
+    if default is None:  # optional int
+        return value is None or isinstance(value, int)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    field=st.sampled_from(CONFIG_FIELDS),
+    value=st.one_of(st.booleans(), st.integers(), st.floats(), st.text(), st.none()),
+)
+def test_wrong_typed_config_value_is_a_validation_error(tmp_path, field, value):
+    section, key, default = field
+    assume(not _fits(default, value))
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps({section: {key: value}}))
+    with pytest.raises(ConfigValidationError, match=f"{section}.{key} must be"):
+        parse_config(str(path), env={})
+
+
+@pytest.mark.parametrize(
+    "section,key,value",
+    [("train", "epochs_stage1", "3"), ("train", "seed", "0"), ("train", "batch_size", True),
+     ("train", "proj_dim", 16.0), ("loss", "theta", "0.7"), ("world", "n_verbs", None)],
+)
+def test_train_rejects_wrong_typed_config_without_traceback(
+    tmp_path, capsys, monkeypatch, section, key, value
+):
+    stage1 = count_calls(monkeypatch, pipeline, "pretrain_tpv")
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps({section: {key: value}}))
+    out_dir = tmp_path / "run"
+    assert main(["train", "--config", str(path), "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {section}.{key} must be" in err
+    assert "Traceback" not in err
+    assert stage1 == [] and not out_dir.exists()
+
+
+def test_set_parses_by_the_declared_type(tmp_path):
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps({"train": {"proj_dim": 16, "base_lr": 1}}))
+    _, _, train = parse_config(str(path), env={})
+    assert (train.proj_dim, train.base_lr) == (16, 1)
+    _, _, train = parse_config(
+        str(path), overrides=["train.proj_dim=none", "train.base_lr=0.1"], env={}
+    )
+    assert train.proj_dim is None
+    assert train.base_lr == 0.1 and isinstance(train.base_lr, float)
 
 
 def test_parse_config_rejects_bad_env_seed():
@@ -180,6 +251,21 @@ def test_ragged_dataset_is_a_parse_error_naming_the_line(tmp_path, config_file, 
                  "--out", str(tmp_path / "pairs.csv")]) == 1
     err = capsys.readouterr().err
     assert "line 3" in err and field in err
+    assert not (tmp_path / "pairs.csv").exists()
+
+
+def test_mine_rejects_zero_norm_narration(tmp_path, config_file, capsys):
+    path = tmp_path / "fpv.jsonl"
+    _synth(config_file, str(path))
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["narration"] = [0.0] * len(rec["narration"])
+    lines[1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["mine", "--fpv", str(path), "--tpv", str(path),
+                 "--out", str(tmp_path / "pairs.csv")]) == 1
+    assert "zero-norm TPV narration" in capsys.readouterr().err
     assert not (tmp_path / "pairs.csv").exists()
 
 

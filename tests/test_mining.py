@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from suml import mining
 from suml.datagen import WorldSpec, generate_world, sample_dataset
-from suml.exceptions import BadEdgesError, DimMismatchError, EmptyCorpusError
+from suml.exceptions import BadEdgesError, DimMismatchError, EmptyCorpusError, ZeroNormError
 from suml.mining import (
     DEFAULT_BUCKET_EDGES,
     PseudoPair,
@@ -118,8 +118,14 @@ def test_mining_rejects_empty_or_mismatched():
         mine_pseudo_pairs(f, [])
     with pytest.raises(DimMismatchError):
         mine_pseudo_pairs(f, [FakeSample([1.0, 0.0, 0.0])])
-    with pytest.raises(DimMismatchError):
-        mine_pseudo_pairs(f, [FakeSample([0.0, 0.0])])
+
+
+@pytest.mark.parametrize("view", ["FPV", "TPV"])
+def test_mining_rejects_zero_norm_narrations(view):
+    unit, zero = [FakeSample([1.0, 0.0])], [FakeSample([1.0, 1.0]), FakeSample([0.0, 0.0])]
+    fpv, tpv = (zero, unit) if view == "FPV" else (unit, zero)
+    with pytest.raises(ZeroNormError, match=f"zero-norm {view} narration"):
+        mine_pseudo_pairs(fpv, tpv)
 
 
 def _pairs(sims):

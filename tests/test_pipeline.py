@@ -244,6 +244,16 @@ def test_same_init_grid_skips_stage1(monkeypatch):
     assert len(draws) == 8
 
 
+def test_grid_scores_only_what_it_reports(monkeypatch):
+    evals = count_calls(monkeypatch, pipeline, "evaluate_fpv")
+    methods, seeds = ["fpv_only", "sum_l"], [0, 1]
+    run_ablation_grid(GRID_TRAIN, GRID_WORLD, methods, TPV_MODES, seeds)
+    # fpv_train once per stage-2 epoch and the final FPV test score, per cell;
+    # no stage-1 epoch and no test set is scored along the way
+    cells = len(methods) * len(TPV_MODES) * len(seeds)
+    assert len(evals) == cells * (GRID_TRAIN.epochs_stage2 + 1)
+
+
 @pytest.mark.parametrize(
     "method,tpv_mode,tpv_scores",
     [
