@@ -1,7 +1,7 @@
 """Command-line entry point: data synthesis, mining stats, training, evaluation,
 gradient checks and ablation grids, driven by a JSON config file.
 
-Config layout (all keys optional; unknown keys and wrong-typed values are rejected):
+Config layout (all keys optional; unknown keys are rejected):
 
     {
       "world": { ... WorldSpec fields ... },
@@ -9,9 +9,13 @@ Config layout (all keys optional; unknown keys and wrong-typed values are reject
       "train": { ... TrainConfig fields (loss lives under "loss") ... }
     }
 
+A value off the rule declared beside its field (:mod:`suml.schema`) is a
+ConfigValidationError naming ``section.key``, raised before any work starts.
 Dotted overrides (``--set loss.theta=0.8``) supersede file values; the
 ``SUML_SEED`` environment variable overrides ``train.seed`` with lower
-precedence than ``--set``.  Every command writes the effective config
+precedence than ``--set``.  It, ``--sample-seed`` and ``--seeds`` follow the
+rule of ``train.seed``, and ``world.seed`` is replaced by a seed derived from
+``train.seed`` (``pipeline.build_world``).  Every command writes the effective config
 alongside its outputs.  Outputs are written to temp files and renamed, and
 ``train``/``ablate`` write theirs only after the whole run succeeds, so a
 failure leaves no partial result.
@@ -27,7 +31,7 @@ import math
 import os
 import sys
 
-from . import gradcheck
+from . import gradcheck, schema
 from .atomic import write_atomic
 from .datagen import WorldSpec, read_dataset, sample_dataset, write_dataset
 from .exceptions import (
@@ -58,45 +62,12 @@ from .pipeline import (
 SEED_ENV_VAR = "SUML_SEED"
 
 
-def _coerce(raw: str, default):
-    """Parse a ``--set`` value by its field's declared type, the default's type."""
-    if isinstance(default, bool):
-        if raw.lower() in ("true", "1"):
-            return True
-        if raw.lower() in ("false", "0"):
-            return False
-        raise ConfigValidationError(f"cannot parse {raw!r} as bool")
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    if default is None:  # optional ints (proj_dim)
-        return None if raw.lower() in ("none", "null") else int(raw)
-    return raw
-
-
-# The JSON values a field takes, keyed by the type of its default.
-_JSON_TYPES = {
-    bool: ("a bool", (bool,)),
-    int: ("an int", (int,)),
-    float: ("a number", (int, float)),
-    str: ("a string", (str,)),
-    type(None): ("an int or null", (int, type(None))),  # optional ints (proj_dim)
-}
-
-
 def _build_section(cls, data: dict, path: str):
-    fields = {f.name for f in dataclasses.fields(cls)}
-    base = cls()
-    for key, value in data.items():
-        if key not in fields:
+    names = {f.name for f in dataclasses.fields(cls)}
+    for key in data:
+        if key not in names:
             raise ConfigParseError(f"unknown key {path}.{key}")
-        default = getattr(base, key)
-        name, types = _JSON_TYPES[type(default)]
-        # bool is an int subclass, so it fits only a bool field
-        if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, types):
-            raise ConfigValidationError(f"{path}.{key} must be {name}, got {json.dumps(value)}")
-    return dataclasses.replace(base, **data)
+    return dataclasses.replace(cls(), **data)
 
 
 def parse_config(path=None, overrides=(), env=None):
@@ -121,10 +92,7 @@ def parse_config(path=None, overrides=(), env=None):
             data[key].update(value)
 
     if SEED_ENV_VAR in env:
-        try:
-            data["train"]["seed"] = int(env[SEED_ENV_VAR])
-        except ValueError as exc:
-            raise ConfigValidationError(f"{SEED_ENV_VAR} must be an integer") from exc
+        data["train"]["seed"] = schema.parse(TrainConfig, "seed", env[SEED_ENV_VAR], SEED_ENV_VAR)
 
     for item in overrides:
         if "=" not in item:
@@ -135,13 +103,9 @@ def parse_config(path=None, overrides=(), env=None):
             raise ConfigParseError(f"override key {dotted!r} must be section.key")
         section, key = parts
         cls = {"world": WorldSpec, "loss": LossConfig, "train": TrainConfig}[section]
-        fields = {f.name: f for f in dataclasses.fields(cls)}
-        if key not in fields or key == "loss":
+        if key not in {f.name for f in dataclasses.fields(cls)} or key == "loss":
             raise ConfigParseError(f"unknown override key {dotted}")
-        try:
-            data[section][key] = _coerce(raw, getattr(cls(), key))
-        except ValueError as exc:
-            raise ConfigValidationError(f"bad value for {dotted}: {raw!r}") from exc
+        data[section][key] = schema.parse(cls, key, raw, dotted)
 
     world = _build_section(WorldSpec, data["world"], "world")
     loss = _build_section(LossConfig, data["loss"], "loss")
@@ -176,9 +140,10 @@ def _write_effective_config(world, loss, train, target: str) -> None:
 def _cmd_synth(args) -> int:
     world_spec, loss, train = parse_config(args.config, args.set)
     world = build_world(world_spec, train.seed)
-    seed = args.sample_seed
-    if seed is None:
+    if args.sample_seed is None:
         seed = derive_seeds(train.seed)[f"{args.view}_train"]
+    else:
+        seed = schema.parse(TrainConfig, "seed", args.sample_seed, "--sample-seed")
     samples = sample_dataset(world, args.view, args.n, seed)
     write_dataset(samples, args.out)
     _write_effective_config(world_spec, loss, train, f"{args.out}.config.json")
@@ -297,7 +262,7 @@ def _cmd_ablate(args) -> int:
     world, loss, train = parse_config(args.config, args.set)
     methods = args.methods.split(",")
     tpv_modes = args.tpv_modes.split(",")
-    seeds = [int(s) for s in args.seeds.split(",")]
+    seeds = [schema.parse(TrainConfig, "seed", s, "--seeds") for s in args.seeds.split(",")]
     _, cells = run_ablation_grid(train, world, methods, tpv_modes, seeds, out_dir=args.out_dir)
     _write_effective_config(world, loss, train, os.path.join(args.out_dir, "effective_config.json"))
     for cell in cells:
@@ -326,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_config_args(p)
     p.add_argument("--view", choices=("fpv", "tpv"), required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--sample-seed", type=int, default=None)
+    p.add_argument("--sample-seed", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_synth)
 

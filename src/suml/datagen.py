@@ -26,6 +26,7 @@ from .exceptions import (
     InvalidViewError,
 )
 from .numerics import l2_normalize
+from .schema import check, rule
 
 VIEWS = ("fpv", "tpv")
 
@@ -34,29 +35,22 @@ DATASET_FIELDS = ("id", "view", "verb_id", "noun_id", "action_id", "frames", "na
 
 @dataclass(frozen=True)
 class WorldSpec:
-    n_verbs: int = 6
-    n_nouns: int = 8
-    text_dim: int = 32
-    feat_dim: int = 24
-    frames_per_clip: int = 4
-    text_noise_std: float = 0.2
-    feat_noise_std: float = 0.3
-    noun_overlap_fraction: float = 0.25
-    seed: int = 0
+    n_verbs: int = rule(6, lo=1)
+    n_nouns: int = rule(8, lo=1)
+    text_dim: int = rule(32, lo=2)
+    feat_dim: int = rule(24, lo=2)
+    frames_per_clip: int = rule(4, lo=1)
+    text_noise_std: float = rule(0.2, lo=0.0)
+    feat_noise_std: float = rule(0.3, lo=0.0)
+    noun_overlap_fraction: float = rule(0.25, lo=0.0, hi=1.0)
+    seed: int = rule(0, lo=0)
 
     def validate(self) -> None:
-        if self.n_verbs < 1 or self.n_nouns < 1 or self.n_verbs * self.n_nouns < 2:
+        check(self, "world", InvalidSpecError)
+        if self.n_verbs * self.n_nouns < 2:
             raise InvalidSpecError("need n_verbs*n_nouns >= 2")
-        if self.text_dim < 2 or self.feat_dim < 2:
-            raise InvalidSpecError("text_dim and feat_dim must be >= 2")
         if self.text_dim % 2 != 0:
             raise InvalidSpecError("text_dim must be even (verb/noun halves)")
-        if self.frames_per_clip < 1:
-            raise InvalidSpecError("frames_per_clip must be >= 1")
-        if self.text_noise_std < 0 or self.feat_noise_std < 0:
-            raise InvalidSpecError("noise stds must be >= 0")
-        if not 0.0 <= self.noun_overlap_fraction <= 1.0:
-            raise InvalidSpecError("noun_overlap_fraction must lie in [0, 1]")
 
     @property
     def n_actions(self) -> int:
@@ -269,15 +263,23 @@ def _sample_to_record(s: VideoSample) -> dict:
 
 
 def _record_to_sample(rec: dict, lineno: int) -> VideoSample:
+    if not isinstance(rec, dict):
+        raise DatasetParseError(f"line {lineno}: record must be a JSON object")
     for key in DATASET_FIELDS:
         if key not in rec:
             raise DatasetParseError(f"line {lineno}: missing field {key!r}")
     if rec["view"] not in VIEWS:
         raise DatasetParseError(f"line {lineno}: bad view {rec['view']!r}")
+    for key in ("verb_id", "noun_id", "action_id"):
+        label = rec[key]
+        if isinstance(label, bool) or not isinstance(label, int) or not 0 <= label < 2**63:
+            raise DatasetParseError(
+                f"line {lineno}: {key} must be an int in [0, 2**63), got {label!r}"
+            )
     try:
         frames = np.asarray(rec["frames"], dtype=np.float64)
         narration = np.asarray(rec["narration"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DatasetParseError(f"line {lineno}: bad array field ({exc})") from exc
     if frames.ndim != 2 or narration.ndim != 1:
         raise DatasetParseError(f"line {lineno}: frames must be 2-D, narration 1-D")
@@ -287,9 +289,9 @@ def _record_to_sample(rec: dict, lineno: int) -> VideoSample:
         id=str(rec["id"]),
         view=rec["view"],
         frames=frames,
-        verb_id=int(rec["verb_id"]),
-        noun_id=int(rec["noun_id"]),
-        action_id=int(rec["action_id"]),
+        verb_id=rec["verb_id"],
+        noun_id=rec["noun_id"],
+        action_id=rec["action_id"],
         narration=narration,
     )
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import losses, model
+from .exceptions import ConfigValidationError
 
 EPS = 1e-5
 LOSS_TOL = 1e-5
@@ -56,16 +57,7 @@ def _check_inputs(fn, inputs: dict) -> float:
 def check_loss_gradients(n_instances: int = 100, seed: int = 0) -> dict:
     """Per-loss max relative FD error over random instances."""
     rng = np.random.default_rng(seed)
-    report = {name: 0.0 for name in (
-        "info_nce_direction",
-        "info_nce_symmetric",
-        "dcl_direction",
-        "alignment_loss_unweighted",
-        "weighted_alignment_loss",
-        "multimodal_loss",
-        "cross_entropy",
-        "triplet_loss",
-    )}
+    report = {}
     for _ in range(n_instances):
         n = int(rng.integers(3, 7))
         d = int(rng.integers(4, 9))
@@ -75,49 +67,26 @@ def check_loss_gradients(n_instances: int = 100, seed: int = 0) -> dict:
         Z2 = _unit_rows(rng, n, d)
         D1 = _unit_rows(rng, n, d)
         D2 = _unit_rows(rng, n, d)
-
-        report["info_nce_direction"] = max(
-            report["info_nce_direction"],
-            _check_inputs(lambda: losses.info_nce_direction(Z1, Z2, tau), {"z1": Z1, "z2": Z2}),
-        )
-        report["info_nce_symmetric"] = max(
-            report["info_nce_symmetric"],
-            _check_inputs(lambda: losses.info_nce_symmetric(Z1, Z2, tau), {"zf": Z1, "zt": Z2}),
-        )
-        report["dcl_direction"] = max(
-            report["dcl_direction"],
-            _check_inputs(lambda: losses.dcl_direction(Z1, Z2, tau), {"z1": Z1, "z2": Z2}),
-        )
-        report["alignment_loss_unweighted"] = max(
-            report["alignment_loss_unweighted"],
-            _check_inputs(
-                lambda: losses.alignment_loss_unweighted(Z1, Z2, tau), {"zf": Z1, "zt": Z2}
-            ),
-        )
-        # weights depend on D1/D2 only, which stay fixed while Z is perturbed
-        report["weighted_alignment_loss"] = max(
-            report["weighted_alignment_loss"],
-            _check_inputs(
-                lambda: losses.weighted_alignment_loss(Z1, Z2, D1, D2, tau, sigma),
-                {"zf": Z1, "zt": Z2},
-            ),
-        )
-        report["multimodal_loss"] = max(
-            report["multimodal_loss"],
-            _check_inputs(
-                lambda: losses.multimodal_loss(Z1, D1, Z2, D2, tau), {"zf": Z1, "zt": Z2}
-            ),
-        )
         logits = rng.standard_normal((n, d))
         labels = rng.integers(0, d, size=n)
-        report["cross_entropy"] = max(
-            report["cross_entropy"],
-            _check_inputs(lambda: losses.cross_entropy(logits, labels), {"logits": logits}),
+        z12, zft = {"z1": Z1, "z2": Z2}, {"zf": Z1, "zt": Z2}
+        checks = (  # (name, call, differentiable inputs); _check_inputs draws nothing
+            ("info_nce_direction", lambda: losses.info_nce_direction(Z1, Z2, tau), z12),
+            ("info_nce_symmetric", lambda: losses.info_nce_symmetric(Z1, Z2, tau), zft),
+            ("dcl_direction", lambda: losses.dcl_direction(Z1, Z2, tau), z12),
+            ("alignment_loss_unweighted",
+             lambda: losses.alignment_loss_unweighted(Z1, Z2, tau), zft),
+            # weights depend on D1/D2 only, which stay fixed while Z is perturbed
+            ("weighted_alignment_loss",
+             lambda: losses.weighted_alignment_loss(Z1, Z2, D1, D2, tau, sigma), zft),
+            ("multimodal_loss", lambda: losses.multimodal_loss(Z1, D1, Z2, D2, tau), zft),
+            ("cross_entropy", lambda: losses.cross_entropy(logits, labels), {"logits": logits}),
         )
-        report["triplet_loss"] = max(
-            report["triplet_loss"],
-            _triplet_instance_error(rng, n, d),
-        )
+        for name, call, inputs in checks:
+            report[name] = max(report.get(name, 0.0), _check_inputs(call, inputs))
+        # last: it draws its own instances from rng
+        triplet = _triplet_instance_error(rng, n, d)
+        report["triplet_loss"] = max(report.get("triplet_loss", 0.0), triplet)
     return report
 
 
@@ -201,6 +170,11 @@ def check_normalization_projector(n_instances: int = 50, seed: int = 2) -> float
 
 def run_all(n_loss_instances: int = 100, n_model_instances: int = 20, seed: int = 0):
     """Full gradient suite; returns (ok, report dict)."""
+    if n_loss_instances < 1 or n_model_instances < 1:
+        raise ConfigValidationError(
+            f"gradcheck needs at least one loss and one model instance, "
+            f"got {n_loss_instances} and {n_model_instances}"
+        )
     loss_report = check_loss_gradients(n_loss_instances, seed)
     model_err = check_model_gradients(n_model_instances, seed + 1)
     proj_err = check_normalization_projector(seed=seed + 2)

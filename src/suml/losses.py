@@ -26,29 +26,21 @@ from .exceptions import (
     ShapeMismatchError,
 )
 from .numerics import as_f64, logsumexp_rows
+from .schema import check, rule
 
 
 @dataclass(frozen=True)
 class LossConfig:
-    tau: float = 0.5
-    sigma: float = 1.0
-    theta: float = 0.7
-    w_t: float = 1.0
-    w_aw: float = 1.0
-    w_m: float = 1.0
-    triplet_margin: float = 0.2
+    tau: float = rule(0.5, lo=0.0, lo_open=True)
+    sigma: float = rule(1.0, lo=0.0, lo_open=True)
+    theta: float = rule(0.7, lo=-1.0, hi=1.0)
+    w_t: float = rule(1.0, lo=0.0)
+    w_aw: float = rule(1.0, lo=0.0)
+    w_m: float = rule(1.0, lo=0.0)
+    triplet_margin: float = rule(0.2, lo=0.0)
 
     def validate(self) -> None:
-        if self.tau <= 0:
-            raise ValueError("tau must be > 0")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be > 0")
-        if not -1.0 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [-1, 1]")
-        if self.w_t < 0 or self.w_aw < 0 or self.w_m < 0:
-            raise ValueError("loss weights must be >= 0")
-        if self.triplet_margin < 0:
-            raise ValueError("triplet_margin must be >= 0")
+        check(self, "loss", ValueError)
 
 
 @dataclass

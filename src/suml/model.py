@@ -275,7 +275,7 @@ def _mlp_from_json(doc: dict, name: str, in_dim) -> MlpParams:
             weights=[np.asarray(w, dtype=np.float64) for w in layers["weights"]],
             biases=[np.asarray(b, dtype=np.float64) for b in layers["biases"]],
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DatasetParseError(f"checkpoint {name!r} has a non-numeric or ragged layer") from exc
     if not p.weights or len(p.weights) != len(p.biases):
         raise DatasetParseError(f"checkpoint {name!r} needs layers with one bias per weight")

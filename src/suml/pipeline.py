@@ -55,6 +55,7 @@ from .model import (
     save_checkpoint,
     sgd_momentum_step,
 )
+from .schema import check, rule
 
 
 class _Batch(NamedTuple):
@@ -150,50 +151,26 @@ _SEED_STREAMS = (
 
 @dataclass(frozen=True)
 class TrainConfig:
-    method: str = "sum_l"
+    method: str = rule("sum_l", choices=METHODS)
     loss: LossConfig = field(default_factory=LossConfig)
-    batch_size: int = 16
-    epochs_stage1: int = 20
-    epochs_stage2: int = 40
-    base_lr: float = 0.05
-    momentum: float = 0.9
-    seed: int = 0
-    tpv_mode: str = "trainable"
-    negative_set_mode: str = "selected_subset"
-    n_fpv_train: int = 64
-    n_tpv_train: int = 240
-    n_fpv_test: int = 480
-    n_tpv_test: int = 120
-    hidden_dim: int = 32
-    proj_dim: int | None = None  # None: match the world's text_dim (video-text alignment)
+    batch_size: int = rule(16, lo=2)
+    epochs_stage1: int = rule(20, lo=0)
+    epochs_stage2: int = rule(40, lo=0)
+    base_lr: float = rule(0.05, lo=0.0, lo_open=True)
+    momentum: float = rule(0.9, lo=0.0, hi=1.0, hi_open=True)
+    seed: int = rule(0, lo=0)
+    tpv_mode: str = rule("trainable", choices=TPV_MODES)
+    negative_set_mode: str = rule("selected_subset", choices=NEGATIVE_SET_MODES)
+    n_fpv_train: int = rule(64, lo=1)
+    n_tpv_train: int = rule(240, lo=1)
+    n_fpv_test: int = rule(480, lo=1)
+    n_tpv_test: int = rule(120, lo=1)
+    hidden_dim: int = rule(32, lo=1)
+    proj_dim: int | None = rule(None, lo=1)  # None: match world.text_dim (video-text alignment)
 
     def validate(self) -> None:
-        if self.method not in METHODS:
-            raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.tpv_mode not in TPV_MODES:
-            raise ConfigError(f"tpv_mode must be one of {TPV_MODES}, got {self.tpv_mode!r}")
-        if self.negative_set_mode not in NEGATIVE_SET_MODES:
-            raise ConfigError(
-                f"negative_set_mode must be one of {NEGATIVE_SET_MODES}, "
-                f"got {self.negative_set_mode!r}"
-            )
-        if self.batch_size < 2:
-            raise ConfigError("batch_size must be >= 2")
-        if self.epochs_stage1 < 0 or self.epochs_stage2 < 0:
-            raise ConfigError("epoch counts must be >= 0")
-        if self.base_lr <= 0:
-            raise ConfigError("base_lr must be > 0")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError("momentum must lie in [0, 1)")
-        for name in ("n_fpv_train", "n_tpv_train", "n_fpv_test", "n_tpv_test"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if self.hidden_dim < 1 or (self.proj_dim is not None and self.proj_dim < 1):
-            raise ConfigError("hidden_dim and proj_dim must be >= 1")
-        try:
-            self.loss.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        check(self, "train", ConfigError)
+        check(self.loss, "loss", ConfigError)
 
 
 @dataclass

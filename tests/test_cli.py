@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 
 import pytest
@@ -9,10 +10,15 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from suml import pipeline
-from suml.cli import main, parse_config
-from suml.datagen import WorldSpec
-from suml.exceptions import ConfigParseError, ConfigValidationError
-from suml.model import init_stack, save_checkpoint
+from suml.cli import _read_pairs_csv, main, parse_config
+from suml.datagen import WorldSpec, generate_world, read_dataset, sample_dataset, write_dataset
+from suml.exceptions import (
+    ConfigParseError,
+    ConfigValidationError,
+    DatasetIOError,
+    DatasetParseError,
+)
+from suml.model import init_stack, load_checkpoint, save_checkpoint
 from suml.losses import LossConfig
 from suml.pipeline import TrainConfig, derive_seeds
 
@@ -146,6 +152,88 @@ def test_set_parses_by_the_declared_type(tmp_path):
 def test_parse_config_rejects_bad_env_seed():
     with pytest.raises(ConfigValidationError):
         parse_config(env={"SUML_SEED": "eleven"})
+
+
+# Every field that carries a rule, as (section, dataclass field).
+RULED_FIELDS = [
+    (section, f)
+    for section, cls in (("world", WorldSpec), ("loss", LossConfig), ("train", TrainConfig))
+    for f in dataclasses.fields(cls)
+    if "rule" in f.metadata
+]
+
+
+def _rule_breakers(f):
+    """Values of the field's own type that break its rule."""
+    r = f.metadata["rule"]
+    if r.choices is not None:
+        return st.text().filter(lambda s: s not in r.choices)
+    kind = f.type.removesuffix(" | None")
+    breakers = [st.sampled_from([math.nan, math.inf, -math.inf])] if kind == "float" else []
+    if r.lo is not None:
+        breakers += [st.just(r.lo)] if r.lo_open else []
+        breakers.append(st.floats(max_value=r.lo, exclude_max=True) if kind == "float"
+                        else st.integers(max_value=r.lo - 1))
+    if r.hi is not None:
+        breakers += [st.just(r.hi)] if r.hi_open else []
+        breakers.append(st.floats(min_value=r.hi, exclude_min=True) if kind == "float"
+                        else st.integers(min_value=r.hi + 1))
+    return st.one_of(breakers)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(RULED_FIELDS).flatmap(
+    lambda sf: st.tuples(st.just(sf), _rule_breakers(sf[1]))))
+def test_value_off_its_rule_fails_before_any_work(tmp_path, capsys, monkeypatch, case):
+    (section, f), value = case
+    stage1 = count_calls(monkeypatch, pipeline, "pretrain_tpv")
+    name = f"{section}.{f.name}"
+    path = tmp_path / "off_rule.json"
+    path.write_text(json.dumps({section: {f.name: value}}))
+    override = f"{name}={value if isinstance(value, str) else repr(value)}"
+    with pytest.raises(ConfigValidationError, match=f"^{name} must be"):
+        parse_config(str(path), env={})
+    with pytest.raises(ConfigValidationError, match=f"^{name} must be"):
+        parse_config(overrides=[override], env={})
+    out_dir = tmp_path / "run"
+    for source in (["--config", str(path)], ["--set", override]):
+        assert main(["train", *source, "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be") and "Traceback" not in err
+    assert stage1 == [] and not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,env,flag",
+    [
+        (["synth", "--set", "world.text_noise_std=nan", "--view", "fpv", "--n", "3"], {},
+         "world.text_noise_std"),
+        (["synth", "--sample-seed", "-1", "--view", "fpv", "--n", "3"], {}, "--sample-seed"),
+        (["train"], {"SUML_SEED": "-1"}, "SUML_SEED"),
+        (["train", "--set", "train.seed=-3"], {}, "train.seed"),
+        (["ablate", "--seeds", "-1"], {}, "--seeds"),
+        (["ablate", "--seeds", "0,x"], {}, "--seeds"),
+        (["ablate", "--seeds="], {}, "--seeds"),
+    ],
+    ids=["synth_nan", "sample_seed", "env_seed", "set_seed", "ablate_negative",
+         "ablate_not_an_int", "ablate_empty"],
+)
+def test_bad_value_exits_one_and_writes_nothing(tmp_path, capsys, monkeypatch, argv, env, flag):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    target = tmp_path / "out"
+    dest = ["--out", str(target)] if argv[0] == "synth" else ["--out-dir", str(target)]
+    assert main([*argv, *dest]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} must be") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gradcheck_with_no_instances_does_not_pass(capsys):
+    assert main(["gradcheck", "--instances", "-2", "--model-instances", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert "PASS" not in out and err.startswith("error: ")
 
 
 def test_synth_mine_stats_chain(tmp_path, config_file):
@@ -398,10 +486,11 @@ def _drop_last_column(layers, key, index):
         lambda doc: _drop_last_column(doc["f"], "weights", 1),
         lambda doc: _drop_last_column(doc["h"], "weights", 0),
         lambda doc: _drop_last_column(doc["g"], "weights", 0),
+        lambda doc: doc["f"].update(weights=[[[10**400]]]),
     ],
     ids=["no_g", "no_view", "no_h_biases", "f_weights_not_a_list", "g_biases_not_a_list",
          "ragged_layer", "short_f_bias", "f_bias_count", "f_layers_do_not_chain",
-         "h_does_not_chain_from_f", "g_does_not_chain_from_f"],
+         "h_does_not_chain_from_f", "g_does_not_chain_from_f", "weight_past_float_range"],
 )
 def test_eval_rejects_malformed_checkpoints(tmp_path, config_file, capsys, damage):
     ckpt = tmp_path / "ckpt.json"
@@ -415,3 +504,78 @@ def test_eval_rejects_malformed_checkpoints(tmp_path, config_file, capsys, damag
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(ckpt), "--dataset", data]) == 1
     assert "checkpoint" in capsys.readouterr().err
+
+
+# integers reach past the float range, where numpy's float conversion overflows
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**400), 10**400) | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _replace_jsonl_field(tmp_path, pick, value):
+    path = tmp_path / "fuzzed.jsonl"
+    world = generate_world(WorldSpec(**SMALL["world"]))
+    write_dataset(sample_dataset(world, "fpv", 3, 0), str(path))
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    rec = records[pick(st.integers(0, len(records) - 1))]
+    rec[pick(st.sampled_from(sorted(rec)))] = value
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return lambda: read_dataset(str(path))
+
+
+def _replace_pairs_cell(tmp_path, pick, value):
+    rows = [["fpv_index", "tpv_index", "similarity"], ["0", "1", "0.5"], ["1", "0", "-0.25"]]
+    rows[pick(st.integers(1, 2))][pick(st.integers(0, 2))] = json.dumps(value)
+    path = tmp_path / "fuzzed.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return lambda: _read_pairs_csv(str(path))
+
+
+def _replace_checkpoint_field(tmp_path, pick, value):
+    ckpt = tmp_path / "fuzzed_ckpt.json"
+    save_checkpoint(init_stack(3, 4, 2, seed=0, hidden_dim=3), str(ckpt), "stage2_fpv")
+    doc = json.loads(ckpt.read_text())
+    owner = pick(st.sampled_from([doc, doc["f"], doc["h"], doc["g"]]))
+    owner[pick(st.sampled_from(sorted(owner)))] = value
+    ckpt.write_text(json.dumps(doc))
+    return lambda: load_checkpoint(str(ckpt))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fuzz=st.sampled_from([_replace_jsonl_field, _replace_pairs_cell,
+                             _replace_checkpoint_field]),
+       value=JSON_VALUES, data=st.data())
+def test_one_replaced_field_is_read_or_a_dataset_error(tmp_path, fuzz, value, data):
+    read = fuzz(tmp_path, data.draw, value)
+    try:
+        read()
+    except (DatasetParseError, DatasetIOError):
+        pass
+
+
+@pytest.mark.parametrize(
+    "field,value,named",
+    [("action_id", v, "action_id") for v in ("x", None, [1], 2.7, True, -1, 10**30, 1e308)]
+    + [("verb_id", "3", "verb_id"), ("noun_id", False, "noun_id"),
+       ("frames", [[10**400]], "bad array field")],
+)
+def test_mine_rejects_a_bad_field_naming_line_and_field(
+    tmp_path, config_file, capsys, field, value, named
+):
+    path = tmp_path / "fpv.jsonl"
+    _synth(config_file, str(path))
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec[field] = value
+    lines[1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["mine", "--fpv", str(path), "--tpv", str(path),
+                 "--out", str(tmp_path / "pairs.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "line 2" in err and named in err and "Traceback" not in err
+    assert not (tmp_path / "pairs.csv").exists()
