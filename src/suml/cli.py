@@ -115,9 +115,8 @@ def parse_config(path=None, overrides=(), env=None):
     train = dataclasses.replace(train, loss=loss)
     try:
         world.validate()
-        loss.validate()
-        train.validate()
-    except (ValueError, SumlError) as exc:
+        train.validate()  # checks train.loss too
+    except SumlError as exc:
         raise ConfigValidationError(str(exc)) from exc
     return world, loss, train
 
