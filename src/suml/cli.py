@@ -173,17 +173,20 @@ def _read_pairs_csv(path):
             reader = csv.DictReader(fh)
             try:
                 for row in reader:
+                    sim = float(row["similarity"])
+                    if not abs(sim) <= 1.0 + 1e-12:  # rounding may pass +-1 by an ulp; NaN fails
+                        raise ValueError(f"similarity {sim!r} is not a cosine")
                     pairs.append(
                         PseudoPair(
                             fpv_index=int(row["fpv_index"]),
                             tpv_index=int(row["tpv_index"]),
-                            similarity=float(row["similarity"]),
+                            similarity=sim,
                         )
                     )
             except (KeyError, TypeError, ValueError, csv.Error) as exc:
                 raise DatasetParseError(
                     f"{path} line {reader.line_num}: need numeric fpv_index, "
-                    f"tpv_index and similarity ({exc!r})"
+                    f"tpv_index and a similarity in [-1, 1] ({exc!r})"
                 ) from exc
     except OSError as exc:
         raise DatasetIOError(f"cannot read pairs {path}: {exc}") from exc

@@ -143,11 +143,8 @@ def check_model_gradients(n_instances: int = 20, seed: int = 1) -> float:
         grads_t, _ = model.backward(stack_t, ct, al.grads["z2"], None)
 
         for stack, grads in ((stack_f, grads_f), (stack_t, grads_t)):
-            analytic = []
-            for mlp in (grads.f, grads.h, grads.g):
-                analytic.extend(mlp.weights)
-                analytic.extend(mlp.biases)
-            for param, g in zip(stack.param_tensors(), analytic):
+            grad_tensors = model.EncoderStack(grads, stack.dims).param_tensors()
+            for param, g in zip(stack.param_tensors(), grad_tensors):
                 num = finite_difference(objective, param)
                 worst = max(worst, rel_error(g, num))
     return worst

@@ -197,11 +197,12 @@ def cross_entropy(logits, labels) -> LossOutput:
     if np.any(labels < 0) or np.any(labels >= c):
         raise LabelOutOfRangeError(f"labels must lie in [0, {c})")
     lse = logsumexp_rows(logits)
-    value = float(np.mean(lse - logits[np.arange(n), labels]))
-    P = np.exp(logits - lse[:, None])
-    G = P.copy()
-    G[np.arange(n), labels] -= 1.0
-    return LossOutput(value, {"logits": G / n})
+    rows = np.arange(n)
+    value = float(np.mean(lse - logits[rows, labels]))
+    G = np.exp(logits - lse[:, None])
+    G[rows, labels] -= 1.0
+    G /= n
+    return LossOutput(value, {"logits": G})
 
 
 def triplet_loss(Zf, Zt, margin: float) -> LossOutput:

@@ -6,13 +6,21 @@ projection head ``h`` whose output is l2-normalized, and the task head
 ``g`` producing raw logits.  No autodiff framework is involved: backward
 passes are hand-written, including the normalization Jacobian
 (I - z z^T) / ||raw||.
+
+Each stack owns one contiguous float64 vector ``params``.  Its layout is
+decided by ``mlp_views`` alone: for ``f``, ``h`` and ``g`` in turn, the
+weight matrices (row-major ``(out, in)``) and then the bias vectors, which
+is also the order of ``param_tensors()``.  ``f``, ``h`` and ``g`` are
+``MlpParams`` whose arrays are views into ``params``; ``backward`` returns
+the parameter gradient as one vector with the same layout, so momentum and
+the SGD step are whole-vector operations.  Checkpoints keep the per-layer
+``suml-encoder-stack-v1`` JSON format.
 """
 
 from __future__ import annotations
 
-import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,31 +49,50 @@ class MlpParams:
         return len(self.weights)
 
 
+def param_size(dims) -> int:
+    """Length of the flat parameter vector of layer widths ``dims``."""
+    return sum(d_out * (d_in + 1) for w in dims for d_in, d_out in zip(w, w[1:]))
+
+
+def mlp_views(vec: np.ndarray, dims) -> tuple:
+    """View the flat ``vec`` as the f, h and g ``MlpParams`` of layer widths ``dims``.
+
+    ``dims`` holds one width tuple per MLP, input first, e.g. ``(feat, hidden,
+    hidden)``.  Per MLP: weights (row-major ``(out, in)``), then biases.
+    """
+    size = param_size(dims)
+    if vec.shape != (size,):
+        raise ShapeMismatchError(f"parameter vector {vec.shape} does not hold {size} values")
+    mlps, off = [], 0
+    for widths in dims:
+        layers = list(zip(widths, widths[1:]))
+        weights, biases = [], []
+        for d_in, d_out in layers:
+            weights.append(vec[off : off + d_out * d_in].reshape(d_out, d_in))
+            off += d_out * d_in
+        for _, d_out in layers:
+            biases.append(vec[off : off + d_out])
+            off += d_out
+        mlps.append(MlpParams(weights=weights, biases=biases))
+    return tuple(mlps)
+
+
 @dataclass
 class EncoderStack:
-    f: MlpParams
-    h: MlpParams
-    g: MlpParams
+    """One flat ``params`` vector; ``f``, ``h`` and ``g`` are views into it."""
+
+    params: np.ndarray
+    dims: tuple  # layer widths of f, h and g (see ``mlp_views``)
     view: str = "fpv"
     frozen: bool = False
+
+    def __post_init__(self):
+        self.f, self.h, self.g = mlp_views(self.params, self.dims)
 
     def param_tensors(self):
         for mlp in (self.f, self.h, self.g):
             yield from mlp.weights
             yield from mlp.biases
-
-
-@dataclass
-class MlpGrads:
-    weights: list
-    biases: list
-
-
-@dataclass
-class StackGrads:
-    f: MlpGrads
-    h: MlpGrads
-    g: MlpGrads
 
 
 @dataclass
@@ -80,16 +107,6 @@ class ForwardCache:
     logits: np.ndarray
 
 
-def init_mlp(rng: np.random.Generator, dims) -> MlpParams:
-    """Scaled uniform fan-in init: W ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in)), zero bias."""
-    weights, biases = [], []
-    for d_in, d_out in zip(dims, dims[1:]):
-        bound = 1.0 / np.sqrt(d_in)
-        weights.append(rng.uniform(-bound, bound, size=(d_out, d_in)))
-        biases.append(np.zeros(d_out))
-    return MlpParams(weights=weights, biases=biases)
-
-
 def init_stack(
     feat_dim: int,
     n_classes: int,
@@ -99,15 +116,20 @@ def init_stack(
     view: str = "fpv",
     frozen: bool = False,
 ) -> EncoderStack:
+    """Scaled uniform fan-in init: W ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in)), zero bias."""
+    dims = ((feat_dim, hidden_dim, hidden_dim), (hidden_dim, proj_dim), (hidden_dim, n_classes))
+    stack = EncoderStack(np.zeros(param_size(dims)), dims, view=view, frozen=frozen)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    f = init_mlp(rng, (feat_dim, hidden_dim, hidden_dim))
-    h = init_mlp(rng, (hidden_dim, proj_dim))
-    g = init_mlp(rng, (hidden_dim, n_classes))
-    return EncoderStack(f=f, h=h, g=g, view=view, frozen=frozen)
+    for mlp in (stack.f, stack.h, stack.g):
+        for W in mlp.weights:
+            bound = 1.0 / np.sqrt(W.shape[1])
+            W[...] = rng.uniform(-bound, bound, size=W.shape)
+    return stack
 
 
 def clone_stack(stack: EncoderStack) -> EncoderStack:
-    return copy.deepcopy(stack)
+    """An independent copy: its views point into a copy of ``params``."""
+    return replace(stack, params=stack.params.copy())
 
 
 def mlp_forward(p: MlpParams, X: np.ndarray) -> list:
@@ -122,18 +144,16 @@ def mlp_forward(p: MlpParams, X: np.ndarray) -> list:
     return acts
 
 
-def mlp_backward(p: MlpParams, acts: list, d_out: np.ndarray):
-    """Gradients for every layer plus the gradient w.r.t. the MLP input."""
-    dW = [None] * p.n_layers
-    db = [None] * p.n_layers
+def mlp_backward(p: MlpParams, acts: list, d_out: np.ndarray, grads: MlpParams):
+    """Write every layer's gradient into the views ``grads``; return the input gradient."""
     dA = d_out
     last = p.n_layers - 1
     for l in range(last, -1, -1):
         d_pre = dA if l == last else dA * (1.0 - acts[l + 1] ** 2)
-        dW[l] = d_pre.T @ acts[l]
-        db[l] = d_pre.sum(axis=0)
+        grads.weights[l][...] = d_pre.T @ acts[l]
+        grads.biases[l][...] = d_pre.sum(axis=0)
         dA = d_pre @ p.weights[l]
-    return MlpGrads(weights=dW, biases=db), dA
+    return dA
 
 
 def pool_frames(stack: EncoderStack, clips):
@@ -148,10 +168,9 @@ def pool_frames(stack: EncoderStack, clips):
     n, t, feat = clips.shape
     if t < 1:
         raise ShapeMismatchError("need at least one frame per clip")
-    if feat != stack.f.weights[0].shape[1]:
+    if feat != stack.dims[0][0]:
         raise DimMismatchError(
-            f"clip feature dim {feat} does not match encoder input "
-            f"{stack.f.weights[0].shape[1]}"
+            f"clip feature dim {feat} does not match encoder input {stack.dims[0][0]}"
         )
     f_acts = mlp_forward(stack.f, clips.reshape(n * t, feat))
     return clips.shape, f_acts, f_acts[-1].reshape(n, t, -1).mean(axis=1)
@@ -182,9 +201,9 @@ def encode_batch(stack: EncoderStack, clips: np.ndarray):
 def backward(stack: EncoderStack, cache: ForwardCache, grad_z, grad_logits):
     """Backprop through g, the normalized projection, pooling and f.
 
-    Either gradient may be None (treated as zero).  Returns parameter
-    gradients (also for frozen stacks; callers discard) and gradients
-    w.r.t. the input frames.
+    Either gradient may be None (treated as zero).  Returns the parameter
+    gradient as one vector laid out like ``stack.params`` (also for frozen
+    stacks; callers discard) and the gradient w.r.t. the input frames.
     """
     n, t, feat = cache.x_shape
     if grad_z is None:
@@ -198,54 +217,33 @@ def backward(stack: EncoderStack, cache: ForwardCache, grad_z, grad_logits):
     # normalization Jacobian: (grad - <grad, z> z) / ||raw||
     inner = np.sum(grad_z * cache.z, axis=1, keepdims=True)
     d_zraw = (grad_z - inner * cache.z) / cache.norms[:, None]
-    h_grads, d_pool_h = mlp_backward(stack.h, cache.h_acts, d_zraw)
-    g_grads, d_pool_g = mlp_backward(stack.g, cache.g_acts, grad_logits)
-    d_pool = d_pool_h + d_pool_g
+    grad = np.empty_like(stack.params)
+    f_grads, h_grads, g_grads = mlp_views(grad, stack.dims)
+    d_pool = mlp_backward(stack.h, cache.h_acts, d_zraw, h_grads)
+    d_pool += mlp_backward(stack.g, cache.g_acts, grad_logits, g_grads)
     d_frames_out = np.repeat(d_pool / t, t, axis=0)
-    f_grads, d_flat = mlp_backward(stack.f, cache.f_acts, d_frames_out)
-    return StackGrads(f=f_grads, h=h_grads, g=g_grads), d_flat.reshape(n, t, feat)
-
-
-def add_grads(acc: StackGrads, other: StackGrads) -> None:
-    for mlp_acc, mlp_other in ((acc.f, other.f), (acc.h, other.h), (acc.g, other.g)):
-        for w, g in zip(mlp_acc.weights, mlp_other.weights):
-            w += g
-        for b, g in zip(mlp_acc.biases, mlp_other.biases):
-            b += g
-
-
-@dataclass
-class MomentumState:
-    velocities: list = field(default_factory=list)
-
-    @classmethod
-    def for_stack(cls, stack: EncoderStack) -> "MomentumState":
-        return cls(velocities=[np.zeros_like(p) for p in stack.param_tensors()])
+    d_flat = mlp_backward(stack.f, cache.f_acts, d_frames_out, f_grads)
+    return grad, d_flat.reshape(n, t, feat)
 
 
 def sgd_momentum_step(
     stack: EncoderStack,
-    grads: StackGrads,
+    grad: np.ndarray,
     lr: float,
-    state: MomentumState,
+    velocity: np.ndarray,
     momentum: float = 0.9,
 ) -> EncoderStack:
-    """v <- mu*v + g; p <- p - lr*v.  No-op on frozen stacks."""
+    """v <- mu*v + g; p <- p - lr*v on the whole parameter vector.  No-op on frozen stacks.
+
+    ``velocity`` starts as ``np.zeros_like(stack.params)`` and is updated in place.
+    """
     if stack.frozen:
         return stack
-    flat_grads = []
-    for mlp in (grads.f, grads.h, grads.g):
-        flat_grads.extend(mlp.weights)
-        flat_grads.extend(mlp.biases)
-    params = list(stack.param_tensors())
-    if len(params) != len(state.velocities) or len(params) != len(flat_grads):
-        raise ShapeMismatchError("parameter/gradient/velocity count mismatch")
-    for p, g, v in zip(params, flat_grads, state.velocities):
-        if p.shape != g.shape:
-            raise ShapeMismatchError("gradient shape does not match parameter")
-        v *= momentum
-        v += g
-        p -= lr * v
+    if grad.shape != stack.params.shape or velocity.shape != stack.params.shape:
+        raise ShapeMismatchError("parameter, gradient and velocity vectors differ in shape")
+    velocity *= momentum
+    velocity += grad
+    stack.params -= lr * velocity
     return stack
 
 
@@ -263,30 +261,28 @@ def _mlp_to_json(p: MlpParams) -> dict:
     }
 
 
-def _mlp_from_json(doc: dict, name: str, in_dim) -> MlpParams:
-    """Parse layer set ``name``; its shapes must chain, from ``in_dim`` unless None."""
+def _mlp_from_json(doc: dict, name: str, in_dim):
+    """Layer set ``name`` as (widths, weights + biases), chained from ``in_dim`` unless None."""
     layers = doc[name]
     if not isinstance(layers, dict) or not all(
         isinstance(layers.get(key), list) for key in ("weights", "biases")
     ):
         raise DatasetParseError(f"checkpoint {name!r} needs 'weights' and 'biases' lists")
     try:
-        p = MlpParams(
-            weights=[np.asarray(w, dtype=np.float64) for w in layers["weights"]],
-            biases=[np.asarray(b, dtype=np.float64) for b in layers["biases"]],
-        )
+        weights = [np.asarray(w, dtype=np.float64) for w in layers["weights"]]
+        biases = [np.asarray(b, dtype=np.float64) for b in layers["biases"]]
     except (TypeError, ValueError, OverflowError) as exc:
         raise DatasetParseError(f"checkpoint {name!r} has a non-numeric or ragged layer") from exc
-    if not p.weights or len(p.weights) != len(p.biases):
+    if not weights or len(weights) != len(biases):
         raise DatasetParseError(f"checkpoint {name!r} needs layers with one bias per weight")
-    for l, (W, b) in enumerate(zip(p.weights, p.biases)):
+    for l, (W, b) in enumerate(zip(weights, biases)):
         if W.ndim != 2 or b.shape != W.shape[:1] or in_dim not in (None, W.shape[1]):
             raise DatasetParseError(
                 f"checkpoint {name!r} layer {l}: weight {W.shape} and bias {b.shape} "
                 f"do not chain from input dim {in_dim}"
             )
         in_dim = W.shape[0]
-    return p
+    return (weights[0].shape[1], *(W.shape[0] for W in weights)), weights + biases
 
 
 def save_checkpoint(stack: EncoderStack, path, stage: str) -> None:
@@ -315,15 +311,11 @@ def load_checkpoint(path):
     if fmt != CHECKPOINT_FORMAT:
         raise DatasetParseError(f"unexpected checkpoint format {fmt!r}")
     try:
-        f = _mlp_from_json(doc, "f", None)
-        hidden = f.weights[-1].shape[0]
-        stack = EncoderStack(
-            f=f,
-            h=_mlp_from_json(doc, "h", hidden),
-            g=_mlp_from_json(doc, "g", hidden),
-            view=doc["view"],
-            frozen=bool(doc["frozen"]),
-        )
+        f_dims, f = _mlp_from_json(doc, "f", None)
+        h_dims, h = _mlp_from_json(doc, "h", f_dims[-1])
+        g_dims, g = _mlp_from_json(doc, "g", f_dims[-1])
+        params = np.concatenate([t.ravel() for t in f + h + g])
+        stack = EncoderStack(params, (f_dims, h_dims, g_dims), doc["view"], bool(doc["frozen"]))
         return stack, doc["stage"]
     except KeyError as exc:
         raise DatasetParseError(f"checkpoint {path} has no key {exc}") from exc

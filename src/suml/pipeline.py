@@ -43,8 +43,6 @@ from .mining import mine_pseudo_pairs
 from .model import (
     EncoderStack,
     ForwardCache,
-    MomentumState,
-    add_grads,
     backward,
     clone_stack,
     cosine_lr,
@@ -289,7 +287,7 @@ def pretrain_tpv(
         view="tpv",
     )
     rng = np.random.default_rng(np.random.SeedSequence(seeds["stage1_shuffle"]))
-    state = MomentumState.for_stack(stack)
+    velocity = np.zeros_like(stack.params)
     for epoch in range(config.epochs_stage1):
         lr = cosine_lr(epoch, config.epochs_stage1, config.base_lr)
         order = rng.permutation(len(tpv))
@@ -299,7 +297,7 @@ def pretrain_tpv(
             ce = losses.cross_entropy(cache.logits, tpv.labels[idx])
             _check_finite(ce.value, 1, epoch, b)
             grads, _ = backward(stack, cache, None, ce.grads["logits"])
-            sgd_momentum_step(stack, grads, lr, state, config.momentum)
+            sgd_momentum_step(stack, grads, lr, velocity, config.momentum)
             batch_losses.append(ce.value)
         if metrics_sink is not None:
             loss_t = float(np.mean(batch_losses))
@@ -391,8 +389,8 @@ def joint_train(
     tpv_touched = len(terms) > 1
     # A frozen stack ignores its gradients, so its backward pass is skipped.
     tpv_learns = tpv_touched and not tpv_stack.frozen
-    fpv_state = MomentumState.for_stack(fpv_stack)
-    tpv_state = MomentumState.for_stack(tpv_stack) if tpv_learns and not shared else None
+    fpv_velocity = np.zeros_like(fpv_stack.params)
+    tpv_velocity = np.zeros_like(tpv_stack.params) if tpv_learns and not shared else None
     # A TPV stack that stage 2 cannot change scores the same every epoch.
     tpv_static = not shared and not tpv_learns
     tpv_acc = None
@@ -428,10 +426,10 @@ def joint_train(
             if tpv_learns:
                 grads_t, _ = backward(tpv_stack, cache_t, g.get("zt"), g.get("logits_t"))
                 if shared:
-                    add_grads(grads_f, grads_t)
+                    grads_f += grads_t
                 else:
-                    sgd_momentum_step(tpv_stack, grads_t, lr, tpv_state, config.momentum)
-            sgd_momentum_step(fpv_stack, grads_f, lr, fpv_state, config.momentum)
+                    sgd_momentum_step(tpv_stack, grads_t, lr, tpv_velocity, config.momentum)
+            sgd_momentum_step(fpv_stack, grads_f, lr, fpv_velocity, config.momentum)
 
             for slot, _, out in outs:
                 sums[slot] += out.value

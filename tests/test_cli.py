@@ -425,6 +425,26 @@ def test_stats_bad_pair_row_is_a_parse_error_naming_the_line(tmp_path, capsys, r
     assert not (tmp_path / "h.csv").exists()
 
 
+@pytest.mark.parametrize("sim", ["nan", "inf", "-inf", "5.0", "-1.5", "1.000001"])
+def test_stats_similarity_outside_cosine_range_is_a_parse_error(tmp_path, capsys, sim):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text(f"fpv_index,tpv_index,similarity\n1,0,0.5\n0,1,{sim}\n")
+    assert main(["stats", "--pairs", str(pairs), "--out", str(tmp_path / "h.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 3" in err and "Traceback" not in err
+    assert not (tmp_path / "h.csv").exists()
+
+
+def test_stats_counts_a_cosine_one_ulp_past_one_in_the_top_bucket(tmp_path):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("fpv_index,tpv_index,similarity\n0,1,1.0000000000000002\n1,0,0.5\n")
+    hist = tmp_path / "h.csv"
+    assert main(["stats", "--pairs", str(pairs), "--out", str(hist)]) == 0
+    rows = list(csv.DictReader(hist.read_text().splitlines()))
+    assert float(rows[-1]["count"]) == 1 and float(rows[-1]["bucket_high"]) == 1.0
+    assert sum(int(r["count"]) for r in rows) == 2
+
+
 @pytest.mark.parametrize("edges", ["-1,x,1", "-1,nan,1"])
 def test_stats_non_numeric_edges_are_rejected(tmp_path, capsys, edges):
     pairs = tmp_path / "pairs.csv"

@@ -1,15 +1,11 @@
-import copy
-
 import numpy as np
 import pytest
 
 from conftest import numeric_grad
-from suml.exceptions import DimMismatchError
+from suml.exceptions import DimMismatchError, ShapeMismatchError
 from suml.losses import cross_entropy
 from suml.model import (
-    MlpGrads,
-    MomentumState,
-    StackGrads,
+    EncoderStack,
     backward,
     clone_stack,
     cosine_lr,
@@ -22,16 +18,6 @@ from suml.model import (
 )
 
 
-def zero_grads_like(stack):
-    def zeros(mlp):
-        return MlpGrads(
-            weights=[np.zeros_like(w) for w in mlp.weights],
-            biases=[np.zeros_like(b) for b in mlp.biases],
-        )
-
-    return StackGrads(f=zeros(stack.f), h=zeros(stack.h), g=zeros(stack.g))
-
-
 def small_stack(seed=0, frozen=False):
     return init_stack(feat_dim=6, n_classes=5, proj_dim=4, seed=seed,
                       hidden_dim=8, view="fpv", frozen=frozen)
@@ -39,6 +25,14 @@ def small_stack(seed=0, frozen=False):
 
 def stack_equal(a, b):
     return all(np.array_equal(x, y) for x, y in zip(a.param_tensors(), b.param_tensors()))
+
+
+def assert_flat_views(stack):
+    tensors = list(stack.param_tensors())
+    assert len(tensors) == 8
+    for t in tensors:
+        assert np.shares_memory(t, stack.params)
+    assert np.array_equal(stack.params, np.concatenate([t.ravel() for t in tensors]))
 
 
 def test_init_deterministic_and_seed_sensitive():
@@ -89,44 +83,40 @@ def test_backward_matches_finite_differences(rng):
         Z2, _, cache2 = encode_batch(s, clips)
         return cross_entropy(cache2.logits, labels).value + float(np.sum(grad_z * Z2))
 
-    for mlp, mg in ((s.f, grads.f), (s.h, grads.h), (s.g, grads.g)):
-        for W, gW in zip(mlp.weights, mg.weights):
-            num = numeric_grad(lambda _: objective(), W)
-            scale = max(1e-8, np.abs(gW).max(), np.abs(num).max())
-            assert np.abs(gW - num).max() / scale < 1e-6
-        for b, gb in zip(mlp.biases, mg.biases):
-            num = numeric_grad(lambda _: objective(), b)
-            scale = max(1e-8, np.abs(gb).max(), np.abs(num).max())
-            assert np.abs(gb - num).max() / scale < 1e-6
+    assert grads.shape == s.params.shape
+    grad_tensors = EncoderStack(grads, s.dims).param_tensors()
+    for P, gP in zip(s.param_tensors(), grad_tensors):
+        num = numeric_grad(lambda _: objective(), P)
+        scale = max(1e-8, np.abs(gP).max(), np.abs(num).max())
+        assert np.abs(gP - num).max() / scale < 1e-6
 
 
 def test_sgd_momentum_matches_manual_update(rng):
     s = small_stack()
-    before = copy.deepcopy([t.copy() for t in s.param_tensors()])
-    grads = zero_grads_like(s)
-    for mg in (grads.f, grads.h, grads.g):
-        mg.weights = [rng.standard_normal(W.shape) for W in mg.weights]
-        mg.biases = [rng.standard_normal(b.shape) for b in mg.biases]
-    state = MomentumState.for_stack(s)
-    sgd_momentum_step(s, grads, lr=0.1, state=state, momentum=0.9)
-    sgd_momentum_step(s, grads, lr=0.1, state=state, momentum=0.9)
-    flat_g = []
-    for mg in (grads.f, grads.h, grads.g):
-        flat_g.extend(mg.weights)
-        flat_g.extend(mg.biases)
-    for p0, p, g in zip(before, s.param_tensors(), flat_g):
-        # v1 = g, v2 = 0.9 g + g; p = p0 - 0.1 (v1 + v2)
-        want = p0 - 0.1 * (g + 1.9 * g)
-        assert np.allclose(p, want, atol=1e-12)
+    before = s.params.copy()
+    grads = rng.standard_normal(s.params.shape)
+    velocity = np.zeros_like(s.params)
+    sgd_momentum_step(s, grads, lr=0.1, velocity=velocity, momentum=0.9)
+    sgd_momentum_step(s, grads, lr=0.1, velocity=velocity, momentum=0.9)
+    # v1 = g, v2 = 0.9 g + g; p = p0 - 0.1 (v1 + v2)
+    assert np.allclose(s.params, before - 0.1 * (grads + 1.9 * grads), atol=1e-12)
+    assert np.allclose(velocity, 1.9 * grads, atol=1e-12)
+    assert_flat_views(s)
+
+
+def test_sgd_momentum_rejects_mismatched_vectors():
+    s = small_stack()
+    with pytest.raises(ShapeMismatchError):
+        sgd_momentum_step(s, np.zeros(s.params.size + 1), 0.1, np.zeros_like(s.params))
+    with pytest.raises(ShapeMismatchError):
+        sgd_momentum_step(s, np.zeros_like(s.params), 0.1, np.zeros(3))
 
 
 def test_frozen_stack_never_updates(rng):
     s = small_stack(frozen=True)
     before = [t.copy() for t in s.param_tensors()]
-    grads = zero_grads_like(s)
-    for mg in (grads.f, grads.h, grads.g):
-        mg.weights = [np.ones_like(W) for W in mg.weights]
-    sgd_momentum_step(s, grads, 0.5, MomentumState.for_stack(s), 0.9)
+    grads = np.ones_like(s.params)
+    sgd_momentum_step(s, grads, 0.5, np.zeros_like(s.params), 0.9)
     for a, b in zip(before, s.param_tensors()):
         assert np.array_equal(a, b)
 
@@ -143,8 +133,31 @@ def test_clone_stack_is_independent():
     s = small_stack()
     c = clone_stack(s)
     assert stack_equal(s, c)
+    assert_flat_views(c)
+    assert not np.shares_memory(c.params, s.params)
     c.f.weights[0][0, 0] += 1.0
     assert not stack_equal(s, c)
+
+
+def test_sgd_step_on_clone_leaves_source_unchanged(rng):
+    s = small_stack()
+    before = s.params.copy()
+    c = clone_stack(s)
+    sgd_momentum_step(c, rng.standard_normal(c.params.shape), 0.1, np.zeros_like(c.params))
+    assert not np.array_equal(c.f.weights[0], s.f.weights[0])
+    assert np.array_equal(s.params, before)
+
+
+def test_init_stack_params_are_one_flat_vector():
+    s = small_stack()
+    assert s.params.dtype == np.float64 and s.params.flags.c_contiguous
+    assert s.params.size == 6 * 8 + 8 + 8 * 8 + 8 + 8 * 4 + 4 + 8 * 5 + 5
+    assert_flat_views(s)
+    assert [t.shape for t in s.param_tensors()] == [
+        (8, 6), (8, 8), (8,), (8,), (4, 8), (4,), (5, 8), (5,),
+    ]
+    with pytest.raises(ShapeMismatchError):
+        EncoderStack(np.zeros(s.params.size - 1), s.dims)
 
 
 def test_checkpoint_round_trip_bitwise(tmp_path):
@@ -154,6 +167,9 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     loaded, stage = load_checkpoint(str(path))
     assert stage == "stage2_fpv"
     assert stack_equal(s, loaded)
+    assert np.array_equal(s.params, loaded.params)
+    assert loaded.dims == s.dims
+    assert_flat_views(loaded)
     assert loaded.view == s.view
     # a re-save of the loaded stack is byte-identical
     path2 = tmp_path / "ckpt2.json"
