@@ -252,7 +252,7 @@ def _cmd_gradcheck(args) -> int:
         print(f"{name:28s} max_rel_err={err:.3e}  [{status}]")
     mstatus = "ok" if report["composed_model"] <= report["model_tolerance"] else "FAIL"
     print(f"{'composed_model':28s} max_rel_err={report['composed_model']:.3e}  [{mstatus}]")
-    pstatus = "ok" if report["normalization_projector"] <= 1e-10 else "FAIL"
+    pstatus = "ok" if report["normalization_projector"] <= gradcheck.PROJECTOR_TOL else "FAIL"
     print(
         f"{'normalization_projector':28s} max_abs={report['normalization_projector']:.3e}  [{pstatus}]"
     )

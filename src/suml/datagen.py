@@ -25,7 +25,7 @@ from .exceptions import (
     InvalidSpecError,
     InvalidViewError,
 )
-from .numerics import l2_normalize
+from .numerics import allocating, l2_normalize
 from .schema import check, rule
 
 VIEWS = ("fpv", "tpv")
@@ -91,7 +91,7 @@ class VideoSample:
         )
 
 
-def _unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+def unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     M = rng.standard_normal((n, dim))
     return M / np.linalg.norm(M, axis=1, keepdims=True)
 
@@ -106,16 +106,14 @@ def generate_world(spec: WorldSpec) -> SyntheticWorld:
     spec.validate()
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     half = spec.text_dim // 2
-    verb_protos = _unit_rows(rng, spec.n_verbs, half)
-    noun_protos = _unit_rows(rng, spec.n_nouns, half)
-    fpv_render = _unit_cols(rng, spec.feat_dim, spec.n_verbs + spec.n_nouns)
-    tpv_render = _unit_cols(rng, spec.feat_dim, spec.n_verbs + spec.n_nouns)
     k = int(round(spec.noun_overlap_fraction * spec.n_nouns))
-    if k > 0:
-        chosen = rng.choice(spec.n_nouns, size=k, replace=False)
-        noun_set = tuple(sorted(int(i) for i in chosen))
-    else:
-        noun_set = ()
+    with allocating("the world's prototypes and render matrices"):
+        verb_protos = unit_rows(rng, spec.n_verbs, half)
+        noun_protos = unit_rows(rng, spec.n_nouns, half)
+        fpv_render = _unit_cols(rng, spec.feat_dim, spec.n_verbs + spec.n_nouns)
+        tpv_render = _unit_cols(rng, spec.feat_dim, spec.n_verbs + spec.n_nouns)
+        chosen = rng.choice(spec.n_nouns, size=k, replace=False) if k > 0 else ()
+    noun_set = tuple(sorted(int(i) for i in chosen))
     return SyntheticWorld(
         spec=spec,
         verb_prototypes=verb_protos,
@@ -222,10 +220,11 @@ def sample_dataset(world: SyntheticWorld, view: str, n: int, rng_seed: int) -> C
         )
     rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
     render = world.fpv_render if view == "fpv" else world.tpv_render
-    frames = np.empty((n, spec.frames_per_clip, spec.feat_dim))
-    narrations = np.empty((n, spec.text_dim))
-    verb_ids = np.empty(n, dtype=int)
-    noun_ids = np.empty(n, dtype=int)
+    with allocating(f"{n} {view} clips"):
+        frames = np.empty((n, spec.frames_per_clip, spec.feat_dim))
+        narrations = np.empty((n, spec.text_dim))
+        verb_ids = np.empty(n, dtype=int)
+        noun_ids = np.empty(n, dtype=int)
     for i in range(n):
         verb = int(rng.integers(spec.n_verbs))
         if view == "fpv":

@@ -69,5 +69,9 @@ class ConfigValidationError(ConfigError):
     """Config values violate a declared invariant."""
 
 
+class AllocationError(SumlError):
+    """An array the configuration asks for is too large for numpy to allocate."""
+
+
 class DivergenceError(SumlError):
     """A training loss became non-finite; message names the stage, epoch and batch."""

@@ -13,8 +13,9 @@ weight matrices (row-major ``(out, in)``) and then the bias vectors, which
 is also the order of ``param_tensors()``.  ``f``, ``h`` and ``g`` are
 ``MlpParams`` whose arrays are views into ``params``; ``backward`` returns
 the parameter gradient as one vector with the same layout, so momentum and
-the SGD step are whole-vector operations.  Checkpoints keep the per-layer
-``suml-encoder-stack-v1`` JSON format.
+the SGD step are whole-vector operations.  Whether a stack trains is its
+caller's decision (``frozen`` is checkpoint metadata).  Checkpoints keep the
+per-layer ``suml-encoder-stack-v1`` JSON format and hold finite values only.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .exceptions import (
     ShapeMismatchError,
     ZeroNormError,
 )
-from .numerics import ZERO_NORM_EPS
+from .numerics import ZERO_NORM_EPS, allocating
 
 CHECKPOINT_FORMAT = "suml-encoder-stack-v1"
 
@@ -99,8 +100,7 @@ class EncoderStack:
 class ForwardCache:
     x_shape: tuple
     f_acts: list          # activations per f layer, flattened over frames
-    pooled: np.ndarray    # (N, hidden)
-    h_acts: list
+    h_acts: list          # h_acts[0] is the frame-pooled hidden state (N, hidden)
     norms: np.ndarray
     z: np.ndarray
     g_acts: list
@@ -114,11 +114,11 @@ def init_stack(
     seed,
     hidden_dim: int = 32,
     view: str = "fpv",
-    frozen: bool = False,
 ) -> EncoderStack:
     """Scaled uniform fan-in init: W ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in)), zero bias."""
     dims = ((feat_dim, hidden_dim, hidden_dim), (hidden_dim, proj_dim), (hidden_dim, n_classes))
-    stack = EncoderStack(np.zeros(param_size(dims)), dims, view=view, frozen=frozen)
+    with allocating(f"the {view} encoder's parameters"):
+        stack = EncoderStack(np.zeros(param_size(dims)), dims, view=view)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     for mlp in (stack.f, stack.h, stack.g):
         for W in mlp.weights:
@@ -145,15 +145,17 @@ def mlp_forward(p: MlpParams, X: np.ndarray) -> list:
 
 
 def mlp_backward(p: MlpParams, acts: list, d_out: np.ndarray, grads: MlpParams):
-    """Write every layer's gradient into the views ``grads``; return the input gradient."""
+    """Write every layer's gradient into the views ``grads``; return the first
+    layer's pre-activation gradient (times ``p.weights[0]``, the input gradient)."""
     dA = d_out
     last = p.n_layers - 1
     for l in range(last, -1, -1):
         d_pre = dA if l == last else dA * (1.0 - acts[l + 1] ** 2)
         grads.weights[l][...] = d_pre.T @ acts[l]
         grads.biases[l][...] = d_pre.sum(axis=0)
-        dA = d_pre @ p.weights[l]
-    return dA
+        if l:
+            dA = d_pre @ p.weights[l]
+    return d_pre
 
 
 def pool_frames(stack: EncoderStack, clips):
@@ -176,36 +178,32 @@ def pool_frames(stack: EncoderStack, clips):
     return clips.shape, f_acts, f_acts[-1].reshape(n, t, -1).mean(axis=1)
 
 
-def encode_batch(stack: EncoderStack, clips: np.ndarray):
-    """Forward a batch of clips (N, T, feat) -> (Z unit rows, pooled hidden, cache)."""
+def encode_batch(stack: EncoderStack, clips: np.ndarray) -> ForwardCache:
+    """Forward a batch of clips (N, T, feat); ``cache.z`` holds the unit projections."""
     x_shape, f_acts, pooled = pool_frames(stack, clips)
     h_acts = mlp_forward(stack.h, pooled)
     norms = np.linalg.norm(h_acts[-1], axis=1)
     if np.any(norms < ZERO_NORM_EPS):
         raise ZeroNormError("projection head output collapsed to zero norm")
-    z = h_acts[-1] / norms[:, None]
     g_acts = mlp_forward(stack.g, pooled)
-    cache = ForwardCache(
+    return ForwardCache(
         x_shape=x_shape,
         f_acts=f_acts,
-        pooled=pooled,
         h_acts=h_acts,
         norms=norms,
-        z=z,
+        z=h_acts[-1] / norms[:, None],
         g_acts=g_acts,
         logits=g_acts[-1],
     )
-    return z, pooled, cache
 
 
-def backward(stack: EncoderStack, cache: ForwardCache, grad_z, grad_logits):
+def backward(stack: EncoderStack, cache: ForwardCache, grad_z, grad_logits) -> np.ndarray:
     """Backprop through g, the normalized projection, pooling and f.
 
     Either gradient may be None (treated as zero).  Returns the parameter
-    gradient as one vector laid out like ``stack.params`` (also for frozen
-    stacks; callers discard) and the gradient w.r.t. the input frames.
+    gradient as one vector laid out like ``stack.params``.
     """
-    n, t, feat = cache.x_shape
+    t = cache.x_shape[1]
     if grad_z is None:
         grad_z = np.zeros_like(cache.z)
     if grad_logits is None:
@@ -219,11 +217,10 @@ def backward(stack: EncoderStack, cache: ForwardCache, grad_z, grad_logits):
     d_zraw = (grad_z - inner * cache.z) / cache.norms[:, None]
     grad = np.empty_like(stack.params)
     f_grads, h_grads, g_grads = mlp_views(grad, stack.dims)
-    d_pool = mlp_backward(stack.h, cache.h_acts, d_zraw, h_grads)
-    d_pool += mlp_backward(stack.g, cache.g_acts, grad_logits, g_grads)
-    d_frames_out = np.repeat(d_pool / t, t, axis=0)
-    d_flat = mlp_backward(stack.f, cache.f_acts, d_frames_out, f_grads)
-    return grad, d_flat.reshape(n, t, feat)
+    d_pool = mlp_backward(stack.h, cache.h_acts, d_zraw, h_grads) @ stack.h.weights[0]
+    d_pool += mlp_backward(stack.g, cache.g_acts, grad_logits, g_grads) @ stack.g.weights[0]
+    mlp_backward(stack.f, cache.f_acts, np.repeat(d_pool / t, t, axis=0), f_grads)
+    return grad
 
 
 def sgd_momentum_step(
@@ -233,12 +230,10 @@ def sgd_momentum_step(
     velocity: np.ndarray,
     momentum: float = 0.9,
 ) -> EncoderStack:
-    """v <- mu*v + g; p <- p - lr*v on the whole parameter vector.  No-op on frozen stacks.
+    """v <- mu*v + g; p <- p - lr*v on the whole parameter vector.
 
     ``velocity`` starts as ``np.zeros_like(stack.params)`` and is updated in place.
     """
-    if stack.frozen:
-        return stack
     if grad.shape != stack.params.shape or velocity.shape != stack.params.shape:
         raise ShapeMismatchError("parameter, gradient and velocity vectors differ in shape")
     velocity *= momentum
@@ -275,6 +270,8 @@ def _mlp_from_json(doc: dict, name: str, in_dim):
         raise DatasetParseError(f"checkpoint {name!r} has a non-numeric or ragged layer") from exc
     if not weights or len(weights) != len(biases):
         raise DatasetParseError(f"checkpoint {name!r} needs layers with one bias per weight")
+    if not all(np.isfinite(t).all() for t in weights + biases):
+        raise DatasetParseError(f"checkpoint {name!r} has a non-finite weight or bias")
     for l, (W, b) in enumerate(zip(weights, biases)):
         if W.ndim != 2 or b.shape != W.shape[:1] or in_dim not in (None, W.shape[1]):
             raise DatasetParseError(

@@ -6,11 +6,26 @@ Everything is float64. Tolerance conventions used across the package:
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
-from .exceptions import EmptyInputError, ZeroNormError
+from .exceptions import AllocationError, EmptyInputError, ZeroNormError
 
 ZERO_NORM_EPS = 1e-12
+
+
+@contextlib.contextmanager
+def allocating(what: str):
+    """Raise numpy's refusal to allocate ``what`` as an AllocationError.
+
+    numpy raises MemoryError when it cannot get the memory and ValueError for
+    a shape past its dimension limit; wrap array allocations only.
+    """
+    try:
+        yield
+    except (MemoryError, ValueError) as exc:
+        raise AllocationError(f"cannot allocate {what}: {exc}") from exc
 
 
 def as_f64(x) -> np.ndarray:

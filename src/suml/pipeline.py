@@ -39,7 +39,7 @@ from .exceptions import (
     EmptySetError,
 )
 from .losses import LossConfig, LossOutput
-from .mining import mine_pseudo_pairs
+from .mining import mine_pseudo_pairs, select_pairs
 from .model import (
     EncoderStack,
     ForwardCache,
@@ -96,16 +96,15 @@ def _selected_alignment(weighted: bool):
         sel, lc = b.sel, b.lc
         if len(sel) < 2:
             return None
-        zf, zt, df, dt = b.f.z[sel], b.t.z[sel], b.df[sel], b.dt[sel]
+        zf, zt = b.f.z[sel], b.t.z[sel]
+        # negatives from every pair of the batch, or from the gated pairs only
+        pool_f, pool_t, pos = (b.f.z, b.t.z, sel) if b.full_batch else (zf, zt, np.arange(len(sel)))
+        out = losses.weighted_alignment_loss_pooled(
+            zf, zt, b.df[sel], b.dt[sel], pool_f, pool_t, pos, lc.tau, lc.sigma,
+            weights=None if weighted else np.ones(len(sel)),
+        )
         if b.full_batch:
-            return losses.weighted_alignment_loss_pooled(
-                zf, zt, df, dt, b.f.z, b.t.z, sel, lc.tau, lc.sigma,
-                weights=None if weighted else np.ones(len(sel)),
-            )
-        if weighted:
-            out = losses.weighted_alignment_loss(zf, zt, df, dt, lc.tau, lc.sigma)
-        else:
-            out = losses.alignment_loss_unweighted(zf, zt, lc.tau)
+            return out
         grads = {key: np.zeros_like(b.f.z) for key in out.grads}
         for key, g in out.grads.items():
             grads[key][sel] = g
@@ -192,7 +191,6 @@ class MetricsRecord:
 @dataclass
 class ExperimentResult:
     config: TrainConfig
-    world_spec: WorldSpec
     records: list
     fpv_stack: EncoderStack
     tpv_stack: EncoderStack
@@ -262,6 +260,18 @@ def _chunk(indices, size, min_size):
             yield batch
 
 
+def _new_stack(config: TrainConfig, world_spec: WorldSpec, view: str) -> EncoderStack:
+    """A freshly initialized ``view`` stack, seeded by the run's ``init_<view>`` stream."""
+    return init_stack(
+        feat_dim=world_spec.feat_dim,
+        n_classes=world_spec.n_actions,
+        proj_dim=config.proj_dim or world_spec.text_dim,
+        seed=derive_seeds(config.seed)[f"init_{view}"],
+        hidden_dim=config.hidden_dim,
+        view=view,
+    )
+
+
 def pretrain_tpv(
     config: TrainConfig,
     world_spec: WorldSpec,
@@ -276,28 +286,19 @@ def pretrain_tpv(
         raise ConfigError("TPV dataset must be nonempty for stage 1")
     tpv = as_corpus(tpv_dataset)
     tpv_test = as_corpus(tpv_test) if tpv_test else None
-    seeds = derive_seeds(config.seed)
-    proj_dim = config.proj_dim or world_spec.text_dim
-    stack = init_stack(
-        feat_dim=world_spec.feat_dim,
-        n_classes=world_spec.n_actions,
-        proj_dim=proj_dim,
-        seed=seeds["init_tpv"],
-        hidden_dim=config.hidden_dim,
-        view="tpv",
-    )
-    rng = np.random.default_rng(np.random.SeedSequence(seeds["stage1_shuffle"]))
+    stack = _new_stack(config, world_spec, "tpv")
+    rng = np.random.default_rng(np.random.SeedSequence(derive_seeds(config.seed)["stage1_shuffle"]))
     velocity = np.zeros_like(stack.params)
     for epoch in range(config.epochs_stage1):
         lr = cosine_lr(epoch, config.epochs_stage1, config.base_lr)
         order = rng.permutation(len(tpv))
         batch_losses = []
         for b, idx in enumerate(_chunk(order, config.batch_size, 1)):
-            _, _, cache = encode_batch(stack, tpv.frames[idx])
+            cache = encode_batch(stack, tpv.frames[idx])
             ce = losses.cross_entropy(cache.logits, tpv.labels[idx])
             _check_finite(ce.value, 1, epoch, b)
-            grads, _ = backward(stack, cache, None, ce.grads["logits"])
-            sgd_momentum_step(stack, grads, lr, velocity, config.momentum)
+            grad = backward(stack, cache, None, ce.grads["logits"])
+            sgd_momentum_step(stack, grad, lr, velocity, config.momentum)
             batch_losses.append(ce.value)
         if metrics_sink is not None:
             loss_t = float(np.mean(batch_losses))
@@ -343,35 +344,25 @@ def joint_train(
 ):
     """Stage 2: mine pairs, gate by theta, train under the combined objective.
 
-    Returns (fpv_stack, tpv_stack, metrics records).
+    Trains a clone of ``tpv_stack``, which is left as it is given; under
+    ``same_init`` a missing one starts as a copy of the FPV init.  Only the
+    clone's ``frozen`` flag says whether the TPV stack trains, and it is set
+    from ``tpv_mode``.  Returns (fpv_stack, tpv_stack, metrics records).
     """
     config.validate()
     world_spec.validate()
-    seeds = derive_seeds(config.seed)
     lc = config.loss
-    proj_dim = config.proj_dim or world_spec.text_dim
+    if tpv_stack is not None:
+        tpv_stack = replace(clone_stack(tpv_stack), frozen=config.tpv_mode == "frozen")
+    elif config.tpv_mode != "same_init":
+        raise ConfigError(f"{config.tpv_mode} mode requires a stage-1 TPV stack")
 
     if config.tpv_mode == "shared_weights":
-        if tpv_stack is None:
-            raise ConfigError("shared_weights mode requires a stage-1 TPV stack")
         fpv_stack = tpv_stack  # one parameter set serves both views
     else:
-        fpv_stack = init_stack(
-            feat_dim=world_spec.feat_dim,
-            n_classes=world_spec.n_actions,
-            proj_dim=proj_dim,
-            seed=seeds["init_fpv"],
-            hidden_dim=config.hidden_dim,
-            view="fpv",
-        )
-        if config.tpv_mode == "same_init":
-            if tpv_stack is None:
-                tpv_stack = clone_stack(fpv_stack)
-                tpv_stack.view = "tpv"
-        elif tpv_stack is None:
-            raise ConfigError("stage-2 training requires a stage-1 TPV stack")
-        if config.tpv_mode == "frozen":
-            tpv_stack.frozen = True
+        fpv_stack = _new_stack(config, world_spec, "fpv")
+        if tpv_stack is None:
+            tpv_stack = replace(clone_stack(fpv_stack), view="tpv")
 
     fpv = as_corpus(fpv_dataset)
     tpv = as_corpus(tpv_dataset)
@@ -379,15 +370,15 @@ def joint_train(
     tpv_test = as_corpus(tpv_test) if tpv_test else None
     # Narrations are fixed inputs, so mining once equals mining every epoch.
     pairs = mine_pseudo_pairs(fpv, tpv)
-    sims = np.asarray([p.similarity for p in pairs])
+    gated = select_pairs(pairs, lc.theta).selected
     pair_fpv = np.asarray([p.fpv_index for p in pairs], dtype=int)
     pair_tpv = np.asarray([p.tpv_index for p in pairs], dtype=int)
 
-    rng = np.random.default_rng(np.random.SeedSequence(seeds["stage2_shuffle"]))
+    rng = np.random.default_rng(np.random.SeedSequence(derive_seeds(config.seed)["stage2_shuffle"]))
     shared = fpv_stack is tpv_stack
     terms = _stage2_terms(config.method, lc)
     tpv_touched = len(terms) > 1
-    # A frozen stack ignores its gradients, so its backward pass is skipped.
+    # A frozen TPV stack does not train, so its backward pass is skipped.
     tpv_learns = tpv_touched and not tpv_stack.frozen
     fpv_velocity = np.zeros_like(fpv_stack.params)
     tpv_velocity = np.zeros_like(tpv_stack.params) if tpv_learns and not shared else None
@@ -406,12 +397,12 @@ def joint_train(
         for b, idx in enumerate(_chunk(order, config.batch_size, 2)):
             fi = pair_fpv[idx]
             ti = pair_tpv[idx]
-            sel = np.flatnonzero(sims[idx] >= lc.theta)
+            sel = np.flatnonzero(gated[idx])
             n_pairs_seen += len(idx)
             n_selected += len(sel)
 
-            _, _, cache_f = encode_batch(fpv_stack, fpv.frames[fi])
-            cache_t = encode_batch(tpv_stack, tpv.frames[ti])[2] if tpv_touched else None
+            cache_f = encode_batch(fpv_stack, fpv.frames[fi])
+            cache_t = encode_batch(tpv_stack, tpv.frames[ti]) if tpv_touched else None
             batch = _Batch(
                 cache_f, cache_t, fpv.labels[fi], tpv.labels[ti],
                 fpv.narrations[fi], tpv.narrations[ti], sel, lc,
@@ -422,9 +413,9 @@ def joint_train(
             _check_finite(total.value, 2, epoch, b)
 
             g = total.grads
-            grads_f, _ = backward(fpv_stack, cache_f, g.get("zf"), g["logits_f"])
+            grads_f = backward(fpv_stack, cache_f, g.get("zf"), g["logits_f"])
             if tpv_learns:
-                grads_t, _ = backward(tpv_stack, cache_t, g.get("zt"), g.get("logits_t"))
+                grads_t = backward(tpv_stack, cache_t, g.get("zt"), g.get("logits_t"))
                 if shared:
                     grads_f += grads_t
                 else:
@@ -507,18 +498,15 @@ def run_experiment(
         make_dirs(out_dir)
     splits = _sample_splits(config, world_spec)
     records: list[MetricsRecord] = []
-    tpv_stack = stage1_stack = None  # under same_init joint_train copies the FPV init
+    stage1_stack = None  # under same_init joint_train copies the FPV init
     if config.tpv_mode != "same_init":
-        tpv_stack = pretrain_tpv(config, world_spec, splits.tpv_train, splits.tpv_test, records)
-        # stage 2 trains tpv_stack in place; keep the stage-1 weights to save
-        stage1_stack = clone_stack(tpv_stack) if out_dir is not None else None
+        stage1_stack = pretrain_tpv(config, world_spec, splits.tpv_train, splits.tpv_test, records)
     fpv_stack, tpv_stack, stage2_records = joint_train(
-        config, world_spec, splits.fpv_train, splits.tpv_train, tpv_stack,
+        config, world_spec, splits.fpv_train, splits.tpv_train, stage1_stack,
         splits.fpv_test, splits.tpv_test,
     )
     result = ExperimentResult(
         config=config,
-        world_spec=world_spec,
         records=records + stage2_records,
         fpv_stack=fpv_stack,
         tpv_stack=tpv_stack,
@@ -534,10 +522,10 @@ def _grid_seed(cell_configs: list, world_spec: WorldSpec) -> list:
     """Final FPV accuracy of each cell of one seed, in ``cell_configs`` order.
 
     The world, the datasets and stage 1 read only the seed and the fields the
-    cells share, so they are built once per seed.  Each cell starts from its own
-    clone of the stage-1 stack, because stage 2 trains or freezes it in place.
-    A cell reports only its final FPV test accuracy, so no epoch is scored on
-    the test sets; evaluation reads the stacks only, so accuracies are exact.
+    cells share, so they are built once per seed; every cell hands the one
+    stage-1 stack to ``joint_train``, which trains a clone of it.  A cell
+    reports only its final FPV test accuracy, so no epoch is scored on the
+    test sets; evaluation reads the stacks only, so accuracies are exact.
     """
     if not cell_configs:
         return []
@@ -547,7 +535,7 @@ def _grid_seed(cell_configs: list, world_spec: WorldSpec) -> list:
         stage1_stack = pretrain_tpv(stage1_config, world_spec, splits.tpv_train)
     accs = []
     for cfg in cell_configs:
-        tpv_stack = None if cfg.tpv_mode == "same_init" else clone_stack(stage1_stack)
+        tpv_stack = None if cfg.tpv_mode == "same_init" else stage1_stack
         fpv_stack, _, _ = joint_train(
             cfg, world_spec, splits.fpv_train, splits.tpv_train, tpv_stack
         )

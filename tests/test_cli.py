@@ -230,6 +230,27 @@ def test_bad_value_exits_one_and_writes_nothing(tmp_path, capsys, monkeypatch, a
     assert list(tmp_path.iterdir()) == []
 
 
+# Each size needs at least 1 TiB, so numpy refuses it at allocation.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--set", "world.feat_dim=10000000000", "--view", "fpv", "--n", "3"],
+        ["synth", "--set", "world.n_verbs=10000000000000000000000", "--view", "fpv", "--n", "3"],
+        ["synth", "--view", "fpv", "--n", "10000000000"],
+        ["train", "--set", "train.n_fpv_test=100000000000"],
+        ["train", "--set", "train.hidden_dim=10000000000"],
+    ],
+    ids=["feat_dim", "n_verbs", "synth_n", "n_fpv_test", "hidden_dim"],
+)
+def test_size_numpy_cannot_allocate_exits_one_and_writes_nothing(tmp_path, capsys, argv):
+    target = tmp_path / "out"
+    dest = ["--out", str(target)] if argv[0] == "synth" else ["--out-dir", str(target)]
+    assert main([*argv, *dest]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot allocate ") and "Traceback" not in err
+    assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == []
+
+
 def test_gradcheck_with_no_instances_does_not_pass(capsys):
     assert main(["gradcheck", "--instances", "-2", "--model-instances", "0"]) == 1
     out, err = capsys.readouterr()
@@ -507,10 +528,12 @@ def _drop_last_column(layers, key, index):
         lambda doc: _drop_last_column(doc["h"], "weights", 0),
         lambda doc: _drop_last_column(doc["g"], "weights", 0),
         lambda doc: doc["f"].update(weights=[[[10**400]]]),
+        lambda doc: doc["f"]["weights"][0][0].__setitem__(0, math.nan),
     ],
     ids=["no_g", "no_view", "no_h_biases", "f_weights_not_a_list", "g_biases_not_a_list",
          "ragged_layer", "short_f_bias", "f_bias_count", "f_layers_do_not_chain",
-         "h_does_not_chain_from_f", "g_does_not_chain_from_f", "weight_past_float_range"],
+         "h_does_not_chain_from_f", "g_does_not_chain_from_f", "weight_past_float_range",
+         "nan_f_weight"],
 )
 def test_eval_rejects_malformed_checkpoints(tmp_path, config_file, capsys, damage):
     ckpt = tmp_path / "ckpt.json"

@@ -18,9 +18,8 @@ from suml.model import (
 )
 
 
-def small_stack(seed=0, frozen=False):
-    return init_stack(feat_dim=6, n_classes=5, proj_dim=4, seed=seed,
-                      hidden_dim=8, view="fpv", frozen=frozen)
+def small_stack(seed=0):
+    return init_stack(feat_dim=6, n_classes=5, proj_dim=4, seed=seed, hidden_dim=8, view="fpv")
 
 
 def stack_equal(a, b):
@@ -53,14 +52,14 @@ def test_init_bias_zero_and_weight_range():
 def test_encode_batch_outputs_unit_projections(rng):
     s = small_stack()
     clips = rng.standard_normal((7, 3, 6))
-    Z, pooled, cache = encode_batch(s, clips)
-    assert Z.shape == (7, 4)
+    cache = encode_batch(s, clips)
+    assert cache.z.shape == (7, 4)
     assert cache.logits.shape == (7, 5)
-    assert np.allclose(np.linalg.norm(Z, axis=1), 1.0, atol=1e-12)
-    # pooled hidden state really is the frame average
+    assert np.allclose(np.linalg.norm(cache.z, axis=1), 1.0, atol=1e-12)
+    # the projection head's input really is the frame average
     n, t, f = clips.shape
     hidden = mlp_forward(s.f, clips.reshape(n * t, f))[-1].reshape(n, t, -1).mean(axis=1)
-    assert np.allclose(cache.pooled, hidden, atol=1e-12)
+    assert np.allclose(cache.h_acts[0], hidden, atol=1e-12)
 
 
 def test_encode_rejects_wrong_feature_dim(rng):
@@ -73,15 +72,15 @@ def test_backward_matches_finite_differences(rng):
     s = small_stack()
     clips = rng.standard_normal((5, 2, 6))
     labels = rng.integers(0, 5, size=5)
-    Z, _, cache = encode_batch(s, clips)
+    cache = encode_batch(s, clips)
     ce = cross_entropy(cache.logits, labels)
-    grad_z = rng.standard_normal(Z.shape) * 0.1  # arbitrary projection-side signal
+    grad_z = rng.standard_normal(cache.z.shape) * 0.1  # arbitrary projection-side signal
 
-    grads, _ = backward(s, cache, grad_z, ce.grads["logits"])
+    grads = backward(s, cache, grad_z, ce.grads["logits"])
 
     def objective():
-        Z2, _, cache2 = encode_batch(s, clips)
-        return cross_entropy(cache2.logits, labels).value + float(np.sum(grad_z * Z2))
+        cache2 = encode_batch(s, clips)
+        return cross_entropy(cache2.logits, labels).value + float(np.sum(grad_z * cache2.z))
 
     assert grads.shape == s.params.shape
     grad_tensors = EncoderStack(grads, s.dims).param_tensors()
@@ -110,15 +109,6 @@ def test_sgd_momentum_rejects_mismatched_vectors():
         sgd_momentum_step(s, np.zeros(s.params.size + 1), 0.1, np.zeros_like(s.params))
     with pytest.raises(ShapeMismatchError):
         sgd_momentum_step(s, np.zeros_like(s.params), 0.1, np.zeros(3))
-
-
-def test_frozen_stack_never_updates(rng):
-    s = small_stack(frozen=True)
-    before = [t.copy() for t in s.param_tensors()]
-    grads = np.ones_like(s.params)
-    sgd_momentum_step(s, grads, 0.5, np.zeros_like(s.params), 0.9)
-    for a, b in zip(before, s.param_tensors()):
-        assert np.array_equal(a, b)
 
 
 def test_cosine_lr_schedule():

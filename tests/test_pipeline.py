@@ -132,6 +132,20 @@ def test_frozen_mode_keeps_tpv_parameters():
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("tpv_mode", TPV_MODES)
+def test_joint_train_leaves_the_given_stack_unchanged(tpv_mode):
+    cfg = replace(FAST, tpv_mode=tpv_mode)
+    seeds = derive_seeds(cfg.seed)
+    world = generate_world(replace(WORLD, seed=seeds["world"]))
+    tpv = sample_dataset(world, "tpv", cfg.n_tpv_train, seeds["tpv_train"])
+    fpv = sample_dataset(world, "fpv", cfg.n_fpv_train, seeds["fpv_train"])
+    stage1 = pretrain_tpv(cfg, WORLD, tpv)
+    before = stage1.params.tobytes()
+    _, tpv_after, _ = joint_train(cfg, WORLD, fpv, tpv, stage1)
+    assert stage1.params.tobytes() == before and stage1.frozen is False
+    assert tpv_after is not stage1 and tpv_after.frozen == (tpv_mode == "frozen")
+
+
 def test_shared_weights_mode_is_one_parameter_set():
     cfg = replace(FAST, tpv_mode="shared_weights")
     result = run_experiment(cfg, WORLD)
