@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import shutil
 
 from .exceptions import DatasetIOError
 
@@ -14,6 +15,28 @@ def make_dirs(path) -> None:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise DatasetIOError(f"cannot create output directory {path}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def output_dir(path):
+    """Create ``path`` (None: nothing) for the body to fill, as ``make_dirs`` does.
+
+    If the body raises, the directories created here go, with what they hold.
+    """
+    if path is None:
+        yield
+        return
+    top = os.path.abspath(path)  # the outermost directory this call creates
+    while not os.path.exists(os.path.dirname(top)):
+        top = os.path.dirname(top)
+    existed = os.path.exists(top)
+    make_dirs(path)
+    try:
+        yield
+    except BaseException:
+        if not existed:
+            shutil.rmtree(top, ignore_errors=True)
+        raise
 
 
 def write_atomic(path, write) -> None:

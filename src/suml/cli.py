@@ -32,7 +32,7 @@ import os
 import sys
 
 from . import gradcheck, schema
-from .atomic import write_atomic
+from .atomic import output_dir, write_atomic
 from .datagen import WorldSpec, read_dataset, sample_dataset, write_dataset
 from .exceptions import (
     BadEdgesError,
@@ -225,8 +225,10 @@ def _cmd_stats(args) -> int:
 
 def _cmd_train(args) -> int:
     world, loss, train = parse_config(args.config, args.set)
-    result = run_experiment(train, world, out_dir=args.out_dir)
-    _write_effective_config(world, loss, train, os.path.join(args.out_dir, "effective_config.json"))
+    with output_dir(args.out_dir):  # a failed run leaves no directory it created
+        result = run_experiment(train, world, out_dir=args.out_dir)
+        config_path = os.path.join(args.out_dir, "effective_config.json")
+        _write_effective_config(world, loss, train, config_path)
     print(
         f"method={train.method} tpv_mode={train.tpv_mode} seed={train.seed} "
         f"final_fpv_test_acc={result.final_fpv_test_acc:.4f} "
@@ -265,8 +267,10 @@ def _cmd_ablate(args) -> int:
     methods = args.methods.split(",")
     tpv_modes = args.tpv_modes.split(",")
     seeds = [schema.parse(TrainConfig, "seed", s, "--seeds") for s in args.seeds.split(",")]
-    _, cells = run_ablation_grid(train, world, methods, tpv_modes, seeds, out_dir=args.out_dir)
-    _write_effective_config(world, loss, train, os.path.join(args.out_dir, "effective_config.json"))
+    with output_dir(args.out_dir):
+        _, cells = run_ablation_grid(train, world, methods, tpv_modes, seeds, out_dir=args.out_dir)
+        config_path = os.path.join(args.out_dir, "effective_config.json")
+        _write_effective_config(world, loss, train, config_path)
     for cell in cells:
         print(
             f"{cell['method']:22s} {cell['tpv_mode']:15s} "

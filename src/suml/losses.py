@@ -12,6 +12,8 @@ may therefore go negative.  The weighted alignment direction multiplies
 each positive term by a per-pair semantic weight with batch mean one.
 Every decoupled loss here is ``_decoupled`` with its own positives,
 negative pool and weights.
+Cross-entropy and the unweighted losses also take (S, N, d) replica batches,
+computing each slice as its 2-D batch, with one value per replica.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .exceptions import (
     LabelOutOfRangeError,
     ShapeMismatchError,
 )
-from .numerics import as_f64, logsumexp_rows
+from .numerics import as_f64, logsumexp_rows, mean_rows
 from .schema import check, rule
 
 
@@ -49,28 +51,29 @@ class LossOutput:
     grads: dict = field(default_factory=dict)
 
 
-def _check_pair_batch(Z1, Z2, min_n=2):
+def _check_pair_batch(Z1, Z2, min_n=2, replicas=True):
+    """Equal-shape (N, d) batches, or (S, N, d) ones where ``replicas`` allows."""
     Z1 = as_f64(Z1)
     Z2 = as_f64(Z2)
     if Z1.shape != Z2.shape:
         raise ShapeMismatchError(f"batch shapes differ: {Z1.shape} vs {Z2.shape}")
-    if Z1.ndim != 2:
-        raise ShapeMismatchError("feature batches must be 2-D")
-    if Z1.shape[0] < min_n:
-        raise BatchTooSmallError(f"need at least {min_n} rows, got {Z1.shape[0]}")
+    if Z1.ndim not in ((2, 3) if replicas else (2,)):
+        raise ShapeMismatchError(f"feature batches must be (N, d), got {Z1.shape}")
+    if Z1.shape[-2] < min_n:
+        raise BatchTooSmallError(f"need at least {min_n} rows, got {Z1.shape[-2]}")
     return Z1, Z2
 
 
 def info_nce_direction(Z1, Z2, tau: float) -> LossOutput:
     """One direction of the contrastive loss; positives on the diagonal."""
     Z1, Z2 = _check_pair_batch(Z1, Z2)
-    n = Z1.shape[0]
-    A = (Z1 @ Z2.T) / tau
+    n = Z1.shape[-2]
+    A = (Z1 @ Z2.swapaxes(-1, -2)) / tau
     lse = logsumexp_rows(A)
-    value = float(np.mean(lse - np.diagonal(A)))
-    P = np.exp(A - lse[:, None])
+    value = mean_rows(lse - np.diagonal(A, axis1=-2, axis2=-1))
+    P = np.exp(A - lse[..., None])
     G = (P - np.eye(n)) / (n * tau)
-    return LossOutput(value, {"z1": G @ Z2, "z2": G.T @ Z1})
+    return LossOutput(value, {"z1": G @ Z2, "z2": G.swapaxes(-1, -2) @ Z1})
 
 
 def info_nce_symmetric(Zf, Zt, tau: float) -> LossOutput:
@@ -89,17 +92,19 @@ def _decoupled(anchors, pool, pos_idx, tau, weights):
     ``pos_idx`` is None); every other pool row is a negative.  Returns the
     value and the gradients w.r.t. the anchors and the pool.
     """
-    n, m = anchors.shape[0], pool.shape[0]
-    A = (anchors @ pool.T) / tau
+    n, m = anchors.shape[-2], pool.shape[-2]
+    A = (anchors @ pool.swapaxes(-1, -2)) / tau
+    # positives as positions in each replica's flattened (n, m) score matrix
     pos_flat = slice(None, None, m + 1) if pos_idx is None else np.arange(n) * m + pos_idx
-    pos = A.flat[pos_flat]
-    A.flat[pos_flat] = -np.inf
+    flat = A.reshape(*A.shape[:-2], n * m)
+    pos = flat[..., pos_flat].copy()
+    flat[..., pos_flat] = -np.inf
     lse = logsumexp_rows(A)
-    value = float(np.mean(lse - weights * pos))
-    G = np.exp(A - lse[:, None])  # row-softmax over the negatives, zero at positives
+    value = mean_rows(lse - weights * pos)
+    G = np.exp(A - lse[..., None])  # row-softmax over the negatives, zero at positives
     G /= n * tau
-    G.flat[pos_flat] -= weights / (n * tau)
-    return value, G @ pool, G.T @ anchors
+    G.reshape(flat.shape)[..., pos_flat] -= weights / (n * tau)
+    return value, G @ pool, G.swapaxes(-1, -2) @ anchors
 
 
 def _both_directions(Za, Zb, pool_a, pool_b, pos_idx, tau, weights):
@@ -111,8 +116,8 @@ def _both_directions(Za, Zb, pool_a, pool_b, pos_idx, tau, weights):
     v1, ga, g_pool_b = _decoupled(Za, pool_b, pos_idx, tau, weights)
     v2, gb, g_pool_a = _decoupled(Zb, pool_a, pos_idx, tau, weights)
     rows = slice(None) if pos_idx is None else pos_idx
-    g_pool_a[rows] += ga
-    g_pool_b[rows] += gb
+    g_pool_a[..., rows, :] += ga
+    g_pool_b[..., rows, :] += gb
     return v1, v2, g_pool_a, g_pool_b
 
 
@@ -165,15 +170,20 @@ def weighted_alignment_loss_pooled(
 ) -> LossOutput:
     """Full-batch negative mode: positives from selected pairs, negatives from all pairs.
 
-    ``sel_idx`` maps selected rows to their positions in the pool batches.
+    ``sel_idx`` maps selected rows to their positions in the pool batches;
+    None means the pools are the selected rows themselves, in order.
     Gradients are returned at pool shape so they add onto the whole batch.
     Pass ``weights`` explicitly (e.g. ones) to bypass the semantic weighting.
     """
     Zf_sel, Zt_sel = _check_pair_batch(Zf_sel, Zt_sel)
     Zf_pool, Zt_pool = _check_pair_batch(Zf_pool, Zt_pool)
-    sel_idx = np.asarray(sel_idx, dtype=int)
-    if sel_idx.shape != Zf_sel.shape[:1] or np.any((sel_idx < 0) | (sel_idx >= len(Zf_pool))):
-        raise ShapeMismatchError("sel_idx needs one pool row index per selected row")
+    if sel_idx is None:
+        if Zf_pool.shape != Zf_sel.shape:
+            raise ShapeMismatchError("without sel_idx the pools must be the selected rows")
+    else:
+        sel_idx = np.asarray(sel_idx, dtype=int)
+        if sel_idx.shape != Zf_sel.shape[:1] or np.any((sel_idx < 0) | (sel_idx >= len(Zf_pool))):
+            raise ShapeMismatchError("sel_idx needs one pool row index per selected row")
     w = semantic_weights(Df_sel, Dt_sel, sigma) if weights is None else as_f64(weights)
     return _alignment(Zf_sel, Zt_sel, Zf_pool, Zt_pool, sel_idx, tau, w)
 
@@ -191,23 +201,23 @@ def cross_entropy(logits, labels) -> LossOutput:
     """Mean negative log-softmax of the true class."""
     logits = as_f64(logits)
     labels = np.asarray(labels, dtype=int)
-    if logits.ndim != 2 or labels.shape != (logits.shape[0],):
+    if logits.ndim not in (2, 3) or labels.shape != logits.shape[:-1]:
         raise ShapeMismatchError("logits must be (N, C) with N labels")
-    n, c = logits.shape
+    n, c = logits.shape[-2:]
     if np.any(labels < 0) or np.any(labels >= c):
         raise LabelOutOfRangeError(f"labels must lie in [0, {c})")
     lse = logsumexp_rows(logits)
-    rows = np.arange(n)
-    value = float(np.mean(lse - logits[rows, labels]))
-    G = np.exp(logits - lse[:, None])
-    G[rows, labels] -= 1.0
+    true = np.arange(labels.size).reshape(labels.shape) * c + labels  # flat true-class index
+    value = mean_rows(lse - logits.reshape(-1)[true])
+    G = np.exp(logits - lse[..., None])
+    G.reshape(-1)[true] -= 1.0
     G /= n
     return LossOutput(value, {"logits": G})
 
 
 def triplet_loss(Zf, Zt, margin: float) -> LossOutput:
     """Hardest-in-batch margin loss over squared distances; subgradient 0 at the hinge."""
-    Zf, Zt = _check_pair_batch(Zf, Zt)
+    Zf, Zt = _check_pair_batch(Zf, Zt, replicas=False)
     n = Zf.shape[0]
     sq_f = np.sum(Zf * Zf, axis=1)
     sq_t = np.sum(Zt * Zt, axis=1)

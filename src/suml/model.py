@@ -14,8 +14,17 @@ is also the order of ``param_tensors()``.  ``f``, ``h`` and ``g`` are
 ``MlpParams`` whose arrays are views into ``params``; ``backward`` returns
 the parameter gradient as one vector with the same layout, so momentum and
 the SGD step are whole-vector operations.  Whether a stack trains is its
-caller's decision (``frozen`` is checkpoint metadata).  Checkpoints keep the
-per-layer ``suml-encoder-stack-v1`` JSON format and hold finite values only.
+caller's decision (``frozen`` is checkpoint metadata).
+
+``params`` may carry a leading replica axis, ``(S, P)``: S independent
+models of one shape, trained as one (as JAX's ``vmap`` batches them).  Then
+``mlp_views`` gives ``(S, out, in)`` weights and ``(S, out)`` biases, and
+clips, forward caches and gradients carry the same leading axis.  Every
+operation acts on each replica's slice as it acts on a single stack, so a
+replica trains bitwise as its own model would; ``replica`` views one.
+
+Checkpoints keep the per-layer ``suml-encoder-stack-v1`` JSON format, hold
+one unstacked model and finite values only.
 """
 
 from __future__ import annotations
@@ -59,20 +68,22 @@ def mlp_views(vec: np.ndarray, dims) -> tuple:
     """View the flat ``vec`` as the f, h and g ``MlpParams`` of layer widths ``dims``.
 
     ``dims`` holds one width tuple per MLP, input first, e.g. ``(feat, hidden,
-    hidden)``.  Per MLP: weights (row-major ``(out, in)``), then biases.
+    hidden)``.  Per MLP: weights (row-major ``(out, in)``), then biases.  A
+    ``(S, P)`` ``vec`` holds S replicas and gives ``(S, out, in)`` views.
     """
     size = param_size(dims)
-    if vec.shape != (size,):
+    if vec.ndim not in (1, 2) or vec.shape[-1] != size:
         raise ShapeMismatchError(f"parameter vector {vec.shape} does not hold {size} values")
+    lead = vec.shape[:-1]
     mlps, off = [], 0
     for widths in dims:
         layers = list(zip(widths, widths[1:]))
         weights, biases = [], []
         for d_in, d_out in layers:
-            weights.append(vec[off : off + d_out * d_in].reshape(d_out, d_in))
+            weights.append(vec[..., off : off + d_out * d_in].reshape(*lead, d_out, d_in))
             off += d_out * d_in
         for _, d_out in layers:
-            biases.append(vec[off : off + d_out])
+            biases.append(vec[..., off : off + d_out])
             off += d_out
         mlps.append(MlpParams(weights=weights, biases=biases))
     return tuple(mlps)
@@ -80,7 +91,7 @@ def mlp_views(vec: np.ndarray, dims) -> tuple:
 
 @dataclass
 class EncoderStack:
-    """One flat ``params`` vector; ``f``, ``h`` and ``g`` are views into it."""
+    """One flat ``params`` vector (one row per replica); ``f``, ``h`` and ``g`` view it."""
 
     params: np.ndarray
     dims: tuple  # layer widths of f, h and g (see ``mlp_views``)
@@ -132,14 +143,20 @@ def clone_stack(stack: EncoderStack) -> EncoderStack:
     return replace(stack, params=stack.params.copy())
 
 
+def replica(stack: EncoderStack, r: int) -> EncoderStack:
+    """Replica ``r`` of a stacked ``stack``; its views share the stack's memory."""
+    return replace(stack, params=stack.params[r])
+
+
 def mlp_forward(p: MlpParams, X: np.ndarray) -> list:
     """Return activations [input, layer1, ..., output]; tanh except on the last layer."""
     acts = [X]
     A = X
     last = p.n_layers - 1
     for l, (W, b) in enumerate(zip(p.weights, p.biases)):
-        pre = A @ W.T + b
-        A = pre if l == last else np.tanh(pre)
+        pre = A @ W.swapaxes(-1, -2)
+        pre += b[..., None, :]
+        A = pre if l == last else np.tanh(pre, out=pre)
         acts.append(A)
     return acts
 
@@ -151,8 +168,8 @@ def mlp_backward(p: MlpParams, acts: list, d_out: np.ndarray, grads: MlpParams):
     last = p.n_layers - 1
     for l in range(last, -1, -1):
         d_pre = dA if l == last else dA * (1.0 - acts[l + 1] ** 2)
-        grads.weights[l][...] = d_pre.T @ acts[l]
-        grads.biases[l][...] = d_pre.sum(axis=0)
+        grads.weights[l][...] = d_pre.swapaxes(-1, -2) @ acts[l]
+        grads.biases[l][...] = d_pre.sum(axis=-2)
         if l:
             dA = d_pre @ p.weights[l]
     return d_pre
@@ -161,28 +178,33 @@ def mlp_backward(p: MlpParams, acts: list, d_out: np.ndarray, grads: MlpParams):
 def pool_frames(stack: EncoderStack, clips):
     """Check clips (N, T, feat), run f on every frame and average over frames.
 
+    A stacked ``stack`` takes (S, N, T, feat) clips, one batch per replica.
     Returns (clips shape, f activations, pooled hidden (N, hidden)); the shared
     trunk of training (``encode_batch``) and evaluation.
     """
     clips = np.asarray(clips, dtype=np.float64)
-    if clips.ndim != 3:
-        raise ShapeMismatchError(f"clips must be (N, T, feat), got {clips.shape}")
-    n, t, feat = clips.shape
+    lead = stack.params.shape[:-1]
+    if clips.ndim != len(lead) + 3 or clips.shape[:-3] != lead:
+        want = ", ".join(map(str, (*lead, "N", "T", "feat")))
+        raise ShapeMismatchError(f"clips must be ({want}), got {clips.shape}")
+    n, t, feat = clips.shape[-3:]
     if t < 1:
         raise ShapeMismatchError("need at least one frame per clip")
     if feat != stack.dims[0][0]:
         raise DimMismatchError(
             f"clip feature dim {feat} does not match encoder input {stack.dims[0][0]}"
         )
-    f_acts = mlp_forward(stack.f, clips.reshape(n * t, feat))
-    return clips.shape, f_acts, f_acts[-1].reshape(n, t, -1).mean(axis=1)
+    f_acts = mlp_forward(stack.f, clips.reshape(*lead, n * t, feat))
+    frame_sum = np.add.reduce(f_acts[-1].reshape(*lead, n, t, -1), axis=-2)
+    return clips.shape, f_acts, frame_sum / t  # the frame mean, as ``np.mean`` computes it
 
 
 def encode_batch(stack: EncoderStack, clips: np.ndarray) -> ForwardCache:
-    """Forward a batch of clips (N, T, feat); ``cache.z`` holds the unit projections."""
+    """Forward a batch of clips (N, T, feat), one per replica of a stacked
+    ``stack``; ``cache.z`` holds the unit projections."""
     x_shape, f_acts, pooled = pool_frames(stack, clips)
     h_acts = mlp_forward(stack.h, pooled)
-    norms = np.linalg.norm(h_acts[-1], axis=1)
+    norms = np.linalg.norm(h_acts[-1], axis=-1)
     if np.any(norms < ZERO_NORM_EPS):
         raise ZeroNormError("projection head output collapsed to zero norm")
     g_acts = mlp_forward(stack.g, pooled)
@@ -191,7 +213,7 @@ def encode_batch(stack: EncoderStack, clips: np.ndarray) -> ForwardCache:
         f_acts=f_acts,
         h_acts=h_acts,
         norms=norms,
-        z=h_acts[-1] / norms[:, None],
+        z=h_acts[-1] / norms[..., None],
         g_acts=g_acts,
         logits=g_acts[-1],
     )
@@ -203,7 +225,7 @@ def backward(stack: EncoderStack, cache: ForwardCache, grad_z, grad_logits) -> n
     Either gradient may be None (treated as zero).  Returns the parameter
     gradient as one vector laid out like ``stack.params``.
     """
-    t = cache.x_shape[1]
+    t = cache.x_shape[-2]
     if grad_z is None:
         grad_z = np.zeros_like(cache.z)
     if grad_logits is None:
@@ -213,13 +235,13 @@ def backward(stack: EncoderStack, cache: ForwardCache, grad_z, grad_logits) -> n
     if grad_z.shape != cache.z.shape or grad_logits.shape != cache.logits.shape:
         raise ShapeMismatchError("gradient shapes do not match forward outputs")
     # normalization Jacobian: (grad - <grad, z> z) / ||raw||
-    inner = np.sum(grad_z * cache.z, axis=1, keepdims=True)
-    d_zraw = (grad_z - inner * cache.z) / cache.norms[:, None]
+    inner = np.sum(grad_z * cache.z, axis=-1, keepdims=True)
+    d_zraw = (grad_z - inner * cache.z) / cache.norms[..., None]
     grad = np.empty_like(stack.params)
     f_grads, h_grads, g_grads = mlp_views(grad, stack.dims)
     d_pool = mlp_backward(stack.h, cache.h_acts, d_zraw, h_grads) @ stack.h.weights[0]
     d_pool += mlp_backward(stack.g, cache.g_acts, grad_logits, g_grads) @ stack.g.weights[0]
-    mlp_backward(stack.f, cache.f_acts, np.repeat(d_pool / t, t, axis=0), f_grads)
+    mlp_backward(stack.f, cache.f_acts, np.repeat(d_pool / t, t, axis=-2), f_grads)
     return grad
 
 

@@ -50,7 +50,12 @@ def logsumexp(xs) -> float:
     return m + float(np.log(np.sum(np.exp(xs - m))))
 
 
+def mean_rows(A: np.ndarray) -> np.ndarray:
+    """``np.mean(A, axis=-1)``, bitwise, without ``np.mean``'s per-call overhead."""
+    return np.add.reduce(A, axis=-1) / A.shape[-1]
+
+
 def logsumexp_rows(A: np.ndarray) -> np.ndarray:
-    """Row-wise logsumexp of a 2-D array; -inf entries act as missing terms."""
-    m = np.max(A, axis=1, keepdims=True)
-    return (m + np.log(np.sum(np.exp(A - m), axis=1, keepdims=True)))[:, 0]
+    """Row-wise logsumexp (over the last axis); -inf entries act as missing terms."""
+    m = np.max(A, axis=-1, keepdims=True)
+    return (m + np.log(np.sum(np.exp(A - m), axis=-1, keepdims=True)))[..., 0]

@@ -1,6 +1,6 @@
 import pytest
 
-from suml.atomic import make_dirs, write_atomic
+from suml.atomic import make_dirs, output_dir, write_atomic
 from suml.exceptions import DatasetIOError
 
 
@@ -40,3 +40,23 @@ def test_make_dirs_under_a_file_is_an_io_error(tmp_path):
     for path in (afile, afile / "sub"):
         with pytest.raises(DatasetIOError):
             make_dirs(path)
+
+
+def test_output_dir_removes_only_the_directories_it_created(tmp_path):
+    nested = tmp_path / "a" / "b"
+    with pytest.raises(RuntimeError):
+        with output_dir(nested):
+            (nested / "metrics.jsonl").write_text("partial")
+            raise RuntimeError("run failed")
+    assert list(tmp_path.iterdir()) == []
+    # a directory that was there before is left as it was
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "old.txt").write_text("old")
+    with pytest.raises(RuntimeError):
+        with output_dir(kept / "run"):
+            raise RuntimeError("run failed")
+    assert [p.name for p in kept.iterdir()] == ["old.txt"]
+    with output_dir(kept / "run"):
+        pass
+    assert (kept / "run").is_dir()

@@ -248,7 +248,7 @@ def test_size_numpy_cannot_allocate_exits_one_and_writes_nothing(tmp_path, capsy
     assert main([*argv, *dest]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: cannot allocate ") and "Traceback" not in err
-    assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == []
+    assert list(tmp_path.iterdir()) == []  # no file, and no directory either
 
 
 def test_gradcheck_with_no_instances_does_not_pass(capsys):
@@ -426,7 +426,7 @@ def test_diverging_train_fails_without_metrics(tmp_path, capsys, tpv_mode, stage
     assert main(["train", "--set", "train.base_lr=1e6", "--set", f"train.tpv_mode={tpv_mode}",
                  "--out-dir", str(out_dir)]) == 1
     err = capsys.readouterr().err
-    assert f"stage {stage} diverged at epoch" in err and "batch" in err
+    assert f"seed 0: stage {stage} diverged at epoch" in err and "batch" in err
     assert not (out_dir / "metrics.jsonl").exists()
 
 
@@ -493,7 +493,20 @@ def test_failed_train_leaves_no_file(tmp_path, capsys, overrides):
         argv += ["--set", item]
     assert main(argv) == 1
     assert "error:" in capsys.readouterr().err
-    assert list(out_dir.glob("*")) == []
+    assert not out_dir.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_diverging_ablate_names_the_seed_and_leaves_no_directory(tmp_path, capsys):
+    out_dir = tmp_path / "grids" / "lr30"
+    assert main(["ablate", "--set", "train.base_lr=30", "--set", "train.epochs_stage1=2",
+                 "--seeds", "0,1", "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    line = next(line for line in err.splitlines() if line.startswith("error:"))
+    assert "seed" in line and "stage 2 diverged at epoch" in line
+    assert "Traceback" not in err
+    assert not (tmp_path / "grids").exists()
 
 
 def test_unusable_out_dir_is_an_io_error(tmp_path, config_file, capsys, monkeypatch):

@@ -127,12 +127,12 @@ def test_pooled_negatives_reduce_to_subset_when_pool_is_subset(rng):
     Zf, Zt = unit_rows(rng, n, d), unit_rows(rng, n, d)
     Df, Dt = unit_rows(rng, n, 6), unit_rows(rng, n, 6)
     sub = weighted_alignment_loss(Zf, Zt, Df, Dt, tau=0.3, sigma=1.0)
-    pooled = weighted_alignment_loss_pooled(
-        Zf, Zt, Df, Dt, Zf, Zt, np.arange(n), tau=0.3, sigma=1.0
-    )
-    assert pooled.value == pytest.approx(sub.value, abs=1e-12)
-    assert np.allclose(pooled.grads["zf"], sub.grads["zf"], atol=1e-12)
-    assert np.allclose(pooled.grads["zt"], sub.grads["zt"], atol=1e-12)
+    # sel_idx None: the pools are the selected rows, bitwise the subset loss
+    for sel in (np.arange(n), None):
+        pooled = weighted_alignment_loss_pooled(Zf, Zt, Df, Dt, Zf, Zt, sel, tau=0.3, sigma=1.0)
+        assert pooled.value == sub.value
+        assert np.array_equal(pooled.grads["zf"], sub.grads["zf"])
+        assert np.array_equal(pooled.grads["zt"], sub.grads["zt"])
 
 
 def test_pooled_negatives_raise_loss_with_extra_pool_rows(rng):
@@ -247,7 +247,7 @@ def test_shape_and_batch_errors(rng):
         semantic_weights(np.ones((2, 3)), np.ones((3, 3)), 1.0)
     # pool row indices: one per selected row, inside the pool
     Z, D = unit_rows(rng, 4, 3), unit_rows(rng, 2, 5)
-    for sel in ([0, 4], [-1, 2], [0]):
+    for sel in ([0, 4], [-1, 2], [0], None):
         with pytest.raises(ShapeMismatchError):
             weighted_alignment_loss_pooled(Z[:2], Z[:2], D, D, Z, Z, sel, 0.5, 1.0)
 
@@ -262,3 +262,22 @@ def test_loss_config_validation():
         LossConfig(w_m=-1.0).validate()
     with pytest.raises(ValueError):
         LossConfig(sigma=0.0).validate()
+
+
+@pytest.mark.parametrize(
+    "loss",
+    [
+        lambda a, b, c, d: cross_entropy(a @ np.ones((a.shape[-1], 7)), (b[..., 0] > 0) * 3),
+        lambda a, b, c, d: dcl_direction(a, b, 0.4),
+        lambda a, b, c, d: info_nce_direction(a, b, 0.4),
+        lambda a, b, c, d: alignment_loss_unweighted(a, b, 0.4),
+        lambda a, b, c, d: multimodal_loss(a, c, b, d, 0.4),
+    ],
+)
+def test_replica_batches_equal_each_replica_alone(rng, loss):
+    stacked = [np.stack([unit_rows(rng, 6, 5) for _ in range(3)]) for _ in range(4)]
+    out = loss(*stacked)
+    for r in range(3):
+        alone = loss(*(x[r] for x in stacked))
+        assert out.value[r] == alone.value
+        assert all(np.array_equal(out.grads[k][r], g) for k, g in alone.grads.items())

@@ -13,6 +13,7 @@ from suml.model import (
     init_stack,
     load_checkpoint,
     mlp_forward,
+    replica,
     save_checkpoint,
     sgd_momentum_step,
 )
@@ -165,3 +166,26 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     path2 = tmp_path / "ckpt2.json"
     save_checkpoint(loaded, str(path2), stage="stage2_fpv")
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_stacked_stack_steps_each_replica_as_alone(rng):
+    alone = [small_stack(seed) for seed in range(3)]
+    stacked = EncoderStack(np.stack([s.params for s in alone]), alone[0].dims)
+    for r, s in enumerate(alone):
+        view = replica(stacked, r)
+        assert np.shares_memory(view.params, stacked.params) and stack_equal(view, s)
+    clips = rng.standard_normal((3, 4, 2, 6))
+    labels = rng.integers(0, 5, size=(3, 4))
+    grad_z = rng.standard_normal((3, 4, 4))
+    cache = encode_batch(stacked, clips)
+    grad = backward(stacked, cache, grad_z, cross_entropy(cache.logits, labels).grads["logits"])
+    sgd_momentum_step(stacked, grad, 0.1, np.zeros_like(stacked.params))
+    for r, s in enumerate(alone):
+        c = encode_batch(s, clips[r])
+        assert np.array_equal(cache.z[r], c.z) and np.array_equal(cache.logits[r], c.logits)
+        g = backward(s, c, grad_z[r], cross_entropy(c.logits, labels[r]).grads["logits"])
+        assert np.array_equal(grad[r], g)
+        sgd_momentum_step(s, g, 0.1, np.zeros_like(s.params))
+        assert np.array_equal(stacked.params[r], s.params)
+    with pytest.raises(ShapeMismatchError):
+        encode_batch(stacked, clips[0])

@@ -12,17 +12,20 @@ from suml import pipeline
 from suml.datagen import WorldSpec, generate_world, sample_dataset
 from suml.exceptions import ConfigError, EmptySetError
 from suml.losses import LossConfig
-from suml.model import init_stack
+from suml.model import init_stack, replica
 from suml.pipeline import (
     METHODS,
+    NEGATIVE_SET_MODES,
     TPV_MODES,
     TrainConfig,
+    build_world,
     derive_seeds,
     evaluate_fpv,
     joint_train,
     pretrain_tpv,
     run_ablation_grid,
     run_experiment,
+    stack_datasets,
 )
 
 WORLD = WorldSpec(n_verbs=3, n_nouns=4, text_dim=16, feat_dim=12, frames_per_clip=2)
@@ -246,8 +249,10 @@ def test_grid_shares_datasets_and_stage1_per_seed(monkeypatch):
     draws = count_calls(monkeypatch, pipeline, "sample_dataset")
     seeds = [0, 1, 2]
     run_ablation_grid(GRID_TRAIN, GRID_WORLD, METHODS[:3], TPV_MODES, seeds)
-    assert len(stage1) == len(seeds)
-    assert len(draws) == 4 * len(seeds)
+    # one stage 1 trains every seed's replica; per seed, the two train sets and
+    # the FPV test set are drawn once (no cell reads a TPV test set)
+    assert len(stage1) == 1
+    assert len(draws) == 3 * len(seeds)
 
 
 def test_same_init_grid_skips_stage1(monkeypatch):
@@ -255,17 +260,17 @@ def test_same_init_grid_skips_stage1(monkeypatch):
     draws = count_calls(monkeypatch, pipeline, "sample_dataset")
     run_ablation_grid(GRID_TRAIN, GRID_WORLD, ["fpv_only", "sum_l"], ["same_init"], [0, 1])
     assert stage1 == []
-    assert len(draws) == 8
+    assert len(draws) == 6
 
 
 def test_grid_scores_only_what_it_reports(monkeypatch):
     evals = count_calls(monkeypatch, pipeline, "evaluate_fpv")
     methods, seeds = ["fpv_only", "sum_l"], [0, 1]
     run_ablation_grid(GRID_TRAIN, GRID_WORLD, methods, TPV_MODES, seeds)
-    # fpv_train once per stage-2 epoch and the final FPV test score, per cell;
-    # no stage-1 epoch and no test set is scored along the way
+    # only the final FPV test score of each cell and seed; no epoch of either
+    # stage is scored along the way
     cells = len(methods) * len(TPV_MODES) * len(seeds)
-    assert len(evals) == cells * (GRID_TRAIN.epochs_stage2 + 1)
+    assert len(evals) == cells
 
 
 @pytest.mark.parametrize(
@@ -296,3 +301,76 @@ def test_frozen_tpv_stack_skips_its_backward_pass(monkeypatch, tpv_mode, tpv_pas
     stage1_batches = cfg.epochs_stage1 * math.ceil(cfg.n_tpv_train / cfg.batch_size)
     stage2_batches = cfg.epochs_stage2 * (cfg.n_fpv_train // cfg.batch_size)
     assert len(passes) == stage1_batches + (1 + tpv_passes) * stage2_batches
+
+
+REPLICA_SEEDS = [0, 1, 2]
+
+
+def seed_datasets(split):
+    """``split`` of each of REPLICA_SEEDS, drawn as a single run draws it."""
+    view = split.split("_")[0]
+    n = getattr(GRID_TRAIN, f"n_{split}")
+    return [
+        sample_dataset(build_world(GRID_WORLD, s), view, n, derive_seeds(s)[split])
+        for s in REPLICA_SEEDS
+    ]
+
+
+@pytest.fixture(scope="module")
+def replica_data():
+    return {split: seed_datasets(split)
+            for split in ("fpv_train", "tpv_train", "fpv_test", "tpv_test")}
+
+
+def test_stacked_stage1_equals_each_seed_alone(replica_data):
+    d = replica_data
+    records = []
+    stacked = pretrain_tpv(
+        GRID_TRAIN, GRID_WORLD, stack_datasets(d["tpv_train"]), stack_datasets(d["tpv_test"]),
+        records, seeds=REPLICA_SEEDS,
+    )
+    assert stacked.params.shape[0] == len(REPLICA_SEEDS)
+    epochs = GRID_TRAIN.epochs_stage1
+    for r, seed in enumerate(REPLICA_SEEDS):
+        alone_records = []
+        alone = pretrain_tpv(replace(GRID_TRAIN, seed=seed), GRID_WORLD, d["tpv_train"][r],
+                             d["tpv_test"][r], alone_records)
+        assert replica(stacked, r).params.tobytes() == alone.params.tobytes()
+        assert records_equal(records[r * epochs : (r + 1) * epochs], alone_records)
+
+
+@pytest.mark.parametrize("negative_set_mode", NEGATIVE_SET_MODES)
+@pytest.mark.parametrize("method", METHODS)
+def test_stacked_stage2_equals_each_seed_alone(monkeypatch, replica_data, method,
+                                               negative_set_mode):
+    d = replica_data
+    stacked_sets = {split: stack_datasets(sets) for split, sets in d.items()}
+    stage1 = pretrain_tpv(GRID_TRAIN, GRID_WORLD, stacked_sets["tpv_train"], seeds=REPLICA_SEEDS)
+    encodes = count_calls(monkeypatch, pipeline, "encode_batch")
+    epochs = GRID_TRAIN.epochs_stage2
+    for tpv_mode in TPV_MODES:
+        cfg = replace(GRID_TRAIN, method=method, tpv_mode=tpv_mode,
+                      negative_set_mode=negative_set_mode)
+        encodes.clear()
+        fpv_s, tpv_s, records = joint_train(
+            cfg, GRID_WORLD, stacked_sets["fpv_train"], stacked_sets["tpv_train"],
+            None if tpv_mode == "same_init" else stage1,
+            stacked_sets["fpv_test"], stacked_sets["tpv_test"], seeds=REPLICA_SEEDS,
+        )
+        stacked_encodes = len(encodes)
+        for r, seed in enumerate(REPLICA_SEEDS):
+            single = replace(cfg, seed=seed)
+            stage1_alone = pretrain_tpv(single, GRID_WORLD, d["tpv_train"][r])
+            encodes.clear()
+            fpv_a, tpv_a, records_a = joint_train(
+                single, GRID_WORLD, d["fpv_train"][r], d["tpv_train"][r],
+                None if tpv_mode == "same_init" else stage1_alone,
+                d["fpv_test"][r], d["tpv_test"][r],
+            )
+            # one encode_batch call per stacked batch and view, as for one seed
+            assert stacked_encodes == len(encodes)
+            assert replica(fpv_s, r).params.tobytes() == fpv_a.params.tobytes()
+            assert replica(tpv_s, r).params.tobytes() == tpv_a.params.tobytes()
+            assert records_equal(records[r * epochs : (r + 1) * epochs], records_a)
+        assert (fpv_s is tpv_s) == (tpv_mode == "shared_weights")
+        assert tpv_s.frozen == (tpv_mode == "frozen")
