@@ -3,7 +3,10 @@
 Central differences with eps = 1e-5 in float64; the reported error for a
 gradient block is max|analytic - numeric| / max(1e-8, max|analytic|,
 max|numeric|).  Loss-level checks must stay below 1e-5, the composed
-encoder-stack check below 1e-4 (depth loosens it).
+encoder-stack check below 1e-4 (depth loosens it).  All 2K perturbations of
+an input of K entries run as one call on a stack of its copies, through the
+replica axis of the losses and ``encode_batch``: each copy's value is bit for
+bit that of a call on it alone, so each entry's difference is the per-entry one.
 """
 
 from __future__ import annotations
@@ -21,19 +24,17 @@ PROJECTOR_TOL = 1e-10  # the normalization projector's |<grad, z>|, an exact ide
 
 
 def finite_difference(fn, X: np.ndarray, eps: float = EPS) -> np.ndarray:
-    """Central-difference gradient of scalar fn w.r.t. every entry of X."""
-    grad = np.zeros_like(X)
-    it = np.nditer(X, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        orig = X[idx]
-        X[idx] = orig + eps
-        f_plus = fn()
-        X[idx] = orig - eps
-        f_minus = fn()
-        X[idx] = orig
-        grad[idx] = (f_plus - f_minus) / (2.0 * eps)
-    return grad
+    """Central-difference gradient of a scalar function w.r.t. every entry of X.
+
+    ``fn`` maps a ``(2K, *X.shape)`` stack of copies of X (K = X.size) to its
+    2K values, one per copy: copy k has entry k raised by ``eps`` and copy
+    K + k has it lowered.
+    """
+    k = X.size
+    copies = np.broadcast_to(X.reshape(k), (2, k, k)).copy()
+    copies.reshape(2, k * k)[:, :: k + 1] += np.array([[eps], [-eps]])  # the diagonals
+    f = fn(copies.reshape(2 * k, *X.shape))
+    return ((f[:k] - f[k:]) / (2.0 * eps)).reshape(X.shape)
 
 
 def rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -41,14 +42,19 @@ def rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric))) / denom
 
 
-def _check_inputs(fn, inputs: dict) -> float:
+def _numeric(fn, inputs: dict, key: str) -> np.ndarray:
+    """``finite_difference`` of ``fn(**inputs).value`` w.r.t. ``inputs[key]``, the
+    other inputs tiled (read-only views) along the replica axis."""
+    def values(stack):
+        return fn(**{k: stack if k == key else np.broadcast_to(v, (len(stack), *np.shape(v)))
+                     for k, v in inputs.items()}).value
+    return finite_difference(values, inputs[key])
+
+
+def _check_inputs(call, inputs: dict) -> float:
     """Max relative error over every differentiable input of one loss call."""
-    out = fn()
-    worst = 0.0
-    for key, X in inputs.items():
-        num = finite_difference(lambda: fn().value, X)
-        worst = max(worst, rel_error(out.grads[key], num))
-    return worst
+    out = call(**inputs)
+    return max(rel_error(g, _numeric(call, inputs, key)) for key, g in out.grads.items())
 
 
 def check_loss_gradients(n_instances: int = 100, seed: int = 0) -> dict:
@@ -60,24 +66,23 @@ def check_loss_gradients(n_instances: int = 100, seed: int = 0) -> dict:
         d = int(rng.integers(4, 9))
         tau = float(rng.uniform(0.07, 1.0))
         sigma = float(rng.uniform(0.5, 2.0))
-        Z1 = unit_rows(rng, n, d)
-        Z2 = unit_rows(rng, n, d)
-        D1 = unit_rows(rng, n, d)
-        D2 = unit_rows(rng, n, d)
+        Z1, Z2, D1, D2 = (unit_rows(rng, n, d) for _ in range(4))
         logits = rng.standard_normal((n, d))
         labels = rng.integers(0, d, size=n)
         z12, zft = {"z1": Z1, "z2": Z2}, {"zf": Z1, "zt": Z2}
-        checks = (  # (name, call, differentiable inputs); _check_inputs draws nothing
-            ("info_nce_direction", lambda: losses.info_nce_direction(Z1, Z2, tau), z12),
-            ("info_nce_symmetric", lambda: losses.info_nce_symmetric(Z1, Z2, tau), zft),
-            ("dcl_direction", lambda: losses.dcl_direction(Z1, Z2, tau), z12),
+        checks = (  # (name, call, keyword inputs); _check_inputs draws nothing
+            ("info_nce_direction", lambda z1, z2: losses.info_nce_direction(z1, z2, tau), z12),
+            ("info_nce_symmetric", lambda zf, zt: losses.info_nce_symmetric(zf, zt, tau), zft),
+            ("dcl_direction", lambda z1, z2: losses.dcl_direction(z1, z2, tau), z12),
             ("alignment_loss_unweighted",
-             lambda: losses.alignment_loss_unweighted(Z1, Z2, tau), zft),
+             lambda zf, zt: losses.alignment_loss_unweighted(zf, zt, tau), zft),
             # weights depend on D1/D2 only, which stay fixed while Z is perturbed
             ("weighted_alignment_loss",
-             lambda: losses.weighted_alignment_loss(Z1, Z2, D1, D2, tau, sigma), zft),
-            ("multimodal_loss", lambda: losses.multimodal_loss(Z1, D1, Z2, D2, tau), zft),
-            ("cross_entropy", lambda: losses.cross_entropy(logits, labels), {"logits": logits}),
+             lambda zf, zt: losses.weighted_alignment_loss(zf, zt, D1, D2, tau, sigma), zft),
+            ("multimodal_loss",
+             lambda zf, zt, df, dt: losses.multimodal_loss(zf, df, zt, dt, tau),
+             {**zft, "df": D1, "dt": D2}),
+            ("cross_entropy", losses.cross_entropy, {"logits": logits, "labels": labels}),
         )
         for name, call, inputs in checks:
             report[name] = max(report.get(name, 0.0), _check_inputs(call, inputs))
@@ -106,7 +111,7 @@ def _triplet_instance_error(rng, n, d, margin=0.2) -> float:
         tie_ok = np.all(sorted_neg[:, 1] - sorted_neg[:, 0] > 1e-3)
         if hinge_ok and tie_ok:
             return _check_inputs(
-                lambda: losses.triplet_loss(Zf, Zt, margin), {"zf": Zf, "zt": Zt}
+                lambda zf, zt: losses.triplet_loss(zf, zt, margin), {"zf": Zf, "zt": Zt}
             )
     return 0.0  # no smooth instance found; vanishingly unlikely for random draws
 
@@ -124,25 +129,20 @@ def check_model_gradients(n_instances: int = 20, seed: int = 1) -> float:
         y = rng.integers(0, n_cls, size=n)
         tau = 0.5
 
-        def objective():
-            cf = model.encode_batch(stack_f, Xf)
-            ct = model.encode_batch(stack_t, Xt)
-            ce = losses.cross_entropy(cf.logits, y)
-            al = losses.dcl_direction(cf.z, ct.z, tau)
-            return ce.value + al.value
+        def composed(pf, pt, xf, xt, y):  # a loss of the flat parameter vectors pf and pt
+            sf, st = model.EncoderStack(pf, stack_f.dims), model.EncoderStack(pt, stack_t.dims)
+            cf, ct = model.encode_batch(sf, xf), model.encode_batch(st, xt)
+            ce, al = losses.cross_entropy(cf.logits, y), losses.dcl_direction(cf.z, ct.z, tau)
+            grads = {"pf": model.backward(sf, cf, al.grads["z1"], ce.grads["logits"]),
+                     "pt": model.backward(st, ct, al.grads["z2"], None)}
+            return losses.LossOutput(ce.value + al.value, grads)
 
-        # analytic pass
-        cf = model.encode_batch(stack_f, Xf)
-        ct = model.encode_batch(stack_t, Xt)
-        ce = losses.cross_entropy(cf.logits, y)
-        al = losses.dcl_direction(cf.z, ct.z, tau)
-        grads_f = model.backward(stack_f, cf, al.grads["z1"], ce.grads["logits"])
-        grads_t = model.backward(stack_t, ct, al.grads["z2"], None)
-
-        for stack, grads in ((stack_f, grads_f), (stack_t, grads_t)):
-            grad_tensors = model.EncoderStack(grads, stack.dims).param_tensors()
-            for param, g in zip(stack.param_tensors(), grad_tensors):
-                num = finite_difference(objective, param)
+        inputs = {"pf": stack_f.params, "pt": stack_t.params, "xf": Xf, "xt": Xt, "y": y}
+        out = composed(**inputs)
+        for key, dims in (("pf", stack_f.dims), ("pt", stack_t.dims)):
+            vectors = (out.grads[key], _numeric(composed, inputs, key))  # compared per tensor
+            tensors = (model.EncoderStack(v, dims).param_tensors() for v in vectors)
+            for g, num in zip(*tensors):
                 worst = max(worst, rel_error(g, num))
     return worst
 

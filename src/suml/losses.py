@@ -12,8 +12,9 @@ may therefore go negative.  The weighted alignment direction multiplies
 each positive term by a per-pair semantic weight with batch mean one.
 Every decoupled loss here is ``_decoupled`` with its own positives,
 negative pool and weights.
-Cross-entropy and the unweighted losses also take (S, N, d) replica batches,
-computing each slice as its 2-D batch, with one value per replica.
+Every loss also takes (S, N, d) replica batches, computing each slice as its
+2-D batch, with one value per replica; narrations that only set semantic
+weights stay (N, D), and the pooled loss takes replicas only without ``sel_idx``.
 """
 
 from __future__ import annotations
@@ -51,13 +52,13 @@ class LossOutput:
     grads: dict = field(default_factory=dict)
 
 
-def _check_pair_batch(Z1, Z2, min_n=2, replicas=True):
-    """Equal-shape (N, d) batches, or (S, N, d) ones where ``replicas`` allows."""
+def _check_pair_batch(Z1, Z2, min_n=2):
+    """Equal-shape (N, d) batches, or (S, N, d) replica batches."""
     Z1 = as_f64(Z1)
     Z2 = as_f64(Z2)
     if Z1.shape != Z2.shape:
         raise ShapeMismatchError(f"batch shapes differ: {Z1.shape} vs {Z2.shape}")
-    if Z1.ndim not in ((2, 3) if replicas else (2,)):
+    if Z1.ndim not in (2, 3):
         raise ShapeMismatchError(f"feature batches must be (N, d), got {Z1.shape}")
     if Z1.shape[-2] < min_n:
         raise BatchTooSmallError(f"need at least {min_n} rows, got {Z1.shape[-2]}")
@@ -159,7 +160,7 @@ def weighted_alignment_loss(Zf, Zt, Df, Dt, tau: float, sigma: float) -> LossOut
     """Semantics-weighted alignment on the selected pseudo-pairs, both directions."""
     Zf, Zt = _check_pair_batch(Zf, Zt)
     w = semantic_weights(Df, Dt, sigma)
-    if w.shape[0] != Zf.shape[0]:
+    if w.shape[0] != Zf.shape[-2]:
         raise ShapeMismatchError("text batch size must match feature batch size")
     return _alignment(Zf, Zt, Zf, Zt, None, tau, w)
 
@@ -217,27 +218,30 @@ def cross_entropy(logits, labels) -> LossOutput:
 
 def triplet_loss(Zf, Zt, margin: float) -> LossOutput:
     """Hardest-in-batch margin loss over squared distances; subgradient 0 at the hinge."""
-    Zf, Zt = _check_pair_batch(Zf, Zt, replicas=False)
-    n = Zf.shape[0]
-    sq_f = np.sum(Zf * Zf, axis=1)
-    sq_t = np.sum(Zt * Zt, axis=1)
-    D2 = sq_f[:, None] + sq_t[None, :] - 2.0 * (Zf @ Zt.T)
-    pos = np.diagonal(D2).copy()
-    D2_neg = D2.copy()
-    np.fill_diagonal(D2_neg, np.inf)
-    hardest = np.argmin(D2_neg, axis=1)  # ties break to the smallest index
-    neg = D2_neg[np.arange(n), hardest]
-    slack = pos - neg + margin
+    Zf, Zt = _check_pair_batch(Zf, Zt)
+    n, d = Zf.shape[-2:]
+    sq_f = np.sum(Zf * Zf, axis=-1)
+    sq_t = np.sum(Zt * Zt, axis=-1)
+    D2 = sq_f[..., :, None] + sq_t[..., None, :] - 2.0 * (Zf @ Zt.swapaxes(-1, -2))
+    pos = np.diagonal(D2, axis1=-2, axis2=-1).copy()
+    D2.reshape(*D2.shape[:-2], n * n)[..., :: n + 1] = np.inf  # negatives only
+    hardest = np.argmin(D2, axis=-1)  # ties break to the smallest index
+    slack = pos - np.take_along_axis(D2, hardest[..., None], axis=-1)[..., 0] + margin
     active = slack > 0
-    value = float(np.mean(np.where(active, slack, 0.0)))
-    gf = np.zeros_like(Zf)
-    gt = np.zeros_like(Zt)
-    for i in np.flatnonzero(active):
-        j = hardest[i]
-        gf[i] += 2.0 * (Zt[j] - Zt[i]) / n
-        gt[i] += -2.0 * (Zf[i] - Zt[i]) / n
-        gt[j] += 2.0 * (Zf[i] - Zt[j]) / n
-    return LossOutput(value, {"zf": gf, "zt": gt})
+    value = mean_rows(np.where(active, slack, 0.0))
+    # active anchors (replica r, row i) with hardest negative j, replica by replica
+    zf, zt = Zf.reshape(-1, n, d), Zt.reshape(-1, n, d)
+    r, i = np.nonzero(active.reshape(-1, n))
+    j = hardest.reshape(-1, n)[r, i]
+    gf = np.zeros_like(zf)
+    gf[r, i] += 2.0 * (zt[r, j] - zt[r, i]) / n
+    # scattered in the per-row loop's order (row i, then row j, anchor by anchor),
+    # so each row of zt's gradient sums its terms in that order, bit for bit
+    gt = np.zeros_like(zt)
+    rows = np.stack([r * n + i, r * n + j], axis=-1).reshape(-1)
+    steps = np.stack([-2.0 * (zf[r, i] - zt[r, i]) / n, 2.0 * (zf[r, i] - zt[r, j]) / n], axis=1)
+    np.add.at(gt.reshape(-1, d), rows, steps.reshape(-1, d))
+    return LossOutput(value, {"zf": gf.reshape(Zf.shape), "zt": gt.reshape(Zt.shape)})
 
 
 def total_loss(weighted_terms) -> LossOutput:

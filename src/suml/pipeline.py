@@ -89,9 +89,7 @@ def _all_pairs_dcl(b: _Batch) -> LossOutput:
 
 
 def _triplet(b: _Batch) -> LossOutput:
-    outs = [losses.triplet_loss(zf, zt, b.lc.triplet_margin) for zf, zt in zip(b.f.z, b.t.z)]
-    return LossOutput(np.array([o.value for o in outs]),
-                      {key: np.stack([o.grads[key] for o in outs]) for key in ("zf", "zt")})
+    return losses.triplet_loss(b.f.z, b.t.z, b.lc.triplet_margin)
 
 
 def _selected_alignment(weighted: bool):

@@ -1,4 +1,5 @@
-"""Golden trajectory: the seed-0 default run and a small all-modes grid, pinned.
+"""Golden trajectory: the seed-0 default run, a small all-modes grid and the
+gradient suite's report, pinned.
 
 The pins were recorded with numpy 2.4 (bundled OpenBLAS, x86-64).  A change
 that alters training numbers on purpose regenerates them with
@@ -12,6 +13,7 @@ import json
 import sys
 from dataclasses import replace
 
+from suml import gradcheck
 from suml.datagen import WorldSpec
 from suml.pipeline import (
     METHODS,
@@ -47,6 +49,8 @@ DEFAULT_RUN_SHA256 = {
 GRID_ROWS_SHA256 = "194bdd04d545c66c44c82b4195a2817588bc31d1602f9d5714fc25749739bbb3"
 
 CELL_RECORDS_SHA256 = "580bef3bc9fe1ae2fe6193d18ae6b1231bdeb41c551f628d0ba263c1e904e226"
+
+GRADCHECK_REPORT_SHA256 = "813fdb10c1d24adc7046b84e6c0822d73282d1b7a297fd35e8056f62cca0bbaa"
 
 
 def default_run_digests(out_dir) -> dict:
@@ -87,6 +91,12 @@ def rows_digest(rows) -> str:
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
+def gradcheck_report_digest() -> str:
+    """Digest of the default gradient suite's report, every error to the last bit."""
+    _, report = gradcheck.run_all()
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
 def test_default_run_artifacts_match_pins(tmp_path):
     assert default_run_digests(tmp_path) == DEFAULT_RUN_SHA256
 
@@ -103,6 +113,10 @@ def test_all_modes_cell_records_match_pin():
     assert rows_digest(cells) == CELL_RECORDS_SHA256
 
 
+def test_gradcheck_report_matches_pin():
+    assert gradcheck_report_digest() == GRADCHECK_REPORT_SHA256
+
+
 if __name__ == "__main__":
     import pathlib
     import tempfile
@@ -112,3 +126,4 @@ if __name__ == "__main__":
     print()
     print(rows_digest(grid_rows()))
     print(rows_digest(cell_records()))
+    print(gradcheck_report_digest())

@@ -25,6 +25,7 @@ from suml.losses import (
 )
 
 I2 = np.eye(2)
+TEXT = np.cos(np.arange(42.0)).reshape(6, 7)
 
 
 # ---------------------------------------------------------------- hand values
@@ -250,6 +251,12 @@ def test_shape_and_batch_errors(rng):
     for sel in ([0, 4], [-1, 2], [0], None):
         with pytest.raises(ShapeMismatchError):
             weighted_alignment_loss_pooled(Z[:2], Z[:2], D, D, Z, Z, sel, 0.5, 1.0)
+    S = np.ones((2, 3, 4))
+    with pytest.raises(ShapeMismatchError):
+        weighted_alignment_loss(S, S, TEXT, TEXT, 0.5, 1.0)  # 6 narrations for 3 rows
+    for zf, zt in ((S, np.ones((2, 3, 5))), (S[0], S), (S[None], S[None])):
+        with pytest.raises(ShapeMismatchError):
+            triplet_loss(zf, zt, 0.2)
 
 
 def test_loss_config_validation():
@@ -272,6 +279,9 @@ def test_loss_config_validation():
         lambda a, b, c, d: info_nce_direction(a, b, 0.4),
         lambda a, b, c, d: alignment_loss_unweighted(a, b, 0.4),
         lambda a, b, c, d: multimodal_loss(a, c, b, d, 0.4),
+        # (N, D) narrations for every replica; the (S, N, d) batches have S != N
+        lambda a, b, c, d: weighted_alignment_loss(a, b, TEXT, TEXT[::-1], 0.4, 1.0),
+        lambda a, b, c, d: triplet_loss(a, b, 0.2),
     ],
 )
 def test_replica_batches_equal_each_replica_alone(rng, loss):
@@ -281,3 +291,55 @@ def test_replica_batches_equal_each_replica_alone(rng, loss):
         alone = loss(*(x[r] for x in stacked))
         assert out.value[r] == alone.value
         assert all(np.array_equal(out.grads[k][r], g) for k, g in alone.grads.items())
+
+
+def triplet_per_row(Zf, Zt, margin):
+    """The triplet loss anchor by anchor, as a plain loop over (N, d) batches."""
+    n = len(Zf)
+    D2 = np.sum(Zf * Zf, axis=1)[:, None] + np.sum(Zt * Zt, axis=1)[None, :] - 2.0 * (Zf @ Zt.T)
+    pos = np.diagonal(D2).copy()
+    np.fill_diagonal(D2, np.inf)
+    hardest = np.argmin(D2, axis=1)
+    slack = pos - D2[np.arange(n), hardest] + margin
+    active = slack > 0
+    gf, gt = np.zeros_like(Zf), np.zeros_like(Zt)
+    for i in np.flatnonzero(active):
+        j = hardest[i]
+        gf[i] += 2.0 * (Zt[j] - Zt[i]) / n
+        gt[i] += -2.0 * (Zf[i] - Zt[i]) / n
+        gt[j] += 2.0 * (Zf[i] - Zt[j]) / n
+    return float(np.mean(np.where(active, slack, 0.0))), gf, gt, hardest, active
+
+
+def shared_negative_instance(rng, n=6, d=4):
+    """Anchors 0-2 sit near the origin, far from their positives, and share TPV
+    row 3, at the origin, as their hardest negative.  Anchor 3 is active too,
+    through TPV row 5 next to it, so row 3 of zt's gradient sums four terms,
+    its own last; anchor 4 sits next to its positive, below the hinge."""
+    Zf = rng.standard_normal((n, d))
+    Zf[:3] *= 0.1
+    Zt = Zf + 0.05 * rng.standard_normal((n, d))
+    Zt[:3] += 3.0 * rng.standard_normal((3, d))
+    Zt[3] = 0.0
+    Zt[5] = Zf[3] + 0.05 * rng.standard_normal(d)
+    return Zf, Zt
+
+
+def test_stacked_triplet_equals_each_replica_and_the_per_row_loop(rng):
+    margin = 0.5
+    Zf, Zt = map(np.stack, zip(*(shared_negative_instance(rng) for _ in range(4))))
+    out = triplet_loss(Zf, Zt, margin)
+    assert out.value.shape == (4,)
+    for r in range(4):
+        alone = triplet_loss(Zf[r], Zt[r], margin)
+        value, gf, gt, hardest, active = triplet_per_row(Zf[r], Zt[r], margin)
+        # a shared hardest negative, rows on both sides of the hinge, and a row
+        # of zt's gradient that takes other anchors' terms before its own
+        assert np.bincount(hardest[active]).max() >= 3
+        assert 0 < active.sum() < len(active)
+        assert active[3] and np.all(hardest[:3] == 3)
+        assert out.value[r] == alone.value == value
+        for got in (out.grads["zf"][r], alone.grads["zf"]):
+            assert np.array_equal(got, gf)
+        for got in (out.grads["zt"][r], alone.grads["zt"]):
+            assert np.array_equal(got, gt)
