@@ -10,11 +10,12 @@ The InfoNCE direction is the mean diagonal negative log-softmax of A;
 the decoupled direction drops the diagonal term from the denominator and
 may therefore go negative.  The weighted alignment direction multiplies
 each positive term by a per-pair semantic weight with batch mean one.
-Every decoupled loss here is ``_decoupled`` with its own positives,
-negative pool and weights.
+Every decoupled loss here is ``_decoupled``, positives on the diagonal,
+with its own negatives and weights; the theta-gated loss masks the score
+matrix (rows, columns, weights) instead of gathering the gated rows.
 Every loss also takes (S, N, d) replica batches, computing each slice as its
 2-D batch, with one value per replica; narrations that only set semantic
-weights stay (N, D), and the pooled loss takes replicas only without ``sel_idx``.
+weights stay (N, D), except the gated loss's, which have one row per pair.
 """
 
 from __future__ import annotations
@@ -86,46 +87,51 @@ def info_nce_symmetric(Zf, Zt, tau: float) -> LossOutput:
     )
 
 
-def _decoupled(anchors, pool, pos_idx, tau, weights):
+def _decoupled(anchors, pool, tau, weights, gate=None, full_batch=True):
     """Weighted decoupled direction: the one kernel behind every alignment term.
 
-    Anchor row i is positive with ``pool[pos_idx[i]]`` (the diagonal when
-    ``pos_idx`` is None); every other pool row is a negative.  Returns the
-    value and the gradients w.r.t. the anchors and the pool.
+    Anchor row i is positive with pool row i; every other pool row is a
+    negative.  A boolean ``gate`` (per replica no row or at least two) makes
+    its rows the only anchors, the value their mean, and, unless
+    ``full_batch``, the only negatives; ``weights`` are then zero off it.
+    Returns the value and the gradients w.r.t. the anchors and the pool.
     """
-    n, m = anchors.shape[-2], pool.shape[-2]
+    n = anchors.shape[-2]
     A = (anchors @ pool.swapaxes(-1, -2)) / tau
-    # positives as positions in each replica's flattened (n, m) score matrix
-    pos_flat = slice(None, None, m + 1) if pos_idx is None else np.arange(n) * m + pos_idx
-    flat = A.reshape(*A.shape[:-2], n * m)
-    pos = flat[..., pos_flat].copy()
-    flat[..., pos_flat] = -np.inf
+    flat = A.reshape(*A.shape[:-2], n * n)
+    pos = flat[..., :: n + 1].copy()
+    flat[..., :: n + 1] = -np.inf
+    if gate is not None and not full_batch:  # ungated rows keep finite scores
+        A[gate[..., :, None] & ~gate[..., None, :]] = -np.inf
     lse = logsumexp_rows(A)
-    value = mean_rows(lse - weights * pos)
     G = np.exp(A - lse[..., None])  # row-softmax over the negatives, zero at positives
-    G /= n * tau
-    G.reshape(flat.shape)[..., pos_flat] -= weights / (n * tau)
+    if gate is None:
+        value = mean_rows(lse - weights * pos)
+        G /= n * tau
+        G.reshape(flat.shape)[..., :: n + 1] -= weights / (n * tau)
+    else:  # ungated rows padded with zeros; the mean runs over the gated ones
+        k = np.maximum(np.count_nonzero(gate, axis=-1), 1)
+        norm = (k * tau)[..., None]
+        value = np.add.reduce(gate * (lse - weights * pos), axis=-1) / k
+        G = G / norm[..., None] * gate[..., None]
+        G.reshape(flat.shape)[..., :: n + 1] -= weights / norm
     return value, G @ pool, G.swapaxes(-1, -2) @ anchors
 
 
-def _both_directions(Za, Zb, pool_a, pool_b, pos_idx, tau, weights):
-    """Za rows against pool_b, then Zb rows against pool_a.
-
-    Returns both direction values and the gradients w.r.t. pool_a and pool_b;
-    anchor gradients land on rows ``pos_idx`` of their pool (all rows if None).
-    """
-    v1, ga, g_pool_b = _decoupled(Za, pool_b, pos_idx, tau, weights)
-    v2, gb, g_pool_a = _decoupled(Zb, pool_a, pos_idx, tau, weights)
-    rows = slice(None) if pos_idx is None else pos_idx
-    g_pool_a[..., rows, :] += ga
-    g_pool_b[..., rows, :] += gb
+def _both_directions(Za, Zb, tau, weights, gate=None, full_batch=True):
+    """Za rows against Zb, then Zb rows against Za: both values and the gradients
+    w.r.t. Za and Zb, each anchor's gradient added onto its own view's pool's."""
+    v1, ga, g_pool_b = _decoupled(Za, Zb, tau, weights, gate, full_batch)
+    v2, gb, g_pool_a = _decoupled(Zb, Za, tau, weights, gate, full_batch)
+    g_pool_a += ga
+    g_pool_b += gb
     return v1, v2, g_pool_a, g_pool_b
 
 
 def dcl_direction(Z1, Z2, tau: float) -> LossOutput:
     """Decoupled contrastive direction: positive term removed from the denominator."""
     Z1, Z2 = _check_pair_batch(Z1, Z2)
-    value, g1, g2 = _decoupled(Z1, Z2, None, tau, 1.0)
+    value, g1, g2 = _decoupled(Z1, Z2, tau, 1.0)
     return LossOutput(value, {"z1": g1, "z2": g2})
 
 
@@ -145,15 +151,15 @@ def semantic_weights(Df, Dt, sigma: float) -> np.ndarray:
     return e / np.mean(e)
 
 
-def _alignment(Zf, Zt, pool_f, pool_t, pos_idx, tau, weights) -> LossOutput:
-    v1, v2, gf, gt = _both_directions(Zf, Zt, pool_f, pool_t, pos_idx, tau, weights)
+def _alignment(Zf, Zt, tau, weights, gate=None, full_batch=True) -> LossOutput:
+    v1, v2, gf, gt = _both_directions(Zf, Zt, tau, weights, gate, full_batch)
     return LossOutput(v1 + v2, {"zf": gf, "zt": gt})
 
 
 def alignment_loss_unweighted(Zf, Zt, tau: float) -> LossOutput:
     """Both decoupled directions on the selected pseudo-pairs."""
     Zf, Zt = _check_pair_batch(Zf, Zt)
-    return _alignment(Zf, Zt, Zf, Zt, None, tau, 1.0)
+    return _alignment(Zf, Zt, tau, 1.0)
 
 
 def weighted_alignment_loss(Zf, Zt, Df, Dt, tau: float, sigma: float) -> LossOutput:
@@ -162,39 +168,43 @@ def weighted_alignment_loss(Zf, Zt, Df, Dt, tau: float, sigma: float) -> LossOut
     w = semantic_weights(Df, Dt, sigma)
     if w.shape[0] != Zf.shape[-2]:
         raise ShapeMismatchError("text batch size must match feature batch size")
-    return _alignment(Zf, Zt, Zf, Zt, None, tau, w)
+    return _alignment(Zf, Zt, tau, w)
 
 
 def weighted_alignment_loss_pooled(
-    Zf_sel, Zt_sel, Df_sel, Dt_sel, Zf_pool, Zt_pool, sel_idx, tau: float, sigma: float,
-    weights=None,
+    Zf, Zt, Df, Dt, gate, full_batch: bool, tau: float, sigma: float, weights=None,
 ) -> LossOutput:
-    """Full-batch negative mode: positives from selected pairs, negatives from all pairs.
+    """Alignment on the gated pairs of a batch, one boolean ``gate`` row per replica.
 
-    ``sel_idx`` maps selected rows to their positions in the pool batches;
-    None means the pools are the selected rows themselves, in order.
-    Gradients are returned at pool shape so they add onto the whole batch.
-    Pass ``weights`` explicitly (e.g. ones) to bypass the semantic weighting.
+    Gated pairs are the only anchors and positives; the negatives are the
+    other gated pairs, or with ``full_batch`` every other pair of the batch.
+    A replica with fewer than two gated pairs adds zero.  Semantic weights
+    have mean one over each replica's gated pairs; pass ``weights``
+    explicitly (e.g. ones) to bypass them.
     """
-    Zf_sel, Zt_sel = _check_pair_batch(Zf_sel, Zt_sel)
-    Zf_pool, Zt_pool = _check_pair_batch(Zf_pool, Zt_pool)
-    if sel_idx is None:
-        if Zf_pool.shape != Zf_sel.shape:
-            raise ShapeMismatchError("without sel_idx the pools must be the selected rows")
-    else:
-        sel_idx = np.asarray(sel_idx, dtype=int)
-        if sel_idx.shape != Zf_sel.shape[:1] or np.any((sel_idx < 0) | (sel_idx >= len(Zf_pool))):
-            raise ShapeMismatchError("sel_idx needs one pool row index per selected row")
-    w = semantic_weights(Df_sel, Dt_sel, sigma) if weights is None else as_f64(weights)
-    return _alignment(Zf_sel, Zt_sel, Zf_pool, Zt_pool, sel_idx, tau, w)
+    Zf, Zt = _check_pair_batch(Zf, Zt)
+    gate = np.asarray(gate)
+    if gate.dtype != bool or gate.shape != Zf.shape[:-1]:
+        raise ShapeMismatchError(f"gate needs one flag per pair {Zf.shape[:-1]}, got {gate.shape}")
+    k = np.count_nonzero(gate, axis=-1, keepdims=True)
+    gate = gate & (k >= 2)  # the two-row rule comes before the weights
+    if weights is None:
+        if np.shape(Df) != np.shape(Dt) or np.shape(Df)[:-1] != gate.shape:
+            raise ShapeMismatchError("text batches need one row per pair")
+        s = np.sum(as_f64(Df) * as_f64(Dt), axis=-1) / sigma
+        e = np.exp(s - np.max(s, axis=-1, keepdims=True, where=gate, initial=-np.inf),
+                   out=np.zeros_like(s), where=gate)
+        mean = np.add.reduce(e, axis=-1, keepdims=True) / np.maximum(k, 1)
+        weights = np.divide(e, mean, out=np.zeros_like(e), where=gate)
+    return _alignment(Zf, Zt, tau, as_f64(weights) * gate, gate, full_batch)
 
 
 def multimodal_loss(Zf, Df, Zt, Dt, tau: float) -> LossOutput:
     """Video-text alignment over the full batch; text vectors are constants."""
     Zf, Df = _check_pair_batch(Zf, Df)
     Zt, Dt = _check_pair_batch(Zt, Dt)
-    v1, v2, gzf, _ = _both_directions(Zf, Df, Zf, Df, None, tau, 1.0)
-    v3, v4, gzt, _ = _both_directions(Zt, Dt, Zt, Dt, None, tau, 1.0)
+    v1, v2, gzf, _ = _both_directions(Zf, Df, tau, 1.0)
+    v3, v4, gzt, _ = _both_directions(Zt, Dt, tau, 1.0)
     return LossOutput(v1 + v2 + v3 + v4, {"zf": gzf, "zt": gzt})
 
 

@@ -69,7 +69,7 @@ class _Batch(NamedTuple):
     labels_t: np.ndarray
     df: np.ndarray  # narrations, constants
     dt: np.ndarray
-    sel: list  # per replica, the batch rows whose pair similarity passes theta
+    gate: np.ndarray  # (replicas, rows) bool: the pairs whose similarity passes theta
     lc: LossConfig
     full_batch: bool  # negative_set_mode: negatives from every pair of the batch
 
@@ -93,27 +93,15 @@ def _triplet(b: _Batch) -> LossOutput:
 
 
 def _selected_alignment(weighted: bool):
-    """Alignment on the theta-gated pairs, semantically weighted or not; the
-    gate passes a different number of pairs per replica, so each replica
-    computes its own, and one with fewer than two passing pairs skips it."""
+    """Alignment on the theta-gated pairs, semantically weighted or not: one
+    call on the stacked batch, the gate a row mask that passes a different
+    number of pairs per replica (a replica with fewer than two adds zero)."""
 
-    def term(b: _Batch) -> LossOutput | None:
-        lc, value, ran = b.lc, np.zeros(len(b.sel)), False
-        grads = {"zf": np.zeros_like(b.f.z), "zt": np.zeros_like(b.t.z)}
-        for r, sel in enumerate(b.sel):
-            if len(sel) < 2:
-                continue
-            zf, zt = b.f.z[r, sel], b.t.z[r, sel]
-            # negatives from every pair of the batch, or from the gated pairs only
-            pool_f, pool_t, pos = (b.f.z[r], b.t.z[r], sel) if b.full_batch else (zf, zt, None)
-            out = losses.weighted_alignment_loss_pooled(
-                zf, zt, b.df[r, sel], b.dt[r, sel], pool_f, pool_t, pos, lc.tau, lc.sigma,
-                weights=None if weighted else np.ones(len(sel)),
-            )
-            value[r], ran = out.value, True
-            for key, g in out.grads.items():
-                grads[key][r, slice(None) if b.full_batch else sel] = g
-        return LossOutput(value, grads) if ran else None
+    def term(b: _Batch) -> LossOutput:
+        return losses.weighted_alignment_loss_pooled(
+            b.f.z, b.t.z, b.df, b.dt, b.gate, b.full_batch, b.lc.tau, b.lc.sigma,
+            weights=None if weighted else 1.0,
+        )
 
     return term
 
@@ -448,7 +436,7 @@ def joint_train(
     tpv_acc = None
     records = [[] for _ in seeds]
 
-    def train_batch(idx, sel, lr, epoch, b) -> list:
+    def train_batch(idx, gate, lr, epoch, b) -> list:
         """One stacked batch, forward to SGD step; returns (slot, values) of
         each term and the total.  Its arrays are freed before the next batch."""
         fi, ti = pair_fpv[rows, idx], pair_tpv[rows, idx]
@@ -456,10 +444,10 @@ def joint_train(
         cache_t = encode_batch(tpv_stack, tpv.frames[rows, ti]) if tpv_touched else None
         batch = _Batch(
             cache_f, cache_t, fpv.labels[rows, fi], tpv.labels[rows, ti],
-            fpv.narrations[rows, fi], tpv.narrations[rows, ti], sel, lc,
+            fpv.narrations[rows, fi], tpv.narrations[rows, ti], gate, lc,
             config.negative_set_mode == "full_batch",
         )
-        outs = [(slot, w, out) for slot, w, term in terms if (out := term(batch)) is not None]
+        outs = [(slot, w, term(batch)) for slot, w, term in terms]
         total = losses.total_loss([(w, out) for _, w, out in outs])
         _check_finite(total.value, seeds, 2, epoch, b)
 
@@ -482,10 +470,10 @@ def joint_train(
         n_pairs_seen = 0
         n_selected = np.zeros(len(seeds), dtype=int)
         for b, idx in enumerate(_chunk(order, config.batch_size, 2)):
-            sel = [np.flatnonzero(mask) for mask in gated[rows, idx]]
+            gate = gated[rows, idx]
             n_pairs_seen += idx.shape[-1]
-            n_selected += [len(s) for s in sel]
-            for slot, value in train_batch(idx, sel, lr, epoch, b):
+            n_selected += np.count_nonzero(gate, axis=-1)
+            for slot, value in train_batch(idx, gate, lr, epoch, b):
                 sums[slot] += value
             n_batches += 1
 

@@ -39,16 +39,16 @@ GRID_TRAIN = TrainConfig(
 )
 
 DEFAULT_RUN_SHA256 = {
-    "metrics.jsonl": "77611806fb0b27284cac7788915c79b7dba3593850bcb69bf7a8a8df19648c59",
+    "metrics.jsonl": "a5879a49b371ab3e71d632a85b266b96c110e79a3518946e6dbe64fbb1fde536",
     "checkpoint_stage1_tpv.json": "a137a618c21560174e54559e8a721e98f6ca6bb1e3eeadfbad460fb031b42b1b",
-    "checkpoint_fpv.json": "0baa310d952eb99691b11995525b3c3df273c1e59447b9bb6e80b7aaf3748c15",
-    "checkpoint_tpv.json": "b8f9c2f603a1612d39ebecbf0f62f0291031d27f7026df3953d656a951be2045",
+    "checkpoint_fpv.json": "4cb512b8dd5e017ff76938a8cb14c8b82c5a1433694021afdd8974846f700ac8",
+    "checkpoint_tpv.json": "654f087979cf24ea78751aae1ed0b9659df188204dfce149b21cabe90a4fd477",
     "summary.json": "28bced51df7defee4914879845ec3db5cd96a5be533cf9fa80fda1b335273389",
 }
 
 GRID_ROWS_SHA256 = "194bdd04d545c66c44c82b4195a2817588bc31d1602f9d5714fc25749739bbb3"
 
-CELL_RECORDS_SHA256 = "580bef3bc9fe1ae2fe6193d18ae6b1231bdeb41c551f628d0ba263c1e904e226"
+CELL_RECORDS_SHA256 = "91754b29a159a492757cf04df17eda1746ee6bf1f8289d5754cb1214bdb8697c"
 
 GRADCHECK_REPORT_SHA256 = "813fdb10c1d24adc7046b84e6c0822d73282d1b7a297fd35e8056f62cca0bbaa"
 

@@ -23,6 +23,7 @@ from suml.losses import (
     weighted_alignment_loss,
     weighted_alignment_loss_pooled,
 )
+from suml.numerics import logsumexp_rows
 
 I2 = np.eye(2)
 TEXT = np.cos(np.arange(42.0)).reshape(6, 7)
@@ -123,32 +124,93 @@ def test_paired_permutation_invariance(rng):
     assert np.allclose(a.grads["zf"][perm], b.grads["zf"], atol=1e-12)
 
 
-def test_pooled_negatives_reduce_to_subset_when_pool_is_subset(rng):
+def test_pooled_all_true_gate_is_bitwise_weighted_alignment_loss(rng):
     n, d = 5, 4
     Zf, Zt = unit_rows(rng, n, d), unit_rows(rng, n, d)
     Df, Dt = unit_rows(rng, n, 6), unit_rows(rng, n, 6)
-    sub = weighted_alignment_loss(Zf, Zt, Df, Dt, tau=0.3, sigma=1.0)
-    # sel_idx None: the pools are the selected rows, bitwise the subset loss
-    for sel in (np.arange(n), None):
-        pooled = weighted_alignment_loss_pooled(Zf, Zt, Df, Dt, Zf, Zt, sel, tau=0.3, sigma=1.0)
-        assert pooled.value == sub.value
-        assert np.array_equal(pooled.grads["zf"], sub.grads["zf"])
-        assert np.array_equal(pooled.grads["zt"], sub.grads["zt"])
+    stacked = [np.stack([unit_rows(rng, n, d) for _ in range(3)]) for _ in range(2)]
+    tiled = [np.broadcast_to(D, (3, n, 6)) for D in (Df, Dt)]
+    for (zf, zt), (df, dt) in (((Zf, Zt), (Df, Dt)), (stacked, tiled)):
+        sub = weighted_alignment_loss(zf, zt, Df, Dt, tau=0.3, sigma=1.0)
+        for full_batch in (False, True):
+            gate = np.ones(zf.shape[:-1], dtype=bool)
+            pooled = weighted_alignment_loss_pooled(zf, zt, df, dt, gate, full_batch, 0.3, 1.0)
+            assert np.array_equal(pooled.value, sub.value)
+            assert np.array_equal(pooled.grads["zf"], sub.grads["zf"])
+            assert np.array_equal(pooled.grads["zt"], sub.grads["zt"])
 
 
-def test_pooled_negatives_raise_loss_with_extra_pool_rows(rng):
+def test_pooled_ungated_rows_are_negatives_in_full_batch_mode(rng):
     # extra negatives can only tighten the per-row softmax (larger logsumexp)
     n, extra, d = 4, 3, 5
-    Zf_pool, Zt_pool = unit_rows(rng, n + extra, d), unit_rows(rng, n + extra, d)
-    D = unit_rows(rng, n, 6)
-    sel = np.arange(n)
-    small = weighted_alignment_loss_pooled(
-        Zf_pool[:n], Zt_pool[:n], D, D, Zf_pool[:n], Zt_pool[:n], sel, tau=0.3, sigma=1.0
-    )
-    big = weighted_alignment_loss_pooled(
-        Zf_pool[:n], Zt_pool[:n], D, D, Zf_pool, Zt_pool, sel, tau=0.3, sigma=1.0
-    )
+    Zf, Zt = unit_rows(rng, n + extra, d), unit_rows(rng, n + extra, d)
+    D = unit_rows(rng, n + extra, 6)
+    gate = np.arange(n + extra) < n
+    small = weighted_alignment_loss_pooled(Zf, Zt, D, D, gate, False, tau=0.3, sigma=1.0)
+    big = weighted_alignment_loss_pooled(Zf, Zt, D, D, gate, True, tau=0.3, sigma=1.0)
     assert big.value > small.value
+    # the gated rows alone, without the extra rows, are the selected_subset loss
+    alone = weighted_alignment_loss(Zf[:n], Zt[:n], D[:n], D[:n], tau=0.3, sigma=1.0)
+    assert small.value == pytest.approx(alone.value, rel=1e-12)
+    assert not np.any(small.grads["zf"][n:]) and np.all(np.any(big.grads["zf"][n:], axis=-1))
+
+
+def ragged_direction(anchors, pool, pos_idx, tau, weights):
+    """The decoupled direction of k gathered anchors against m pool rows, anchor i
+    positive with pool row ``pos_idx[i]`` (the diagonal when None): the ragged
+    reference that the masked kernel is checked against."""
+    n, m = len(anchors), len(pool)
+    A = anchors @ pool.T / tau
+    pos_flat = slice(None, None, m + 1) if pos_idx is None else np.arange(n) * m + pos_idx
+    flat = A.reshape(n * m)
+    pos = flat[pos_flat].copy()
+    flat[pos_flat] = -np.inf
+    lse = logsumexp_rows(A)
+    G = np.exp(A - lse[:, None]) / (n * tau)
+    G.reshape(n * m)[pos_flat] -= weights / (n * tau)
+    return float(np.mean(lse - weights * pos)), G @ pool, G.T @ anchors
+
+
+def ragged_gated_alignment(Zf, Zt, Df, Dt, gate, full_batch, tau, sigma, weighted):
+    """The gated alignment replica by replica: gather the gated rows, align them
+    against the gated rows (or the whole batch), scatter the gradients back."""
+    value, gf, gt = np.zeros(len(gate)), np.zeros_like(Zf), np.zeros_like(Zt)
+    for r, mask in enumerate(gate):
+        sel = np.flatnonzero(mask)
+        if len(sel) < 2:
+            continue
+        zf, zt = Zf[r, sel], Zt[r, sel]
+        w = semantic_weights(Df[r, sel], Dt[r, sel], sigma) if weighted else np.ones(len(sel))
+        pool_f, pool_t, pos = (Zf[r], Zt[r], sel) if full_batch else (zf, zt, None)
+        v1, ga, g_pool_t = ragged_direction(zf, pool_t, pos, tau, w)
+        v2, gb, g_pool_f = ragged_direction(zt, pool_f, pos, tau, w)
+        rows = slice(None) if pos is None else pos
+        g_pool_f[rows] += ga
+        g_pool_t[rows] += gb
+        cols = slice(None) if full_batch else sel
+        value[r], gf[r, cols], gt[r, cols] = v1 + v2, g_pool_f, g_pool_t
+    return value, gf, gt
+
+
+@pytest.mark.parametrize("weighted", [True, False])
+@pytest.mark.parametrize("full_batch", [False, True])
+def test_masked_gated_alignment_equals_the_ragged_per_replica_loop(rng, full_batch, weighted):
+    for _ in range(20):
+        n, d = int(rng.integers(2, 11)), int(rng.integers(3, 7))
+        gate = np.zeros((5, n), dtype=bool)
+        for r, k in enumerate((0, 1, 2, n, int(rng.integers(0, n + 1)))):
+            gate[r, rng.choice(n, size=k, replace=False)] = True
+        Zf, Zt = (np.stack([unit_rows(rng, n, d) for _ in range(5)]) for _ in range(2))
+        Df, Dt = (np.stack([unit_rows(rng, n, 4) for _ in range(5)]) for _ in range(2))
+        tau, sigma = float(rng.uniform(0.1, 1.0)), float(rng.uniform(0.3, 2.0))
+        out = weighted_alignment_loss_pooled(
+            Zf, Zt, Df, Dt, gate, full_batch, tau, sigma, weights=None if weighted else 1.0,
+        )
+        want = ragged_gated_alignment(Zf, Zt, Df, Dt, gate, full_batch, tau, sigma, weighted)
+        for got, ref in zip((out.value, out.grads["zf"], out.grads["zt"]), want):
+            for r in range(5):
+                # a replica gating fewer than two rows adds exactly zero
+                assert np.max(np.abs(got[r] - ref[r])) <= 1e-12 * np.max(np.abs(ref[r]))
 
 
 def test_total_loss_recombination(rng):
@@ -246,11 +308,13 @@ def test_shape_and_batch_errors(rng):
         cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
     with pytest.raises(ShapeMismatchError):
         semantic_weights(np.ones((2, 3)), np.ones((3, 3)), 1.0)
-    # pool row indices: one per selected row, inside the pool
-    Z, D = unit_rows(rng, 4, 3), unit_rows(rng, 2, 5)
-    for sel in ([0, 4], [-1, 2], [0], None):
+    # the gate: one boolean per pair; the text: one row per pair
+    Z, D = unit_rows(rng, 4, 3), unit_rows(rng, 4, 5)
+    for gate in (np.ones(3, dtype=bool), np.ones((1, 4), dtype=bool), np.array([0, 1, 2, 3])):
         with pytest.raises(ShapeMismatchError):
-            weighted_alignment_loss_pooled(Z[:2], Z[:2], D, D, Z, Z, sel, 0.5, 1.0)
+            weighted_alignment_loss_pooled(Z, Z, D, D, gate, False, 0.5, 1.0)
+    with pytest.raises(ShapeMismatchError):
+        weighted_alignment_loss_pooled(Z, Z, D[:3], D[:3], np.ones(4, dtype=bool), True, 0.5, 1.0)
     S = np.ones((2, 3, 4))
     with pytest.raises(ShapeMismatchError):
         weighted_alignment_loss(S, S, TEXT, TEXT, 0.5, 1.0)  # 6 narrations for 3 rows
