@@ -215,7 +215,7 @@ def cross_entropy(logits, labels) -> LossOutput:
     if logits.ndim not in (2, 3) or labels.shape != logits.shape[:-1]:
         raise ShapeMismatchError("logits must be (N, C) with N labels")
     n, c = logits.shape[-2:]
-    if np.any(labels < 0) or np.any(labels >= c):
+    if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise LabelOutOfRangeError(f"labels must lie in [0, {c})")
     lse = logsumexp_rows(logits)
     true = np.arange(labels.size).reshape(labels.shape) * c + labels  # flat true-class index

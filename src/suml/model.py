@@ -23,13 +23,22 @@ clips, forward caches and gradients carry the same leading axis.  Every
 operation acts on each replica's slice as it acts on a single stack, so a
 replica trains bitwise as its own model would; ``replica`` views one.
 
+``h`` runs only for a caller that reads ``z`` (``encode_batch``'s
+``project``), and ``backward`` skips it without a ``grad_z``; its gradient is
+then exactly zero, as backpropagating a zero ``grad_z`` would give.  Training
+runs it only for the stage-2 terms that align views or text, so a collapsed
+head (a zero-norm projection) raises ``ZeroNormError`` first there: never in
+stage 1, nor in ``fpv_only``.
+
 Checkpoints keep the per-layer ``suml-encoder-stack-v1`` JSON format, hold
 one unstacked model and finite values only.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -59,34 +68,43 @@ class MlpParams:
         return len(self.weights)
 
 
+@functools.lru_cache(maxsize=None)
+def _layout(dims) -> tuple:
+    """Per MLP of layer widths ``dims``, the (start, stop, shape) of each weight
+    (row-major ``(out, in)``) and then of each bias; and the total length."""
+    mlps, off = [], 0
+    for widths in dims:
+        layers = list(zip(widths, widths[1:]))
+        shapes = [(d_out, d_in) for d_in, d_out in layers] + [(d_out,) for _, d_out in layers]
+        spans = []
+        for shape in shapes:
+            spans.append((off, off + math.prod(shape), shape))
+            off += math.prod(shape)
+        mlps.append((spans[: len(layers)], spans[len(layers) :]))
+    return tuple(mlps), off
+
+
 def param_size(dims) -> int:
     """Length of the flat parameter vector of layer widths ``dims``."""
-    return sum(d_out * (d_in + 1) for w in dims for d_in, d_out in zip(w, w[1:]))
+    return _layout(dims)[1]
 
 
 def mlp_views(vec: np.ndarray, dims) -> tuple:
     """View the flat ``vec`` as the f, h and g ``MlpParams`` of layer widths ``dims``.
 
-    ``dims`` holds one width tuple per MLP, input first, e.g. ``(feat, hidden,
-    hidden)``.  Per MLP: weights (row-major ``(out, in)``), then biases.  A
+    ``dims`` is a tuple of one width tuple per MLP, input first, e.g. ``(feat,
+    hidden, hidden)``.  Per MLP: weights (row-major ``(out, in)``), then biases.  A
     ``(S, P)`` ``vec`` holds S replicas and gives ``(S, out, in)`` views.
     """
-    size = param_size(dims)
+    mlps, size = _layout(dims)
     if vec.ndim not in (1, 2) or vec.shape[-1] != size:
         raise ShapeMismatchError(f"parameter vector {vec.shape} does not hold {size} values")
     lead = vec.shape[:-1]
-    mlps, off = [], 0
-    for widths in dims:
-        layers = list(zip(widths, widths[1:]))
-        weights, biases = [], []
-        for d_in, d_out in layers:
-            weights.append(vec[..., off : off + d_out * d_in].reshape(*lead, d_out, d_in))
-            off += d_out * d_in
-        for _, d_out in layers:
-            biases.append(vec[..., off : off + d_out])
-            off += d_out
-        mlps.append(MlpParams(weights=weights, biases=biases))
-    return tuple(mlps)
+    return tuple([
+        MlpParams([vec[..., a:b].reshape(*lead, *shape) for a, b, shape in weights],
+                  [vec[..., a:b] for a, b, _ in biases])
+        for weights, biases in mlps
+    ])
 
 
 @dataclass
@@ -111,11 +129,11 @@ class EncoderStack:
 class ForwardCache:
     x_shape: tuple
     f_acts: list          # activations per f layer, flattened over frames
-    h_acts: list          # h_acts[0] is the frame-pooled hidden state (N, hidden)
-    norms: np.ndarray
-    z: np.ndarray
-    g_acts: list
+    g_acts: list          # g_acts[0] is the frame-pooled hidden state (N, hidden)
     logits: np.ndarray
+    h_acts: list | None = None  # the projection head's; all three None when it did not run
+    norms: np.ndarray | None = None
+    z: np.ndarray | None = None
 
 
 def init_stack(
@@ -199,48 +217,52 @@ def pool_frames(stack: EncoderStack, clips):
     return clips.shape, f_acts, frame_sum / t  # the frame mean, as ``np.mean`` computes it
 
 
-def encode_batch(stack: EncoderStack, clips: np.ndarray) -> ForwardCache:
+def encode_batch(stack: EncoderStack, clips: np.ndarray, *, project: bool = True) -> ForwardCache:
     """Forward a batch of clips (N, T, feat), one per replica of a stacked
-    ``stack``; ``cache.z`` holds the unit projections."""
+    ``stack``; ``cache.z`` holds the unit projections.
+
+    Without ``project`` the projection head ``h`` does not run, so neither
+    does its zero-norm check, and ``cache.z`` stays None: for callers that
+    read the logits only.
+    """
     x_shape, f_acts, pooled = pool_frames(stack, clips)
-    h_acts = mlp_forward(stack.h, pooled)
-    norms = np.linalg.norm(h_acts[-1], axis=-1)
-    if np.any(norms < ZERO_NORM_EPS):
-        raise ZeroNormError("projection head output collapsed to zero norm")
     g_acts = mlp_forward(stack.g, pooled)
-    return ForwardCache(
-        x_shape=x_shape,
-        f_acts=f_acts,
-        h_acts=h_acts,
-        norms=norms,
-        z=h_acts[-1] / norms[..., None],
-        g_acts=g_acts,
-        logits=g_acts[-1],
-    )
+    cache = ForwardCache(x_shape, f_acts, g_acts, g_acts[-1])
+    if project:
+        cache.h_acts = mlp_forward(stack.h, pooled)
+        raw = cache.h_acts[-1]
+        cache.norms = np.sqrt(np.add.reduce(raw * raw, axis=-1))  # np.linalg.norm's arithmetic
+        if (cache.norms < ZERO_NORM_EPS).any():
+            raise ZeroNormError("projection head output collapsed to zero norm")
+        cache.z = raw / cache.norms[..., None]
+    return cache
 
 
 def backward(stack: EncoderStack, cache: ForwardCache, grad_z, grad_logits) -> np.ndarray:
     """Backprop through g, the normalized projection, pooling and f.
 
-    Either gradient may be None (treated as zero).  Returns the parameter
-    gradient as one vector laid out like ``stack.params``.
+    Either gradient may be None (treated as zero).  Without ``grad_z``, as
+    for a cache without ``z``, ``h`` is skipped and its gradient is zero.
+    Returns the parameter gradient as one vector laid out like ``stack.params``.
     """
     t = cache.x_shape[-2]
-    if grad_z is None:
-        grad_z = np.zeros_like(cache.z)
     if grad_logits is None:
         grad_logits = np.zeros_like(cache.logits)
-    grad_z = np.asarray(grad_z, dtype=np.float64)
     grad_logits = np.asarray(grad_logits, dtype=np.float64)
-    if grad_z.shape != cache.z.shape or grad_logits.shape != cache.logits.shape:
+    if grad_z is not None:
+        grad_z = np.asarray(grad_z, dtype=np.float64)
+    if grad_logits.shape != cache.logits.shape or (
+        grad_z is not None and grad_z.shape != np.shape(cache.z)
+    ):
         raise ShapeMismatchError("gradient shapes do not match forward outputs")
-    # normalization Jacobian: (grad - <grad, z> z) / ||raw||
-    inner = np.sum(grad_z * cache.z, axis=-1, keepdims=True)
-    d_zraw = (grad_z - inner * cache.z) / cache.norms[..., None]
-    grad = np.empty_like(stack.params)
+    grad = np.zeros(stack.params.shape)  # faster than np.zeros_like at this size
     f_grads, h_grads, g_grads = mlp_views(grad, stack.dims)
-    d_pool = mlp_backward(stack.h, cache.h_acts, d_zraw, h_grads) @ stack.h.weights[0]
-    d_pool += mlp_backward(stack.g, cache.g_acts, grad_logits, g_grads) @ stack.g.weights[0]
+    d_pool = mlp_backward(stack.g, cache.g_acts, grad_logits, g_grads) @ stack.g.weights[0]
+    if grad_z is not None:
+        # normalization Jacobian: (grad - <grad, z> z) / ||raw||
+        inner = np.add.reduce(grad_z * cache.z, axis=-1, keepdims=True)
+        d_zraw = (grad_z - inner * cache.z) / cache.norms[..., None]
+        d_pool += mlp_backward(stack.h, cache.h_acts, d_zraw, h_grads) @ stack.h.weights[0]
     mlp_backward(stack.f, cache.f_acts, np.repeat(d_pool / t, t, axis=-2), f_grads)
     return grad
 

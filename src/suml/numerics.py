@@ -57,5 +57,5 @@ def mean_rows(A: np.ndarray) -> np.ndarray:
 
 def logsumexp_rows(A: np.ndarray) -> np.ndarray:
     """Row-wise logsumexp (over the last axis); -inf entries act as missing terms."""
-    m = np.max(A, axis=-1, keepdims=True)
-    return (m + np.log(np.sum(np.exp(A - m), axis=-1, keepdims=True)))[..., 0]
+    m = np.maximum.reduce(A, axis=-1, keepdims=True)  # np.max and np.sum, bitwise, unwrapped
+    return (m + np.log(np.add.reduce(np.exp(A - m), axis=-1, keepdims=True)))[..., 0]

@@ -57,21 +57,22 @@ from .model import (
     save_checkpoint,
     sgd_momentum_step,
 )
+from .numerics import mean_rows
 from .schema import check, rule
 
 
 class _Batch(NamedTuple):
-    """What the stage-2 loss terms read from one batch of pseudo-pairs, per replica."""
+    """What the loss terms read from one batch, per replica; stage 1 fills ``t`` and ``labels_t``."""
 
-    f: ForwardCache  # FPV forward pass
-    t: ForwardCache | None  # TPV forward pass; None when no term reads it
-    labels_f: np.ndarray
-    labels_t: np.ndarray
-    df: np.ndarray  # narrations, constants
-    dt: np.ndarray
-    gate: np.ndarray  # (replicas, rows) bool: the pairs whose similarity passes theta
-    lc: LossConfig
-    full_batch: bool  # negative_set_mode: negatives from every pair of the batch
+    f: ForwardCache | None = None  # FPV forward pass
+    t: ForwardCache | None = None  # TPV forward pass; None when no term reads it
+    labels_f: np.ndarray | None = None
+    labels_t: np.ndarray | None = None
+    df: np.ndarray | None = None  # narrations, constants
+    dt: np.ndarray | None = None
+    gate: np.ndarray | None = None  # (replicas, rows) bool: the pairs whose similarity passes theta
+    lc: LossConfig | None = None
+    full_batch: bool = False  # negative_set_mode: negatives from every pair of the batch
 
 
 def _fpv_task(b: _Batch) -> LossOutput:
@@ -203,16 +204,11 @@ def _validate_run(config: TrainConfig, world_spec: WorldSpec) -> None:
             f"method {config.method!r} aligns video with text, so proj_dim must be "
             f"None or world.text_dim={world_spec.text_dim}, got {config.proj_dim}"
         )
-
-
-def _check_finite(loss: np.ndarray, seeds, stage: int, epoch: int, batch: int) -> None:
-    """Raise for the first replica whose batch ``loss`` is not finite, naming its seed."""
-    for seed, value in zip(seeds, loss.tolist()):
-        if not math.isfinite(value):
-            raise DivergenceError(
-                f"seed {seed}: stage {stage} diverged at epoch {epoch} batch {batch}: "
-                f"loss is {value}"
-            )
+    if config.epochs_stage2 and config.n_fpv_train < 2:
+        raise ConfigValidationError(
+            "stage 2 trains on batches of at least 2 pseudo-pairs, one per FPV clip, so "
+            f"n_fpv_train must be at least 2 when epochs_stage2 > 0, got {config.n_fpv_train}"
+        )
 
 
 def derive_seeds(seed: int) -> dict:
@@ -246,14 +242,6 @@ def evaluate_fpv(fpv_stack: EncoderStack, dataset):
     return np.mean(pred == corpus.labels, axis=-1).tolist()
 
 
-def _chunk(indices, size, min_size):
-    """Batches of ``size`` columns of ``indices`` (one row per replica)."""
-    for start in range(0, indices.shape[-1], size):
-        batch = indices[..., start : start + size]
-        if batch.shape[-1] >= min_size:
-            yield batch
-
-
 _COLUMNS = ("frames", "labels", "verb_ids", "noun_ids", "narrations")
 
 
@@ -276,20 +264,18 @@ def _replica_corpus(corpus: Corpus, r: int) -> Corpus:
     return Corpus(*(getattr(corpus, k)[r] for k in _COLUMNS), ids=corpus.ids[r], view=corpus.view)
 
 
-def _as_replicas(config: TrainConfig, seeds, train_sets, test_sets):
-    """(seeds, train sets, test sets) of a stage; a single run (``seeds`` None)
-    is one replica on ``config.seed``, and its empty test set is not scored."""
+def _as_replicas(config: TrainConfig, world_spec: WorldSpec, seeds, train_sets, test_sets):
+    """(seeds, train sets, test sets) of a stage, once its config and world are
+    checked; a single run (``seeds`` None) is one replica on ``config.seed``,
+    and its empty test set is not scored."""
+    config.validate()
+    world_spec.validate()
     if seeds is not None:
         if any(len(d) != len(seeds) for d in train_sets):
             raise ConfigError(f"{len(seeds)} seeds need datasets of {len(seeds)} replicas")
         return seeds, train_sets, test_sets
     tests = [stack_datasets([d]) if d else None for d in test_sets]
     return [config.seed], [stack_datasets([d]) for d in train_sets], tests
-
-
-def _shuffles(seeds, stream: str) -> list:
-    """One generator per seed, seeded by its run's ``stream``."""
-    return [np.random.default_rng(np.random.SeedSequence(derive_seeds(s)[stream])) for s in seeds]
 
 
 def _new_stack(config: TrainConfig, world_spec: WorldSpec, view: str, seeds) -> EncoderStack:
@@ -302,6 +288,65 @@ def _new_stack(config: TrainConfig, world_spec: WorldSpec, view: str, seeds) -> 
         for seed in seeds
     ]
     return replace(stacks[0], params=np.stack([s.params for s in stacks]))
+
+
+def _train_stage(config, stage, seeds, views, n_rows, terms, batch_at, epoch_fields) -> list:
+    """The epoch loop of both stages; returns the records, replica after replica.
+
+    An epoch steps at the cosine rate through one shuffle of ``n_rows`` rows
+    per seed (``stage<k>_shuffle``) in stacked batches, ``batch_at(idx,
+    project)`` building each ``_Batch`` and ``terms`` its loss.  The stack of
+    each ``_Batch`` cache field in ``views`` trains, on both fields' gradients
+    under shared weights.  A record holds each slot's mean batch value and the
+    fields ``epoch_fields(seen)`` returns, given the rows the epoch trained on.
+    """
+    epochs = getattr(config, f"epochs_stage{stage}")
+    min_rows = 1 if stage == 1 else 2  # an alignment term needs two pairs
+    # batches of batch_size rows; a last one under min_rows is dropped
+    starts = range(0, n_rows - min_rows + 1, config.batch_size)
+    if epochs and not starts:
+        raise ConfigError(f"stage {stage} needs {min_rows} rows for a batch, got {n_rows}")
+    streams = [derive_seeds(seed)[f"stage{stage}_shuffle"] for seed in seeds]
+    rngs = [np.random.default_rng(np.random.SeedSequence(s)) for s in streams]
+    project = any(term not in (_fpv_task, _tpv_task) for _, _, term in terms)  # a term reads z
+    slots = [slot for slot, _, _ in terms] + ["total"]
+    learners = {}  # per stack: its fields and its velocity
+    for field, stack in views.items():
+        learners.setdefault(id(stack), (stack, [], np.zeros_like(stack.params)))[1].append(field)
+    records = [[] for _ in seeds]
+    for epoch in range(epochs):
+        lr = cosine_lr(epoch, epochs, config.base_lr)
+        order = np.stack([rng.permutation(n_rows) for rng in rngs])
+        values = []  # per batch: each term's value, then the total's
+        for b, idx in enumerate(order[..., i : i + config.batch_size] for i in starts):
+            batch = batch_at(idx, project)
+            outs = [term(batch) for _, _, term in terms]
+            # a lone term is a task loss at weight 1: stage 1's, or stage 2's FPV task alone
+            total = outs[0] if len(outs) == 1 else losses.total_loss(
+                [(w, out) for (_, w, _), out in zip(terms, outs)]
+            )
+            for seed, value in zip(seeds, total.value.tolist()):
+                if not math.isfinite(value):
+                    raise DivergenceError(f"seed {seed}: stage {stage} diverged at epoch "
+                                          f"{epoch} batch {b}: loss is {value}")
+            g = total.grads
+            for stack, fields, velocity in learners.values():
+                grads = [backward(stack, getattr(batch, v), g.get(f"z{v}"), g.get(f"logits_{v}"))
+                         for v in fields]
+                sgd_momentum_step(stack, sum(grads[1:], grads[0]), lr, velocity, config.momentum)
+            values.append([out.value for out in outs] + [total.value])
+            del batch, outs, total, g, grads  # freed before the next batch is built
+        # one contiguous row of batch values per slot and replica: numpy's pairwise sum
+        means = dict(zip(slots, mean_rows(np.stack(values, axis=-1)).tolist()))
+        if stage == 1:  # the gradient is the bare task loss; the record weighs it as stage 2 does
+            means["total"] = [config.loss.w_t * value for value in means["t"]]
+        fields = epoch_fields(order[..., : starts[-1] + config.batch_size])
+        for r, sink in enumerate(records):
+            sink.append(MetricsRecord(
+                epoch, stage, **{f"loss_{slot}": mean[r] for slot, mean in means.items()},
+                **{name: value[r] for name, value in fields.items()},
+            ))
+    return [record for sink in records for record in sink]
 
 
 def pretrain_tpv(
@@ -318,39 +363,26 @@ def pretrain_tpv(
     ``stack_datasets`` corpora, the stack returned is stacked and
     ``metrics_sink`` gets the records replica after replica.
     """
-    config.validate()
-    world_spec.validate()
     if len(tpv_dataset) == 0:
         raise ConfigError("TPV dataset must be nonempty for stage 1")
     single = seeds is None
-    seeds, (tpv,), (tpv_test,) = _as_replicas(config, seeds, (tpv_dataset,), (tpv_test,))
+    seeds, (tpv,), (tpv_test,) = _as_replicas(config, world_spec, seeds, (tpv_dataset,),
+                                              (tpv_test,))
     stack = _new_stack(config, world_spec, "tpv", seeds)
-    rngs = _shuffles(seeds, "stage1_shuffle")
     rows = np.arange(len(seeds))[:, None]
-    velocity = np.zeros_like(stack.params)
-    records = [[] for _ in seeds]
-    for epoch in range(config.epochs_stage1):
-        lr = cosine_lr(epoch, config.epochs_stage1, config.base_lr)
-        order = np.stack([rng.permutation(tpv.labels.shape[-1]) for rng in rngs])
-        batch_losses = []
-        for b, idx in enumerate(_chunk(order, config.batch_size, 1)):
-            cache = encode_batch(stack, tpv.frames[rows, idx])
-            ce = losses.cross_entropy(cache.logits, tpv.labels[rows, idx])
-            _check_finite(ce.value, seeds, 1, epoch, b)
-            grad = backward(stack, cache, None, ce.grads["logits"])
-            sgd_momentum_step(stack, grad, lr, velocity, config.momentum)
-            batch_losses.append(ce.value)
-        if metrics_sink is not None:
-            # one contiguous row per replica, so each mean sums as a 1-D one
-            loss_t = np.mean(np.stack(batch_losses, axis=-1), axis=-1).tolist()
-            tpv_acc = evaluate_fpv(stack, tpv_test) if tpv_test else [0.0] * len(seeds)
-            for r, sink in enumerate(records):
-                sink.append(MetricsRecord(
-                    epoch, 1, loss_t=loss_t[r], loss_total=config.loss.w_t * loss_t[r],
-                    tpv_test_acc=tpv_acc[r],
-                ))
+
+    def batch_at(idx, project) -> _Batch:
+        cache = encode_batch(stack, tpv.frames[rows, idx], project=project)
+        return _Batch(t=cache, labels_t=tpv.labels[rows, idx])
+
+    def epoch_fields(seen) -> dict:
+        scored = tpv_test and metrics_sink is not None
+        return {"tpv_test_acc": evaluate_fpv(stack, tpv_test)} if scored else {}
+
+    records = _train_stage(config, 1, seeds, {"t": stack}, tpv.labels.shape[-1],
+                           [("t", 1.0, _tpv_task)], batch_at, epoch_fields)
     if metrics_sink is not None:
-        metrics_sink.extend(record for sink in records for record in sink)
+        metrics_sink.extend(records)
     return replica(stack, 0) if single else stack
 
 
@@ -390,12 +422,10 @@ def joint_train(
     replica after replica.  Without ``score_train`` no epoch scores the FPV
     train set (the records hold 0.0), for a caller that reads only the stacks.
     """
-    config.validate()
-    world_spec.validate()
     lc = config.loss
     single = seeds is None
     seeds, (fpv, tpv), (fpv_test, tpv_test) = _as_replicas(
-        config, seeds, (fpv_dataset, tpv_dataset), (fpv_test, tpv_test)
+        config, world_spec, seeds, (fpv_dataset, tpv_dataset), (fpv_test, tpv_test)
     )
     if tpv_stack is not None:
         if single:
@@ -421,80 +451,47 @@ def joint_train(
     pair_fpv = np.asarray([[p.fpv_index for p in ps] for ps in pairs], dtype=int)
     pair_tpv = np.asarray([[p.tpv_index for p in ps] for ps in pairs], dtype=int)
 
-    rngs = _shuffles(seeds, "stage2_shuffle")
     rows = np.arange(len(seeds))[:, None]
     shared = fpv_stack is tpv_stack
     terms = _stage2_terms(config.method, lc)
     tpv_touched = len(terms) > 1
-    # A frozen TPV stack does not train, so its backward pass is skipped.
-    tpv_learns = tpv_touched and not tpv_stack.frozen
-    fpv_velocity = np.zeros_like(fpv_stack.params)
-    tpv_velocity = np.zeros_like(tpv_stack.params) if tpv_learns and not shared else None
+    views = {"f": fpv_stack}
+    if tpv_touched and not tpv_stack.frozen:  # a frozen TPV stack skips its backward pass
+        views["t"] = tpv_stack
     # A TPV stack that stage 2 cannot change scores the same every epoch.
-    tpv_static = not shared and not tpv_learns
-    no_scores = [0.0] * len(seeds)
+    tpv_static = not shared and "t" not in views
     tpv_acc = None
-    records = [[] for _ in seeds]
 
-    def train_batch(idx, gate, lr, epoch, b) -> list:
-        """One stacked batch, forward to SGD step; returns (slot, values) of
-        each term and the total.  Its arrays are freed before the next batch."""
+    def batch_at(idx, project) -> _Batch:
         fi, ti = pair_fpv[rows, idx], pair_tpv[rows, idx]
-        cache_f = encode_batch(fpv_stack, fpv.frames[rows, fi])
-        cache_t = encode_batch(tpv_stack, tpv.frames[rows, ti]) if tpv_touched else None
-        batch = _Batch(
-            cache_f, cache_t, fpv.labels[rows, fi], tpv.labels[rows, ti],
-            fpv.narrations[rows, fi], tpv.narrations[rows, ti], gate, lc,
+        return _Batch(
+            encode_batch(fpv_stack, fpv.frames[rows, fi], project=project),
+            encode_batch(tpv_stack, tpv.frames[rows, ti], project=project) if tpv_touched else None,
+            fpv.labels[rows, fi], tpv.labels[rows, ti], fpv.narrations[rows, fi],
+            tpv.narrations[rows, ti], gated[rows, idx], lc,
             config.negative_set_mode == "full_batch",
         )
-        outs = [(slot, w, term(batch)) for slot, w, term in terms]
-        total = losses.total_loss([(w, out) for _, w, out in outs])
-        _check_finite(total.value, seeds, 2, epoch, b)
 
-        g = total.grads
-        grads_f = backward(fpv_stack, cache_f, g.get("zf"), g["logits_f"])
-        if tpv_learns:
-            grads_t = backward(tpv_stack, cache_t, g.get("zt"), g.get("logits_t"))
-            if shared:
-                grads_f += grads_t
-            else:
-                sgd_momentum_step(tpv_stack, grads_t, lr, tpv_velocity, config.momentum)
-        sgd_momentum_step(fpv_stack, grads_f, lr, fpv_velocity, config.momentum)
-        return [(slot, out.value) for slot, _, out in outs] + [("total", total.value)]
+    def epoch_fields(seen) -> dict:
+        nonlocal tpv_acc
+        fields = {"selected_pair_fraction":
+                  (np.count_nonzero(gated[rows, seen], axis=-1) / seen.shape[-1]).tolist()}
+        if tpv_test is not None:
+            if tpv_acc is None or not tpv_static:
+                tpv_acc = evaluate_fpv(tpv_stack, tpv_test)
+            fields["tpv_test_acc"] = tpv_acc
+        if score_train:
+            fields["fpv_train_acc"] = evaluate_fpv(fpv_stack, fpv)
+        if fpv_test:
+            fields["fpv_test_acc"] = evaluate_fpv(fpv_stack, fpv_test)
+        return fields
 
-    for epoch in range(config.epochs_stage2):
-        lr = cosine_lr(epoch, config.epochs_stage2, config.base_lr)
-        order = np.stack([rng.permutation(pair_fpv.shape[-1]) for rng in rngs])
-        sums = {slot: np.zeros(len(seeds)) for slot in ("f", "t", "aw", "m", "total")}
-        n_batches = 0
-        n_pairs_seen = 0
-        n_selected = np.zeros(len(seeds), dtype=int)
-        for b, idx in enumerate(_chunk(order, config.batch_size, 2)):
-            gate = gated[rows, idx]
-            n_pairs_seen += idx.shape[-1]
-            n_selected += np.count_nonzero(gate, axis=-1)
-            for slot, value in train_batch(idx, gate, lr, epoch, b):
-                sums[slot] += value
-            n_batches += 1
-
-        means = {slot: (total / max(n_batches, 1)).tolist() for slot, total in sums.items()}
-        selected = (n_selected / max(n_pairs_seen, 1)).tolist()
-        if tpv_test is None:
-            tpv_acc = no_scores
-        elif tpv_acc is None or not tpv_static:
-            tpv_acc = evaluate_fpv(tpv_stack, tpv_test)
-        fpv_train_acc = evaluate_fpv(fpv_stack, fpv) if score_train else no_scores
-        fpv_test_acc = evaluate_fpv(fpv_stack, fpv_test) if fpv_test else no_scores
-        for r, sink in enumerate(records):
-            sink.append(MetricsRecord(
-                epoch, 2, **{f"loss_{slot}": mean[r] for slot, mean in means.items()},
-                selected_pair_fraction=selected[r], fpv_train_acc=fpv_train_acc[r],
-                fpv_test_acc=fpv_test_acc[r], tpv_test_acc=tpv_acc[r],
-            ))
+    records = _train_stage(config, 2, seeds, views, pair_fpv.shape[-1], terms, batch_at,
+                           epoch_fields)
     if single:
         fpv_stack = replica(fpv_stack, 0)
         tpv_stack = fpv_stack if shared else replica(tpv_stack, 0)
-    return fpv_stack, tpv_stack, [record for sink in records for record in sink]
+    return fpv_stack, tpv_stack, records
 
 
 def write_metrics_jsonl(records, path) -> None:

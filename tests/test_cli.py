@@ -403,6 +403,17 @@ def test_multimodal_proj_dim_mismatch_fails_before_training(tmp_path, config_fil
                  "--out-dir", str(out_dir)]) == 0
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_stage2_without_a_batch_exits_one_before_any_work(tmp_path, capsys, monkeypatch, command):
+    stage1 = count_calls(monkeypatch, pipeline, "pretrain_tpv")
+    out_dir = tmp_path / "d"
+    assert main([command, "--set", "train.n_fpv_train=1", "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "n_fpv_train must be at least 2" in err
+    assert "Traceback" not in err
+    assert stage1 == [] and not out_dir.exists()
+
+
 def test_ablate_checks_every_cell_before_training(tmp_path, config_file, capsys, monkeypatch):
     stage1 = count_calls(monkeypatch, pipeline, "pretrain_tpv")
     out_dir = tmp_path / "grid"

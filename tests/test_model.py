@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import numeric_grad
+from suml import gradcheck
 from suml.exceptions import DimMismatchError, ShapeMismatchError
 from suml.losses import cross_entropy
 from suml.model import (
@@ -13,6 +14,7 @@ from suml.model import (
     init_stack,
     load_checkpoint,
     mlp_forward,
+    mlp_views,
     replica,
     save_checkpoint,
     sgd_momentum_step,
@@ -89,6 +91,54 @@ def test_backward_matches_finite_differences(rng):
         num = numeric_grad(lambda _: objective(), P)
         scale = max(1e-8, np.abs(gP).max(), np.abs(num).max())
         assert np.abs(gP - num).max() / scale < 1e-6
+
+
+def test_forward_without_projection_leaves_z_unset(rng):
+    s = small_stack()
+    clips = rng.standard_normal((5, 2, 6))
+    cache = encode_batch(s, clips, project=False)
+    assert cache.z is None and cache.h_acts is None and cache.norms is None
+    assert np.array_equal(cache.logits, encode_batch(s, clips).logits)
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_backward_without_projection_skips_h_exactly(rng, lead):
+    s = small_stack()
+    s = EncoderStack(np.broadcast_to(s.params, (*lead, s.params.size)).copy(), s.dims)
+    clips = rng.standard_normal((*lead, 5, 2, 6))
+    labels = rng.integers(0, 5, size=(*lead, 5))
+    cache = encode_batch(s, clips, project=False)
+    grad_logits = cross_entropy(cache.logits, labels).grads["logits"]
+    skipped = backward(s, cache, None, grad_logits)
+    full = encode_batch(s, clips)  # the head run and backpropagated with a zero grad_z
+    through_h = backward(s, full, np.zeros_like(full.z), grad_logits)
+    (f, h, g), (f_h, _, g_h) = mlp_views(skipped, s.dims), mlp_views(through_h, s.dims)
+    for got, want in zip([*f.weights, *f.biases, *g.weights, *g.biases],
+                         [*f_h.weights, *f_h.biases, *g_h.weights, *g_h.biases]):
+        assert np.array_equal(got, want)
+    assert all(np.all(t == 0.0) for t in [*h.weights, *h.biases])
+    assert np.array_equal(backward(s, full, None, grad_logits), skipped)
+    with pytest.raises(ShapeMismatchError):
+        backward(s, cache, np.zeros((*lead, 5, 4)), grad_logits)
+
+
+def test_backward_without_projection_matches_finite_differences(rng):
+    s = small_stack()
+    clips = rng.standard_normal((4, 2, 6))
+    labels = rng.integers(0, 5, size=4)
+    cache = encode_batch(s, clips, project=False)
+    grad = backward(s, cache, None, cross_entropy(cache.logits, labels).grads["logits"])
+
+    def values(params):  # the task loss of each perturbed copy of the flat parameters
+        copies = EncoderStack(params, s.dims)
+        tile = lambda x: np.broadcast_to(x, (len(params), *x.shape))
+        logits = encode_batch(copies, tile(clips), project=False).logits
+        return cross_entropy(logits, tile(labels)).value
+
+    numeric = gradcheck.finite_difference(values, s.params)
+    assert gradcheck.rel_error(grad, numeric) < 1e-6
+    h = mlp_views(numeric, s.dims)[1]
+    assert all(np.all(t == 0.0) for t in [*h.weights, *h.biases])
 
 
 def test_sgd_momentum_matches_manual_update(rng):

@@ -8,9 +8,9 @@ import pytest
 from conftest import count_calls
 from test_golden import GRID_TRAIN, GRID_WORLD
 
-from suml import pipeline
+from suml import losses, model, pipeline
 from suml.datagen import WorldSpec, generate_world, sample_dataset
-from suml.exceptions import ConfigError, EmptySetError
+from suml.exceptions import ConfigError, ConfigValidationError, EmptySetError, ZeroNormError
 from suml.losses import LossConfig
 from suml.model import init_stack, replica
 from suml.pipeline import (
@@ -374,3 +374,105 @@ def test_stacked_stage2_equals_each_seed_alone(monkeypatch, replica_data, method
             assert records_equal(records[r * epochs : (r + 1) * epochs], records_a)
         assert (fpv_s is tpv_s) == (tpv_mode == "shared_weights")
         assert tpv_s.frozen == (tpv_mode == "frozen")
+
+
+def train_sets(cfg):
+    """The FPV and TPV train sets of ``cfg``'s seed, as a single run draws them."""
+    seeds = derive_seeds(cfg.seed)
+    world = generate_world(replace(WORLD, seed=seeds["world"]))
+    return (sample_dataset(world, view, getattr(cfg, f"n_{view}_train"), seeds[f"{view}_train"])
+            for view in ("fpv", "tpv"))
+
+
+def test_stage2_epoch_means_reduce_each_replicas_batch_values(monkeypatch):
+    # 10 stage-2 batches per epoch: past the 8 where numpy's pairwise sum
+    # starts to differ from adding the values one after another
+    cfg = replace(FAST, n_fpv_train=160, epochs_stage2=2)
+    fpv, tpv = train_sets(cfg)
+    stage1 = pretrain_tpv(cfg, WORLD, tpv)
+    values = []
+    cross_entropy = losses.cross_entropy
+
+    def captured(logits, labels):
+        out = cross_entropy(logits, labels)
+        values.append(out.value)
+        return out
+
+    monkeypatch.setattr(losses, "cross_entropy", captured)
+    _, _, records = joint_train(cfg, WORLD, fpv, tpv, stage1)
+    per_epoch = len(values) // cfg.epochs_stage2
+    assert per_epoch == 2 * (cfg.n_fpv_train // cfg.batch_size)  # the FPV, then the TPV task
+    for epoch, record in enumerate(records):
+        batches = values[epoch * per_epoch : (epoch + 1) * per_epoch]
+        for slot, slot_values in (("f", batches[0::2]), ("t", batches[1::2])):
+            want = np.add.reduce(np.stack(slot_values, axis=-1), axis=-1) / len(slot_values)
+            assert getattr(record, f"loss_{slot}") == want.tolist()[0]
+
+
+NO_STAGE2_BATCH = TrainConfig(n_fpv_train=1, epochs_stage1=1, epochs_stage2=2)
+
+
+def test_stage2_without_a_batch_is_rejected_before_any_work(monkeypatch):
+    stage1 = count_calls(monkeypatch, pipeline, "pretrain_tpv")
+    draws = count_calls(monkeypatch, pipeline, "sample_dataset")
+    with pytest.raises(ConfigValidationError, match="n_fpv_train must be at least 2"):
+        run_experiment(NO_STAGE2_BATCH, WorldSpec())
+    with pytest.raises(ConfigValidationError, match="n_fpv_train must be at least 2"):
+        run_ablation_grid(NO_STAGE2_BATCH, WorldSpec(), ["fpv_only"], ["trainable"], [0])
+    assert stage1 == [] and draws == []
+    # without stage-2 epochs one FPV clip is fine
+    run_experiment(replace(NO_STAGE2_BATCH, epochs_stage2=0), WorldSpec())
+
+
+def test_joint_train_without_a_batch_raises():
+    world = generate_world(WORLD)
+    fpv = sample_dataset(world, "fpv", 1, 0)
+    tpv = sample_dataset(world, "tpv", 8, 1)
+    with pytest.raises(ConfigError, match="stage 2 needs 2 rows for a batch, got 1"):
+        joint_train(replace(FAST, tpv_mode="same_init"), WORLD, fpv, tpv, None)
+
+
+@pytest.mark.parametrize("method,h_calls_per_batch", [("fpv_only", 0), ("sum_l", 2)])
+def test_projection_head_runs_only_where_a_term_reads_z(monkeypatch, method, h_calls_per_batch):
+    """Stage 1 and fpv_only's stage 2 read only logits, so neither runs ``h``."""
+    encoded, forward, backward = [], [], []
+    encode_batch, mlp_forward, mlp_backward = (
+        pipeline.encode_batch, model.mlp_forward, model.mlp_backward)
+
+    def encode(stack, clips, **kwargs):
+        encoded.append(stack)
+        return encode_batch(stack, clips, **kwargs)
+
+    monkeypatch.setattr(pipeline, "encode_batch", encode)
+    monkeypatch.setattr(model, "mlp_forward", lambda p, *a: forward.append(p) or mlp_forward(p, *a))
+    monkeypatch.setattr(model, "mlp_backward",
+                        lambda p, *a: backward.append(p) or mlp_backward(p, *a))
+    cfg = replace(FAST, method=method)
+    run_experiment(cfg, WORLD)
+    heads = {id(stack.h) for stack in encoded}
+    stage2_batches = cfg.epochs_stage2 * (cfg.n_fpv_train // cfg.batch_size)
+    assert len(encoded) > stage2_batches
+    for calls in (forward, backward):
+        assert sum(id(p) in heads for p in calls) == h_calls_per_batch * stage2_batches
+
+
+def collapsed_stacks(monkeypatch):
+    """Make every new stack's projection head output zero."""
+    def init_collapsed(*args, **kwargs):
+        stack = init_stack(*args, **kwargs)
+        for W in stack.h.weights:
+            W[...] = 0.0
+        return stack
+
+    monkeypatch.setattr(pipeline, "init_stack", init_collapsed)
+
+
+def test_collapsed_projection_head_fails_where_z_is_first_read(monkeypatch):
+    collapsed_stacks(monkeypatch)
+    fpv, tpv = train_sets(FAST)
+    stage1 = pretrain_tpv(FAST, WORLD, tpv)  # stage 1 reads no z
+    assert not np.any(stage1.h.weights[-1])
+    with pytest.raises(ZeroNormError):
+        joint_train(FAST, WORLD, fpv, tpv, stage1)
+    fpv_stack, _, records = joint_train(replace(FAST, method="fpv_only"), WORLD, fpv, tpv, stage1)
+    assert len(records) == FAST.epochs_stage2 and not np.any(fpv_stack.h.weights[-1])
