@@ -148,7 +148,9 @@ def check_model_gradients(n_instances: int = 20, seed: int = 1) -> float:
 
 
 def check_normalization_projector(n_instances: int = 50, seed: int = 2) -> float:
-    """The pulled-back gradient through l2-normalization must be orthogonal to z."""
+    """The model's pull-back of a gradient through l2-normalization
+    (``model.pull_back_normalization``, as ``backward`` runs it) must be
+    orthogonal to z."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for k in range(n_instances):
@@ -156,8 +158,7 @@ def check_normalization_projector(n_instances: int = 50, seed: int = 2) -> float
         X = rng.standard_normal((2, 2, 4))
         cache = model.encode_batch(stack, X)
         grad_z = rng.standard_normal(cache.z.shape)
-        inner = np.sum(grad_z * cache.z, axis=1, keepdims=True)
-        d_zraw = (grad_z - inner * cache.z) / cache.norms[:, None]
+        d_zraw = model.pull_back_normalization(cache, grad_z)
         worst = max(worst, float(np.max(np.abs(np.sum(d_zraw * cache.z, axis=1)))))
     return worst
 

@@ -135,20 +135,31 @@ def dcl_direction(Z1, Z2, tau: float) -> LossOutput:
     return LossOutput(value, {"z1": g1, "z2": g2})
 
 
-def semantic_weights(Df, Dt, sigma: float) -> np.ndarray:
-    """Per-pair positive weights from narration similarity, normalized to mean one.
+def semantic_weights(Df, Dt, sigma: float, gate=True) -> np.ndarray:
+    """Per-pair positive weights from narration similarity: a softmax over the
+    gated pairs of each batch, scaled to mean one over them, zero off them.
 
-    Constants w.r.t. optimization: no gradients flow into Df or Dt.
+    ``Df`` and ``Dt`` are (N, D) or (S, N, D) batches; ``gate`` is True (every
+    pair) or one flag per pair.  Constants w.r.t. optimization: no gradients
+    flow into Df or Dt.
     """
     Df = as_f64(Df)
     Dt = as_f64(Dt)
+    gate = np.asarray(gate)
     if Df.shape != Dt.shape:
         raise ShapeMismatchError(f"text batch shapes differ: {Df.shape} vs {Dt.shape}")
-    if Df.ndim != 2 or Df.shape[0] < 1:
-        raise ShapeMismatchError("text batches must be 2-D with at least one row")
-    s = np.sum(Df * Dt, axis=1) / sigma
-    e = np.exp(s - np.max(s))  # shift-invariant in the ratio
-    return e / np.mean(e)
+    if Df.ndim not in (2, 3) or Df.shape[-2] < 1:
+        raise ShapeMismatchError("text batches must be (N, D) or (S, N, D) with at least one row")
+    if gate.dtype != bool or gate.shape not in ((), Df.shape[:-1]):
+        raise ShapeMismatchError(f"gate needs one flag per text row {Df.shape[:-1]}, "
+                                 f"got {gate.shape}")
+    s = np.sum(Df * Dt, axis=-1) / sigma
+    # shift-invariant in the ratio; the shift is the largest gated similarity
+    e = np.exp(s - np.max(s, axis=-1, keepdims=True, where=gate, initial=-np.inf),
+               out=np.zeros_like(s), where=gate)
+    k = np.add.reduce(gate, axis=-1, keepdims=True) if gate.ndim else s.shape[-1]
+    mean = np.add.reduce(e, axis=-1, keepdims=True) / np.maximum(k, 1)
+    return np.divide(e, mean, out=np.zeros_like(e), where=gate)
 
 
 def _alignment(Zf, Zt, tau, weights, gate=None, full_batch=True) -> LossOutput:
@@ -166,7 +177,7 @@ def weighted_alignment_loss(Zf, Zt, Df, Dt, tau: float, sigma: float) -> LossOut
     """Semantics-weighted alignment on the selected pseudo-pairs, both directions."""
     Zf, Zt = _check_pair_batch(Zf, Zt)
     w = semantic_weights(Df, Dt, sigma)
-    if w.shape[0] != Zf.shape[-2]:
+    if w.shape != Zf.shape[-2:-1]:  # (N, D) narrations, shared by every replica
         raise ShapeMismatchError("text batch size must match feature batch size")
     return _alignment(Zf, Zt, tau, w)
 
@@ -178,24 +189,17 @@ def weighted_alignment_loss_pooled(
 
     Gated pairs are the only anchors and positives; the negatives are the
     other gated pairs, or with ``full_batch`` every other pair of the batch.
-    A replica with fewer than two gated pairs adds zero.  Semantic weights
-    have mean one over each replica's gated pairs; pass ``weights``
-    explicitly (e.g. ones) to bypass them.
+    A replica with fewer than two gated pairs adds zero, and its pairs count
+    as ungated for ``semantic_weights``, which weighs the rest; pass
+    ``weights`` explicitly (e.g. ones) to bypass them.
     """
     Zf, Zt = _check_pair_batch(Zf, Zt)
     gate = np.asarray(gate)
     if gate.dtype != bool or gate.shape != Zf.shape[:-1]:
         raise ShapeMismatchError(f"gate needs one flag per pair {Zf.shape[:-1]}, got {gate.shape}")
-    k = np.count_nonzero(gate, axis=-1, keepdims=True)
-    gate = gate & (k >= 2)  # the two-row rule comes before the weights
+    gate = gate & (np.add.reduce(gate, axis=-1, keepdims=True) >= 2)
     if weights is None:
-        if np.shape(Df) != np.shape(Dt) or np.shape(Df)[:-1] != gate.shape:
-            raise ShapeMismatchError("text batches need one row per pair")
-        s = np.sum(as_f64(Df) * as_f64(Dt), axis=-1) / sigma
-        e = np.exp(s - np.max(s, axis=-1, keepdims=True, where=gate, initial=-np.inf),
-                   out=np.zeros_like(s), where=gate)
-        mean = np.add.reduce(e, axis=-1, keepdims=True) / np.maximum(k, 1)
-        weights = np.divide(e, mean, out=np.zeros_like(e), where=gate)
+        weights = semantic_weights(Df, Dt, sigma, gate)
     return _alignment(Zf, Zt, tau, as_f64(weights) * gate, gate, full_batch)
 
 
@@ -255,14 +259,17 @@ def triplet_loss(Zf, Zt, margin: float) -> LossOutput:
 
 
 def total_loss(weighted_terms) -> LossOutput:
-    """Weighted sum of (weight, LossOutput) terms: values added in the given
-    order, gradients summed per input name (same name, same shape)."""
-    value = 0.0
+    """Weighted sum of one or more (weight, LossOutput) terms: values added in the given
+    order, gradients summed per input name (same name, same shape).  Each sum
+    starts from its first weighted term, so a lone term at weight one is
+    returned bit for bit, signed zeros included."""
+    value = None
     grads = {}
     for w, out in weighted_terms:
-        value += w * out.value
+        value = w * out.value if value is None else value + w * out.value
         for key, g in out.grads.items():
-            if key not in grads:
-                grads[key] = np.zeros_like(g)
-            grads[key] += w * g
+            if key in grads:
+                grads[key] += w * g
+            else:
+                grads[key] = w * g  # a new array, so the sum never writes into a term
     return LossOutput(value, grads)

@@ -44,6 +44,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .atomic import write_atomic
+from .datagen import VIEWS
 from .exceptions import (
     DatasetIOError,
     DatasetParseError,
@@ -193,12 +194,14 @@ def mlp_backward(p: MlpParams, acts: list, d_out: np.ndarray, grads: MlpParams):
     return d_pre
 
 
-def pool_frames(stack: EncoderStack, clips):
-    """Check clips (N, T, feat), run f on every frame and average over frames.
+def encode_batch(stack: EncoderStack, clips: np.ndarray, *, project: bool = True) -> ForwardCache:
+    """Forward a batch of clips (N, T, feat), one batch per replica of a stacked
+    ``stack`` ((S, N, T, feat) clips): ``f`` on every frame, averaged over
+    frames, then ``g``; ``cache.z`` holds the unit projections.
 
-    A stacked ``stack`` takes (S, N, T, feat) clips, one batch per replica.
-    Returns (clips shape, f activations, pooled hidden (N, hidden)); the shared
-    trunk of training (``encode_batch``) and evaluation.
+    Without ``project`` the projection head ``h`` does not run, so neither
+    does its zero-norm check, and ``cache.z`` stays None: for callers that
+    read the logits only, as evaluation does.
     """
     clips = np.asarray(clips, dtype=np.float64)
     lead = stack.params.shape[:-1]
@@ -214,20 +217,9 @@ def pool_frames(stack: EncoderStack, clips):
         )
     f_acts = mlp_forward(stack.f, clips.reshape(*lead, n * t, feat))
     frame_sum = np.add.reduce(f_acts[-1].reshape(*lead, n, t, -1), axis=-2)
-    return clips.shape, f_acts, frame_sum / t  # the frame mean, as ``np.mean`` computes it
-
-
-def encode_batch(stack: EncoderStack, clips: np.ndarray, *, project: bool = True) -> ForwardCache:
-    """Forward a batch of clips (N, T, feat), one per replica of a stacked
-    ``stack``; ``cache.z`` holds the unit projections.
-
-    Without ``project`` the projection head ``h`` does not run, so neither
-    does its zero-norm check, and ``cache.z`` stays None: for callers that
-    read the logits only.
-    """
-    x_shape, f_acts, pooled = pool_frames(stack, clips)
+    pooled = frame_sum / t  # the frame mean, as ``np.mean`` computes it
     g_acts = mlp_forward(stack.g, pooled)
-    cache = ForwardCache(x_shape, f_acts, g_acts, g_acts[-1])
+    cache = ForwardCache(clips.shape, f_acts, g_acts, g_acts[-1])
     if project:
         cache.h_acts = mlp_forward(stack.h, pooled)
         raw = cache.h_acts[-1]
@@ -236,6 +228,13 @@ def encode_batch(stack: EncoderStack, clips: np.ndarray, *, project: bool = True
             raise ZeroNormError("projection head output collapsed to zero norm")
         cache.z = raw / cache.norms[..., None]
     return cache
+
+
+def pull_back_normalization(cache: ForwardCache, grad_z: np.ndarray) -> np.ndarray:
+    """The gradient w.r.t. the raw projection, given ``grad_z`` w.r.t. z = raw / ||raw||:
+    the normalization Jacobian (grad - <grad, z> z) / ||raw||, orthogonal to z."""
+    inner = np.add.reduce(grad_z * cache.z, axis=-1, keepdims=True)  # np.sum's arithmetic
+    return (grad_z - inner * cache.z) / cache.norms[..., None]
 
 
 def backward(stack: EncoderStack, cache: ForwardCache, grad_z, grad_logits) -> np.ndarray:
@@ -259,9 +258,7 @@ def backward(stack: EncoderStack, cache: ForwardCache, grad_z, grad_logits) -> n
     f_grads, h_grads, g_grads = mlp_views(grad, stack.dims)
     d_pool = mlp_backward(stack.g, cache.g_acts, grad_logits, g_grads) @ stack.g.weights[0]
     if grad_z is not None:
-        # normalization Jacobian: (grad - <grad, z> z) / ||raw||
-        inner = np.add.reduce(grad_z * cache.z, axis=-1, keepdims=True)
-        d_zraw = (grad_z - inner * cache.z) / cache.norms[..., None]
+        d_zraw = pull_back_normalization(cache, grad_z)
         d_pool += mlp_backward(stack.h, cache.h_acts, d_zraw, h_grads) @ stack.h.weights[0]
     mlp_backward(stack.f, cache.f_acts, np.repeat(d_pool / t, t, axis=-2), f_grads)
     return grad
@@ -355,8 +352,11 @@ def load_checkpoint(path):
         f_dims, f = _mlp_from_json(doc, "f", None)
         h_dims, h = _mlp_from_json(doc, "h", f_dims[-1])
         g_dims, g = _mlp_from_json(doc, "g", f_dims[-1])
+        view, frozen, stage = doc["view"], doc["frozen"], doc["stage"]
+        if view not in VIEWS or not isinstance(frozen, bool) or not isinstance(stage, str):
+            raise DatasetParseError(f"checkpoint {path} needs a view in {VIEWS}, a boolean "
+                                    "'frozen' and a string 'stage'")
         params = np.concatenate([t.ravel() for t in f + h + g])
-        stack = EncoderStack(params, (f_dims, h_dims, g_dims), doc["view"], bool(doc["frozen"]))
-        return stack, doc["stage"]
+        return EncoderStack(params, (f_dims, h_dims, g_dims), view, frozen), stage
     except KeyError as exc:
         raise DatasetParseError(f"checkpoint {path} has no key {exc}") from exc

@@ -51,8 +51,6 @@ from .model import (
     cosine_lr,
     encode_batch,
     init_stack,
-    mlp_forward,
-    pool_frames,
     replica,
     save_checkpoint,
     sgd_momentum_step,
@@ -237,8 +235,7 @@ def evaluate_fpv(fpv_stack: EncoderStack, dataset):
     if len(dataset) == 0:
         raise EmptySetError("evaluation dataset is empty")
     corpus = as_corpus(dataset)
-    _, _, pooled = pool_frames(fpv_stack, corpus.frames)
-    pred = np.argmax(mlp_forward(fpv_stack.g, pooled)[-1], axis=-1)
+    pred = np.argmax(encode_batch(fpv_stack, corpus.frames, project=False).logits, axis=-1)
     return np.mean(pred == corpus.labels, axis=-1).tolist()
 
 
@@ -321,10 +318,7 @@ def _train_stage(config, stage, seeds, views, n_rows, terms, batch_at, epoch_fie
         for b, idx in enumerate(order[..., i : i + config.batch_size] for i in starts):
             batch = batch_at(idx, project)
             outs = [term(batch) for _, _, term in terms]
-            # a lone term is a task loss at weight 1: stage 1's, or stage 2's FPV task alone
-            total = outs[0] if len(outs) == 1 else losses.total_loss(
-                [(w, out) for (_, w, _), out in zip(terms, outs)]
-            )
+            total = losses.total_loss([(w, out) for (_, w, _), out in zip(terms, outs)])
             for seed, value in zip(seeds, total.value.tolist()):
                 if not math.isfinite(value):
                     raise DivergenceError(f"seed {seed}: stage {stage} diverged at epoch "
@@ -408,7 +402,6 @@ def joint_train(
     fpv_test=None,
     tpv_test=None,
     seeds=None,
-    score_train: bool = True,
 ):
     """Stage 2: mine pairs, gate by theta, train under the combined objective.
 
@@ -419,8 +412,9 @@ def joint_train(
 
     With ``seeds``, trains one replica per seed: the datasets are
     ``stack_datasets`` corpora, the stacks are stacked and the records come
-    replica after replica.  Without ``score_train`` no epoch scores the FPV
-    train set (the records hold 0.0), for a caller that reads only the stacks.
+    replica after replica.  Without ``fpv_test`` no epoch scores the FPV
+    train or test set (the records hold 0.0), for a caller that reads only the
+    stacks.
     """
     lc = config.loss
     single = seeds is None
@@ -442,13 +436,12 @@ def joint_train(
             tpv_stack = replace(clone_stack(fpv_stack), view="tpv")
 
     # Narrations are fixed inputs, so mining once equals mining every epoch;
-    # mining yields one pair per FPV clip, so every replica has as many pairs.
+    # mining gives pair i to FPV clip i, so a batch's indices are its FPV rows.
     pairs = [
         mine_pseudo_pairs(_replica_corpus(fpv, r), _replica_corpus(tpv, r))
         for r in range(len(seeds))
     ]
     gated = np.stack([select_pairs(p, lc.theta).selected for p in pairs])
-    pair_fpv = np.asarray([[p.fpv_index for p in ps] for ps in pairs], dtype=int)
     pair_tpv = np.asarray([[p.tpv_index for p in ps] for ps in pairs], dtype=int)
 
     rows = np.arange(len(seeds))[:, None]
@@ -463,11 +456,11 @@ def joint_train(
     tpv_acc = None
 
     def batch_at(idx, project) -> _Batch:
-        fi, ti = pair_fpv[rows, idx], pair_tpv[rows, idx]
+        ti = pair_tpv[rows, idx]
         return _Batch(
-            encode_batch(fpv_stack, fpv.frames[rows, fi], project=project),
+            encode_batch(fpv_stack, fpv.frames[rows, idx], project=project),
             encode_batch(tpv_stack, tpv.frames[rows, ti], project=project) if tpv_touched else None,
-            fpv.labels[rows, fi], tpv.labels[rows, ti], fpv.narrations[rows, fi],
+            fpv.labels[rows, idx], tpv.labels[rows, ti], fpv.narrations[rows, idx],
             tpv.narrations[rows, ti], gated[rows, idx], lc,
             config.negative_set_mode == "full_batch",
         )
@@ -480,13 +473,12 @@ def joint_train(
             if tpv_acc is None or not tpv_static:
                 tpv_acc = evaluate_fpv(tpv_stack, tpv_test)
             fields["tpv_test_acc"] = tpv_acc
-        if score_train:
-            fields["fpv_train_acc"] = evaluate_fpv(fpv_stack, fpv)
         if fpv_test:
+            fields["fpv_train_acc"] = evaluate_fpv(fpv_stack, fpv)
             fields["fpv_test_acc"] = evaluate_fpv(fpv_stack, fpv_test)
         return fields
 
-    records = _train_stage(config, 2, seeds, views, pair_fpv.shape[-1], terms, batch_at,
+    records = _train_stage(config, 2, seeds, views, pair_tpv.shape[-1], terms, batch_at,
                            epoch_fields)
     if single:
         fpv_stack = replica(fpv_stack, 0)
@@ -567,8 +559,6 @@ def _train_grid(cell_configs: list, world_spec: WorldSpec, seeds) -> list:
     is scored and no TPV test set is drawn; once all cells are trained, each
     seed's FPV test set is drawn, scores its replica of every cell and is freed.
     """
-    if not (cell_configs and seeds):
-        return [[] for _ in cell_configs]
     configs = [replace(cell_configs[0], seed=seed) for seed in seeds]
     worlds = [build_world(world_spec, seed) for seed in seeds]
     fpv_train, tpv_train = (
@@ -579,11 +569,8 @@ def _train_grid(cell_configs: list, world_spec: WorldSpec, seeds) -> list:
     if stage1_config is not None:
         stage1_stack = pretrain_tpv(stage1_config, world_spec, tpv_train, seeds=seeds)
     fpv_stacks = [
-        joint_train(
-            cfg, world_spec, fpv_train, tpv_train,
-            None if cfg.tpv_mode == "same_init" else stage1_stack,
-            seeds=seeds, score_train=False,
-        )[0]
+        joint_train(cfg, world_spec, fpv_train, tpv_train,
+                    None if cfg.tpv_mode == "same_init" else stage1_stack, seeds=seeds)[0]
         for cfg in cell_configs
     ]
     del fpv_train, tpv_train  # no cell reads them again: freed before any test set is drawn
@@ -605,12 +592,15 @@ def run_ablation_grid(
 ):
     """One run per {method x tpv_mode x seed}; returns (per-run rows, per-cell rows).
 
-    Every cell's config is checked before any work starts.  Each cell trains
-    its seeds as replicas of one stacked model (see ``_train_grid``); each
-    replica's accuracy equals ``run_experiment`` on its config, and rows keep
-    method, tpv_mode, seed order.  A failed grid leaves no ``out_dir`` it
-    created.
+    Every cell's config, and that no axis is empty, is checked before any
+    work starts.  Each cell trains its seeds as replicas of one stacked model
+    (see ``_train_grid``); each replica's accuracy equals ``run_experiment``
+    on its config, and rows keep method, tpv_mode, seed order.  A failed grid
+    leaves no ``out_dir`` it created.
     """
+    for axis, values in (("methods", methods), ("tpv_modes", tpv_modes), ("seeds", seeds)):
+        if len(values) == 0:
+            raise ConfigValidationError(f"an ablation grid needs at least one of {axis}")
     cell_keys = [(method, tpv_mode) for method in methods for tpv_mode in tpv_modes]
     cell_configs = [replace(base_config, method=m, tpv_mode=t) for m, t in cell_keys]
     for cfg in cell_configs:
@@ -636,9 +626,6 @@ def run_ablation_grid(
 
 
 def _write_csv(path, rows) -> None:
-    if not rows:
-        return
-
     def write(fh):
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()

@@ -553,11 +553,16 @@ def _drop_last_column(layers, key, index):
         lambda doc: _drop_last_column(doc["g"], "weights", 0),
         lambda doc: doc["f"].update(weights=[[[10**400]]]),
         lambda doc: doc["f"]["weights"][0][0].__setitem__(0, math.nan),
+        lambda doc: doc.update(frozen="false"),
+        lambda doc: doc.update(frozen=0),
+        lambda doc: doc.update(view="side"),
+        lambda doc: doc.update(stage={"name": "stage2_fpv"}),
     ],
     ids=["no_g", "no_view", "no_h_biases", "f_weights_not_a_list", "g_biases_not_a_list",
          "ragged_layer", "short_f_bias", "f_bias_count", "f_layers_do_not_chain",
          "h_does_not_chain_from_f", "g_does_not_chain_from_f", "weight_past_float_range",
-         "nan_f_weight"],
+         "nan_f_weight", "frozen_is_a_string", "frozen_is_a_number", "unknown_view",
+         "stage_is_not_a_string"],
 )
 def test_eval_rejects_malformed_checkpoints(tmp_path, config_file, capsys, damage):
     ckpt = tmp_path / "ckpt.json"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import unit_rows
-from suml import gradcheck, losses
+from suml import gradcheck, losses, model
 from suml.losses import LossConfig
 from suml.pipeline import _Batch, _selected_alignment
 
@@ -82,3 +82,16 @@ def test_gated_alignment_term_gradients_as_stage2_composes_them(rng, weighted, f
             assert gradcheck.rel_error(out.grads[key][r], numeric[r]) <= gradcheck.LOSS_TOL
         assert not np.any(out.grads[key][:2]) and not np.any(numeric[:2])
         assert np.any(out.grads[key][2])
+
+
+def test_projector_check_exercises_the_models_pull_back(monkeypatch, rng):
+    assert gradcheck.check_normalization_projector(n_instances=5) <= gradcheck.PROJECTOR_TOL
+    stack = model.init_stack(4, 3, 3, seed=0, hidden_dim=4)
+    cache = model.encode_batch(stack, rng.standard_normal((2, 2, 4)))
+    grad_z = rng.standard_normal(cache.z.shape)
+    right = model.backward(stack, cache, grad_z, None)
+    # a pull-back that forgets the projection onto z's tangent plane
+    monkeypatch.setattr(model, "pull_back_normalization",
+                        lambda cache, grad_z: grad_z / cache.norms[..., None])
+    assert gradcheck.check_normalization_projector(n_instances=5) > gradcheck.PROJECTOR_TOL
+    assert not np.array_equal(model.backward(stack, cache, grad_z, None), right)

@@ -11,6 +11,7 @@ from suml.exceptions import (
 )
 from suml.losses import (
     LossConfig,
+    LossOutput,
     alignment_loss_unweighted,
     cross_entropy,
     dcl_direction,
@@ -230,6 +231,33 @@ def test_total_loss_recombination(rng):
     assert np.allclose(out.grads["logits"], want_logits, atol=1e-15)
 
 
+def test_total_loss_of_a_lone_term_is_that_term_bitwise(rng):
+    g = rng.standard_normal((2, 3, 4))
+    g[0, 1] = -0.0
+    out = LossOutput(np.array([1.5, -0.0]), {"zf": g})
+    total = total_loss([(1.0, out)])
+    # signed zeros too: a sum started from +0.0 would turn each -0.0 into +0.0
+    assert total.value.tobytes() == out.value.tobytes()
+    assert total.grads["zf"].tobytes() == g.tobytes()
+    # adding a second term leaves the first one's gradient as it was
+    before = g.tobytes()
+    total_loss([(1.0, out), (2.0, LossOutput(1.0, {"zf": np.ones_like(g)}))])
+    assert out.grads["zf"] is g and g.tobytes() == before
+
+
+def test_gated_semantic_weights_are_each_replicas_gathered_weights(rng):
+    Df, Dt = (np.stack([unit_rows(rng, 6, 4) for _ in range(3)]) for _ in range(2))
+    gate = np.array([[1, 0, 1, 1, 0, 1], [0] * 6, [1] * 6], dtype=bool)
+    w = semantic_weights(Df, Dt, 0.7, gate)
+    assert not np.any(w[~gate])
+    for r in (0, 2):
+        want = semantic_weights(Df[r, gate[r]], Dt[r, gate[r]], 0.7)
+        assert np.allclose(w[r, gate[r]], want, rtol=1e-14, atol=0.0)
+    # the default gate passes every pair
+    every = np.ones(gate.shape, dtype=bool)
+    assert np.array_equal(semantic_weights(Df, Dt, 0.7), semantic_weights(Df, Dt, 0.7, every))
+
+
 # ------------------------------------------------------------- gradients
 
 def _fd_check(build, analytic, X, tol=1e-7):
@@ -308,6 +336,9 @@ def test_shape_and_batch_errors(rng):
         cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
     with pytest.raises(ShapeMismatchError):
         semantic_weights(np.ones((2, 3)), np.ones((3, 3)), 1.0)
+    for gate in (np.ones(3, dtype=bool), np.array([0, 1])):
+        with pytest.raises(ShapeMismatchError):
+            semantic_weights(np.ones((2, 3)), np.ones((2, 3)), 1.0, gate)
     # the gate: one boolean per pair; the text: one row per pair
     Z, D = unit_rows(rng, 4, 3), unit_rows(rng, 4, 5)
     for gate in (np.ones(3, dtype=bool), np.ones((1, 4), dtype=bool), np.array([0, 1, 2, 3])):
@@ -318,6 +349,8 @@ def test_shape_and_batch_errors(rng):
     S = np.ones((2, 3, 4))
     with pytest.raises(ShapeMismatchError):
         weighted_alignment_loss(S, S, TEXT, TEXT, 0.5, 1.0)  # 6 narrations for 3 rows
+    with pytest.raises(ShapeMismatchError):  # one (N, D) text batch serves every replica
+        weighted_alignment_loss(S, S, np.ones((2, 3, 5)), np.ones((2, 3, 5)), 0.5, 1.0)
     for zf, zt in ((S, np.ones((2, 3, 5))), (S[0], S), (S[None], S[None])):
         with pytest.raises(ShapeMismatchError):
             triplet_loss(zf, zt, 0.2)

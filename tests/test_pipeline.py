@@ -209,6 +209,25 @@ def test_ablation_grid_writes_summary(tmp_path):
     assert "method" in header and "mean_fpv_acc" in header
 
 
+@pytest.mark.parametrize("axis", ["methods", "tpv_modes", "seeds"])
+def test_empty_grid_axis_is_rejected_before_any_work(monkeypatch, tmp_path, axis):
+    draws = count_calls(monkeypatch, pipeline, "sample_dataset")
+    grid = {"methods": ["fpv_only"], "tpv_modes": ["trainable"], "seeds": [0], axis: []}
+    out = tmp_path / "grid"
+    with pytest.raises(ConfigValidationError, match=axis):
+        run_ablation_grid(FAST, WORLD, **grid, out_dir=str(out))
+    assert draws == [] and not out.exists()
+
+
+def test_joint_train_without_an_fpv_test_set_scores_no_epoch(monkeypatch):
+    fpv, tpv = train_sets(FAST)
+    stage1 = pretrain_tpv(FAST, WORLD, tpv)
+    evals = count_calls(monkeypatch, pipeline, "evaluate_fpv")
+    _, _, records = joint_train(FAST, WORLD, fpv, tpv, stage1)
+    assert evals == []
+    assert all(r.fpv_train_acc == r.fpv_test_acc == 0.0 for r in records)
+
+
 def test_train_config_validation():
     with pytest.raises(ConfigError):
         replace(FAST, method="nope").validate()
