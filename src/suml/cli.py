@@ -15,10 +15,11 @@ Dotted overrides (``--set loss.theta=0.8``) supersede file values; the
 ``SUML_SEED`` environment variable overrides ``train.seed`` with lower
 precedence than ``--set``.  It, ``--sample-seed`` and ``--seeds`` follow the
 rule of ``train.seed``, and ``world.seed`` is replaced by a seed derived from
-``train.seed`` (``pipeline.build_world``).  Every command writes the effective config
-alongside its outputs.  Outputs are written to temp files and renamed, and
-``train``/``ablate`` write theirs only after the whole run succeeds, so a
-failure leaves no partial result.
+``train.seed`` (``pipeline.build_world``).  Outputs are written to temp files
+and renamed.  ``train`` and ``ablate`` parse the config, call the pipeline and
+print its result: the pipeline writes every artifact, the effective config
+among them, only after the whole run succeeds, so a failure leaves no partial
+result.  ``synth`` writes the effective config beside its dataset.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import os
 import sys
 
 from . import gradcheck, schema
-from .atomic import output_dir, write_atomic
+from .atomic import write_atomic
 from .datagen import WorldSpec, read_dataset, sample_dataset, write_dataset
 from .exceptions import (
     BadEdgesError,
@@ -57,6 +58,7 @@ from .pipeline import (
     evaluate_fpv,
     run_ablation_grid,
     run_experiment,
+    write_effective_config,
 )
 
 SEED_ENV_VAR = "SUML_SEED"
@@ -71,7 +73,10 @@ def _build_section(cls, data: dict, path: str):
 
 
 def parse_config(path=None, overrides=(), env=None):
-    """Load configs (file optional), apply SUML_SEED then dotted overrides."""
+    """Load configs (file optional), apply SUML_SEED then dotted overrides.
+
+    Returns ``(world, train)``; the loss section is ``train.loss``.
+    """
     env = os.environ if env is None else env
     data = {"world": {}, "loss": {}, "train": {}}
     if path is not None:
@@ -111,33 +116,17 @@ def parse_config(path=None, overrides=(), env=None):
     loss = _build_section(LossConfig, data["loss"], "loss")
     if "loss" in data["train"]:
         raise ConfigParseError("train.loss belongs in the top-level loss section")
-    train = _build_section(TrainConfig, data["train"], "train")
-    train = dataclasses.replace(train, loss=loss)
+    train = dataclasses.replace(_build_section(TrainConfig, data["train"], "train"), loss=loss)
     try:
         world.validate()
         train.validate()  # checks train.loss too
     except SumlError as exc:
         raise ConfigValidationError(str(exc)) from exc
-    return world, loss, train
-
-
-def effective_config_dict(world: WorldSpec, loss: LossConfig, train: TrainConfig) -> dict:
-    train_dict = dataclasses.asdict(train)
-    train_dict.pop("loss")
-    return {
-        "world": dataclasses.asdict(world),
-        "loss": dataclasses.asdict(loss),
-        "train": train_dict,
-    }
-
-
-def _write_effective_config(world, loss, train, target: str) -> None:
-    text = json.dumps(effective_config_dict(world, loss, train), indent=2) + "\n"
-    write_atomic(target, lambda fh: fh.write(text))
+    return world, train
 
 
 def _cmd_synth(args) -> int:
-    world_spec, loss, train = parse_config(args.config, args.set)
+    world_spec, train = parse_config(args.config, args.set)
     world = build_world(world_spec, train.seed)
     if args.sample_seed is None:
         seed = derive_seeds(train.seed)[f"{args.view}_train"]
@@ -145,7 +134,7 @@ def _cmd_synth(args) -> int:
         seed = schema.parse(TrainConfig, "seed", args.sample_seed, "--sample-seed")
     samples = sample_dataset(world, args.view, args.n, seed)
     write_dataset(samples, args.out)
-    _write_effective_config(world_spec, loss, train, f"{args.out}.config.json")
+    write_effective_config(world_spec, train, f"{args.out}.config.json")
     print(f"wrote {len(samples)} {args.view} samples to {args.out}")
     return 0
 
@@ -224,11 +213,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    world, loss, train = parse_config(args.config, args.set)
-    with output_dir(args.out_dir):  # a failed run leaves no directory it created
-        result = run_experiment(train, world, out_dir=args.out_dir)
-        config_path = os.path.join(args.out_dir, "effective_config.json")
-        _write_effective_config(world, loss, train, config_path)
+    world, train = parse_config(args.config, args.set)
+    result = run_experiment(train, world, out_dir=args.out_dir)
     print(
         f"method={train.method} tpv_mode={train.tpv_mode} seed={train.seed} "
         f"final_fpv_test_acc={result.final_fpv_test_acc:.4f} "
@@ -263,14 +249,11 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    world, loss, train = parse_config(args.config, args.set)
+    world, train = parse_config(args.config, args.set)
     methods = args.methods.split(",")
     tpv_modes = args.tpv_modes.split(",")
     seeds = [schema.parse(TrainConfig, "seed", s, "--seeds") for s in args.seeds.split(",")]
-    with output_dir(args.out_dir):
-        _, cells = run_ablation_grid(train, world, methods, tpv_modes, seeds, out_dir=args.out_dir)
-        config_path = os.path.join(args.out_dir, "effective_config.json")
-        _write_effective_config(world, loss, train, config_path)
+    _, cells = run_ablation_grid(train, world, methods, tpv_modes, seeds, out_dir=args.out_dir)
     for cell in cells:
         print(
             f"{cell['method']:22s} {cell['tpv_mode']:15s} "

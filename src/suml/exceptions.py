@@ -17,10 +17,6 @@ class ShapeMismatchError(SumlError):
     """Matrix/batch shapes do not agree."""
 
 
-class EmptyInputError(SumlError):
-    """An operation received an empty sequence it cannot reduce."""
-
-
 class InvalidSpecError(SumlError):
     """A world specification violates its invariants."""
 

@@ -53,7 +53,7 @@ class LossOutput:
     grads: dict = field(default_factory=dict)
 
 
-def _check_pair_batch(Z1, Z2, min_n=2):
+def _check_pair_batch(Z1, Z2):
     """Equal-shape (N, d) batches, or (S, N, d) replica batches."""
     Z1 = as_f64(Z1)
     Z2 = as_f64(Z2)
@@ -61,8 +61,8 @@ def _check_pair_batch(Z1, Z2, min_n=2):
         raise ShapeMismatchError(f"batch shapes differ: {Z1.shape} vs {Z2.shape}")
     if Z1.ndim not in (2, 3):
         raise ShapeMismatchError(f"feature batches must be (N, d), got {Z1.shape}")
-    if Z1.shape[-2] < min_n:
-        raise BatchTooSmallError(f"need at least {min_n} rows, got {Z1.shape[-2]}")
+    if Z1.shape[-2] < 2:
+        raise BatchTooSmallError(f"need at least 2 rows, got {Z1.shape[-2]}")
     return Z1, Z2
 
 
@@ -157,7 +157,7 @@ def semantic_weights(Df, Dt, sigma: float, gate=True) -> np.ndarray:
     # shift-invariant in the ratio; the shift is the largest gated similarity
     e = np.exp(s - np.max(s, axis=-1, keepdims=True, where=gate, initial=-np.inf),
                out=np.zeros_like(s), where=gate)
-    k = np.add.reduce(gate, axis=-1, keepdims=True) if gate.ndim else s.shape[-1]
+    k = np.add.reduce(np.broadcast_to(gate, s.shape), axis=-1, keepdims=True)
     mean = np.add.reduce(e, axis=-1, keepdims=True) / np.maximum(k, 1)
     return np.divide(e, mean, out=np.zeros_like(e), where=gate)
 

@@ -32,8 +32,7 @@ class PseudoPair:
 
 @dataclass
 class PairBatch:
-    pairs: list
-    selected: np.ndarray  # bool mask, same length as pairs
+    selected: np.ndarray  # bool mask, one flag per pair, in the pairs' order
 
     @property
     def n_selected(self) -> int:
@@ -131,7 +130,7 @@ def select_pairs(pairs, theta: float) -> PairBatch:
     if not -1.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [-1, 1], got {theta}")
     mask = _similarities(pairs) >= theta
-    return PairBatch(pairs=list(pairs), selected=mask)
+    return PairBatch(selected=mask)
 
 
 def similarity_histogram(pairs, bucket_edges=DEFAULT_BUCKET_EDGES) -> SimilarityHistogram:

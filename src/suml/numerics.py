@@ -10,7 +10,7 @@ import contextlib
 
 import numpy as np
 
-from .exceptions import AllocationError, EmptyInputError, ZeroNormError
+from .exceptions import AllocationError, ZeroNormError
 
 ZERO_NORM_EPS = 1e-12
 
@@ -39,15 +39,6 @@ def l2_normalize(v) -> np.ndarray:
     if n < ZERO_NORM_EPS:
         raise ZeroNormError(f"cannot normalize vector with norm {n!r}")
     return v / n
-
-
-def logsumexp(xs) -> float:
-    """log(sum(exp(xs))) via max-shift; finite whenever inputs are finite."""
-    xs = as_f64(xs)
-    if xs.size == 0:
-        raise EmptyInputError("logsumexp of empty sequence")
-    m = float(np.max(xs))
-    return m + float(np.log(np.sum(np.exp(xs - m))))
 
 
 def mean_rows(A: np.ndarray) -> np.ndarray:

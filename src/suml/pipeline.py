@@ -20,7 +20,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -353,9 +353,9 @@ def pretrain_tpv(
 ) -> EncoderStack:
     """Stage 1: task-only training of the TPV stack; deterministic per config seed.
 
-    With ``seeds``, trains one replica per seed: the datasets are
-    ``stack_datasets`` corpora, the stack returned is stacked and
-    ``metrics_sink`` gets the records replica after replica.
+    Each epoch scores ``tpv_test``, if given.  With ``seeds``, trains one
+    replica per seed: the datasets are ``stack_datasets`` corpora, the stack
+    returned is stacked and ``metrics_sink`` gets the records replica after replica.
     """
     if len(tpv_dataset) == 0:
         raise ConfigError("TPV dataset must be nonempty for stage 1")
@@ -370,8 +370,7 @@ def pretrain_tpv(
         return _Batch(t=cache, labels_t=tpv.labels[rows, idx])
 
     def epoch_fields(seen) -> dict:
-        scored = tpv_test and metrics_sink is not None
-        return {"tpv_test_acc": evaluate_fpv(stack, tpv_test)} if scored else {}
+        return {"tpv_test_acc": evaluate_fpv(stack, tpv_test)} if tpv_test else {}
 
     records = _train_stage(config, 1, seeds, {"t": stack}, tpv.labels.shape[-1],
                            [("t", 1.0, _tpv_task)], batch_at, epoch_fields)
@@ -412,9 +411,8 @@ def joint_train(
 
     With ``seeds``, trains one replica per seed: the datasets are
     ``stack_datasets`` corpora, the stacks are stacked and the records come
-    replica after replica.  Without ``fpv_test`` no epoch scores the FPV
-    train or test set (the records hold 0.0), for a caller that reads only the
-    stacks.
+    replica after replica.  Each epoch scores exactly the test sets it is
+    given, ``fpv_test`` with the FPV train set; the records hold 0.0 for the rest.
     """
     lc = config.loss
     single = seeds is None
@@ -451,9 +449,6 @@ def joint_train(
     views = {"f": fpv_stack}
     if tpv_touched and not tpv_stack.frozen:  # a frozen TPV stack skips its backward pass
         views["t"] = tpv_stack
-    # A TPV stack that stage 2 cannot change scores the same every epoch.
-    tpv_static = not shared and "t" not in views
-    tpv_acc = None
 
     def batch_at(idx, project) -> _Batch:
         ti = pair_tpv[rows, idx]
@@ -466,13 +461,10 @@ def joint_train(
         )
 
     def epoch_fields(seen) -> dict:
-        nonlocal tpv_acc
         fields = {"selected_pair_fraction":
                   (np.count_nonzero(gated[rows, seen], axis=-1) / seen.shape[-1]).tolist()}
-        if tpv_test is not None:
-            if tpv_acc is None or not tpv_static:
-                tpv_acc = evaluate_fpv(tpv_stack, tpv_test)
-            fields["tpv_test_acc"] = tpv_acc
+        if tpv_test:
+            fields["tpv_test_acc"] = evaluate_fpv(tpv_stack, tpv_test)
         if fpv_test:
             fields["fpv_train_acc"] = evaluate_fpv(fpv_stack, fpv)
             fields["fpv_test_acc"] = evaluate_fpv(fpv_stack, fpv_test)
@@ -497,9 +489,17 @@ def _draw(world: SyntheticWorld, config: TrainConfig, split: str):
     return sample_dataset(world, view, n, derive_seeds(config.seed)[split])
 
 
-def _write_run(result: ExperimentResult, stage1_stack: EncoderStack | None, out_dir) -> None:
+def write_effective_config(world_spec: WorldSpec, config: TrainConfig, path) -> None:
+    """The config a run acted on, in the layout ``--config`` reads (loss in its own section)."""
+    train = asdict(config)
+    doc = {"world": asdict(world_spec), "loss": train.pop("loss"), "train": train}
+    write_atomic(path, lambda fh: fh.write(json.dumps(doc, indent=2) + "\n"))
+
+
+def _write_run(result: ExperimentResult, world_spec, stage1_stack, out_dir) -> None:
     """The run's artifacts, written only once the whole run has succeeded."""
     config = result.config
+    write_effective_config(world_spec, config, os.path.join(out_dir, "effective_config.json"))
     write_metrics_jsonl(result.records, os.path.join(out_dir, "metrics.jsonl"))
     if stage1_stack is not None:
         path = os.path.join(out_dir, "checkpoint_stage1_tpv.json")
@@ -521,8 +521,8 @@ def run_experiment(
 ) -> ExperimentResult:
     """Full stage-1 + stage-2 + evaluation run; deterministic per seed.
 
-    With ``out_dir``, the artifacts are written after the run succeeds, so a
-    failed run leaves no file behind, nor the directory if it created it.
+    With ``out_dir``, the artifacts and the effective config are written after
+    the run succeeds, so a failed run leaves no file, nor a directory it created.
     """
     _validate_run(config, world_spec)
     with output_dir(out_dir):
@@ -545,7 +545,7 @@ def run_experiment(
             final_tpv_test_acc=evaluate_fpv(tpv_stack, tpv_test),
         )
         if out_dir is not None:
-            _write_run(result, stage1_stack, out_dir)
+            _write_run(result, world_spec, stage1_stack, out_dir)
     return result
 
 
@@ -592,15 +592,17 @@ def run_ablation_grid(
 ):
     """One run per {method x tpv_mode x seed}; returns (per-run rows, per-cell rows).
 
-    Every cell's config, and that no axis is empty, is checked before any
-    work starts.  Each cell trains its seeds as replicas of one stacked model
-    (see ``_train_grid``); each replica's accuracy equals ``run_experiment``
-    on its config, and rows keep method, tpv_mode, seed order.  A failed grid
-    leaves no ``out_dir`` it created.
+    Every cell's config, and that each axis holds distinct values, at least
+    one, is checked before any work starts.  Each cell trains its seeds as
+    replicas of one stacked model (see ``_train_grid``); each replica's
+    accuracy equals ``run_experiment`` on its config, and rows keep method,
+    tpv_mode, seed order.  ``out_dir`` gets the rows and the effective config
+    once the grid succeeds; a failed grid leaves no ``out_dir`` it created.
     """
     for axis, values in (("methods", methods), ("tpv_modes", tpv_modes), ("seeds", seeds)):
-        if len(values) == 0:
-            raise ConfigValidationError(f"an ablation grid needs at least one of {axis}")
+        if len(values) == 0 or len(set(values)) != len(values):
+            raise ConfigValidationError(
+                f"an ablation grid needs one or more distinct {axis}, got {list(values)}")
     cell_keys = [(method, tpv_mode) for method in methods for tpv_mode in tpv_modes]
     cell_configs = [replace(base_config, method=m, tpv_mode=t) for m, t in cell_keys]
     for cfg in cell_configs:
@@ -620,6 +622,8 @@ def run_ablation_grid(
                 "mean_fpv_acc": float(np.mean(accs)), "std_fpv_acc": float(np.std(accs)),
             })
         if out_dir is not None:
+            write_effective_config(world_spec, base_config,
+                                   os.path.join(out_dir, "effective_config.json"))
             _write_csv(os.path.join(out_dir, "runs.csv"), runs)
             _write_csv(os.path.join(out_dir, "summary.csv"), cells)
     return runs, cells

@@ -39,27 +39,27 @@ def config_file(tmp_path):
 
 
 def test_parse_config_defaults_without_file():
-    world, loss, train = parse_config(env={})
-    assert train.loss is loss
+    world, train = parse_config(env={})
+    assert train.loss == LossConfig()
     assert train.seed == 0
     world.validate()
 
 
 def test_parse_config_file_and_overrides(config_file):
-    world, loss, train = parse_config(
+    world, train = parse_config(
         config_file, overrides=["train.seed=7", "loss.theta=0.5", "world.n_nouns=5"],
         env={},
     )
     assert train.seed == 7
-    assert loss.theta == 0.5
+    assert train.loss.theta == 0.5
     assert world.n_nouns == 5
     assert train.epochs_stage2 == 3  # file value survives
 
 
 def test_seed_env_var_below_set_precedence(config_file):
-    _, _, train = parse_config(config_file, env={"SUML_SEED": "11"})
+    _, train = parse_config(config_file, env={"SUML_SEED": "11"})
     assert train.seed == 11
-    _, _, train = parse_config(
+    _, train = parse_config(
         config_file, overrides=["train.seed=5"], env={"SUML_SEED": "11"}
     )
     assert train.seed == 5
@@ -140,9 +140,9 @@ def test_train_rejects_wrong_typed_config_without_traceback(
 def test_set_parses_by_the_declared_type(tmp_path):
     path = tmp_path / "ints.json"
     path.write_text(json.dumps({"train": {"proj_dim": 16, "base_lr": 1}}))
-    _, _, train = parse_config(str(path), env={})
+    _, train = parse_config(str(path), env={})
     assert (train.proj_dim, train.base_lr) == (16, 1)
-    _, _, train = parse_config(
+    _, train = parse_config(
         str(path), overrides=["train.proj_dim=none", "train.base_lr=0.1"], env={}
     )
     assert train.proj_dim is None
@@ -425,8 +425,12 @@ def test_ablate_checks_every_cell_before_training(tmp_path, config_file, capsys,
                  "--set", "train.proj_dim=8", "--seeds", "0",
                  "--out-dir", str(out_dir)]) == 1
     assert "proj_dim" in capsys.readouterr().err
+    assert main(["ablate", "--config", config_file, "--seeds", "0,0",
+                 "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert "distinct seeds, got [0, 0]" in err and "Traceback" not in err
     assert stage1 == []
-    assert not (out_dir / "runs.csv").exists()
+    assert not out_dir.exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -9,6 +9,7 @@ from conftest import count_calls
 from test_golden import GRID_TRAIN, GRID_WORLD
 
 from suml import losses, model, pipeline
+from suml.cli import parse_config
 from suml.datagen import WorldSpec, generate_world, sample_dataset
 from suml.exceptions import ConfigError, ConfigValidationError, EmptySetError, ZeroNormError
 from suml.losses import LossConfig
@@ -209,14 +210,34 @@ def test_ablation_grid_writes_summary(tmp_path):
     assert "method" in header and "mean_fpv_acc" in header
 
 
-@pytest.mark.parametrize("axis", ["methods", "tpv_modes", "seeds"])
-def test_empty_grid_axis_is_rejected_before_any_work(monkeypatch, tmp_path, axis):
+@pytest.mark.parametrize(
+    "axis,values",
+    [("methods", []), ("tpv_modes", []), ("seeds", []),
+     ("methods", ["fpv_only", "sum_l", "fpv_only"]), ("tpv_modes", ["trainable"] * 2),
+     ("seeds", [0, 0])],
+    ids=["methods", "tpv_modes", "seeds", "repeated_methods", "repeated_tpv_modes",
+         "repeated_seeds"],
+)
+def test_empty_grid_axis_is_rejected_before_any_work(monkeypatch, tmp_path, axis, values):
     draws = count_calls(monkeypatch, pipeline, "sample_dataset")
-    grid = {"methods": ["fpv_only"], "tpv_modes": ["trainable"], "seeds": [0], axis: []}
+    grid = {"methods": ["fpv_only"], "tpv_modes": ["trainable"], "seeds": [0], axis: values}
     out = tmp_path / "grid"
     with pytest.raises(ConfigValidationError, match=axis):
         run_ablation_grid(FAST, WORLD, **grid, out_dir=str(out))
     assert draws == [] and not out.exists()
+
+
+def test_runs_write_the_effective_config_the_cli_reads_back(tmp_path):
+    config = replace(FAST, epochs_stage1=1, epochs_stage2=1, loss=LossConfig(theta=0.5))
+    run_experiment(config, WORLD, out_dir=str(tmp_path / "run"))
+    run_ablation_grid(config, WORLD, ["fpv_only"], ["trainable"], [0, 1],
+                      out_dir=str(tmp_path / "grid"))
+    for run in ("run", "grid"):
+        path = tmp_path / run / "effective_config.json"
+        doc = json.loads(path.read_text())
+        assert list(doc) == ["world", "loss", "train"] and "loss" not in doc["train"]
+        assert doc["loss"]["theta"] == 0.5
+        assert parse_config(str(path), env={}) == (WORLD, config)
 
 
 def test_joint_train_without_an_fpv_test_set_scores_no_epoch(monkeypatch):
@@ -293,22 +314,18 @@ def test_grid_scores_only_what_it_reports(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "method,tpv_mode,tpv_scores",
-    [
-        ("fpv_only", "trainable", 1),
-        ("sum_l", "frozen", 1),
-        ("sum_l", "trainable", FAST.epochs_stage2),
-        # the FPV loss trains the one shared stack, so its TPV score moves
-        ("fpv_only", "shared_weights", FAST.epochs_stage2),
-    ],
+    "method,tpv_mode",
+    [("fpv_only", "trainable"), ("sum_l", "frozen"), ("sum_l", "trainable"),
+     ("fpv_only", "shared_weights")],
 )
-def test_static_tpv_stack_is_scored_once(monkeypatch, method, tpv_mode, tpv_scores):
+def test_every_epoch_scores_the_test_sets_it_is_given(monkeypatch, method, tpv_mode):
     cfg = replace(FAST, method=method, tpv_mode=tpv_mode)
     evals = count_calls(monkeypatch, pipeline, "evaluate_fpv")
     result = run_experiment(cfg, WORLD)
-    # stage 1 scores once per epoch, stage 2 twice per epoch for FPV, and the
-    # final evaluation once per view
-    assert len(evals) == cfg.epochs_stage1 + 2 * cfg.epochs_stage2 + tpv_scores + 2
+    # whether or not stage 2 can change the TPV stack: a stage-1 epoch scores
+    # the TPV test set, a stage-2 epoch the TPV test set and the FPV train and
+    # test sets, and the final evaluation scores each view once
+    assert len(evals) == cfg.epochs_stage1 + 3 * cfg.epochs_stage2 + 2
     assert result.records[-1].tpv_test_acc == result.final_tpv_test_acc
 
 
