@@ -1,35 +1,34 @@
 """Command-line entry point: data synthesis, mining stats, training, evaluation,
 gradient checks and ablation grids, driven by a JSON config file.
 
-Config layout (all keys optional; unknown keys are rejected):
+The keys a config file and ``--set`` accept are exactly those of the
+effective-config document (``pipeline.effective_config``); all are optional
+and any other key is rejected:
 
     {
-      "world": { ... WorldSpec fields ... },
+      "world": { ... WorldSpec fields but seed, derived from train.seed ... },
       "loss":  { ... LossConfig fields ... },
       "train": { ... TrainConfig fields (loss lives under "loss") ... }
     }
 
-A value off the rule declared beside its field (:mod:`suml.schema`) is a
-ConfigValidationError naming ``section.key``, raised before any work starts.
-Dotted overrides (``--set loss.theta=0.8``) supersede file values; the
-``SUML_SEED`` environment variable overrides ``train.seed`` with lower
-precedence than ``--set``.  It, ``--sample-seed`` and ``--seeds`` follow the
-rule of ``train.seed``, and ``world.seed`` is replaced by a seed derived from
-``train.seed`` (``pipeline.build_world``).  Outputs are written to temp files
-and renamed.  ``train`` and ``ablate`` parse the config, call the pipeline and
-print its result: the pipeline writes every artifact, the effective config
-among them, only after the whole run succeeds, so a failure leaves no partial
-result.  ``synth`` writes the effective config beside its dataset.
+Dotted overrides (``--set loss.theta=0.8``) supersede file values, which
+supersede the defaults.  Each config checks its rules when it is built, so a
+value off its rule (:mod:`suml.schema`) is a ConfigValidationError naming
+``section.key``, raised before any work starts; ``--sample-seed`` and
+``--seeds`` follow the rule of ``train.seed``.  Outputs are written to temp
+files and renamed.  ``train`` and ``ablate`` parse the config, call the
+pipeline and print its result: the pipeline writes every artifact, the
+effective config among them, only after the whole run succeeds, so a failure
+leaves no partial result.  ``synth`` writes the effective config beside its
+dataset.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
-import os
 import sys
 
 from . import gradcheck, schema
@@ -38,7 +37,6 @@ from .datagen import WorldSpec, read_dataset, sample_dataset, write_dataset
 from .exceptions import (
     BadEdgesError,
     ConfigParseError,
-    ConfigValidationError,
     DatasetIOError,
     DatasetParseError,
     SumlError,
@@ -55,30 +53,30 @@ from .pipeline import (
     TrainConfig,
     build_world,
     derive_seeds,
+    effective_config,
     evaluate_fpv,
     run_ablation_grid,
     run_experiment,
     write_effective_config,
 )
 
-SEED_ENV_VAR = "SUML_SEED"
+_SECTIONS = {"world": WorldSpec, "loss": LossConfig, "train": TrainConfig}
 
 
-def _build_section(cls, data: dict, path: str):
-    names = {f.name for f in dataclasses.fields(cls)}
-    for key in data:
-        if key not in names:
-            raise ConfigParseError(f"unknown key {path}.{key}")
-    return dataclasses.replace(cls(), **data)
-
-
-def parse_config(path=None, overrides=(), env=None):
-    """Load configs (file optional), apply SUML_SEED then dotted overrides.
+def parse_config(path=None, overrides=()):
+    """The configs of the effective-config document: defaults, then the file's
+    values (file optional), then dotted overrides.
 
     Returns ``(world, train)``; the loss section is ``train.loss``.
     """
-    env = os.environ if env is None else env
-    data = {"world": {}, "loss": {}, "train": {}}
+    data = effective_config(WorldSpec(), TrainConfig())
+
+    def settable(dotted):
+        section, _, key = dotted.partition(".")
+        if key not in data.get(section, ()):
+            raise ConfigParseError(f"unknown key {dotted}")
+        return section, key
+
     if path is not None:
         try:
             with open(path) as fh:
@@ -89,40 +87,24 @@ def parse_config(path=None, overrides=(), env=None):
             raise ConfigParseError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigParseError("config root must be a JSON object")
-        for key, value in loaded.items():
-            if key not in data:
-                raise ConfigParseError(f"unknown key {key}")
-            if not isinstance(value, dict):
-                raise ConfigParseError(f"section {key} must be a JSON object")
-            data[key].update(value)
-
-    if SEED_ENV_VAR in env:
-        data["train"]["seed"] = schema.parse(TrainConfig, "seed", env[SEED_ENV_VAR], SEED_ENV_VAR)
+        for section, values in loaded.items():
+            if section not in data:
+                raise ConfigParseError(f"unknown key {section}")
+            if not isinstance(values, dict):
+                raise ConfigParseError(f"section {section} must be a JSON object")
+            for key in values:
+                settable(f"{section}.{key}")
+            data[section].update(values)
 
     for item in overrides:
         if "=" not in item:
             raise ConfigParseError(f"override {item!r} must look like section.key=value")
         dotted, raw = item.split("=", 1)
-        parts = dotted.split(".")
-        if len(parts) != 2 or parts[0] not in data:
-            raise ConfigParseError(f"override key {dotted!r} must be section.key")
-        section, key = parts
-        cls = {"world": WorldSpec, "loss": LossConfig, "train": TrainConfig}[section]
-        if key not in {f.name for f in dataclasses.fields(cls)} or key == "loss":
-            raise ConfigParseError(f"unknown override key {dotted}")
-        data[section][key] = schema.parse(cls, key, raw, dotted)
+        section, key = settable(dotted)
+        data[section][key] = schema.parse(_SECTIONS[section], key, raw, dotted)
 
-    world = _build_section(WorldSpec, data["world"], "world")
-    loss = _build_section(LossConfig, data["loss"], "loss")
-    if "loss" in data["train"]:
-        raise ConfigParseError("train.loss belongs in the top-level loss section")
-    train = dataclasses.replace(_build_section(TrainConfig, data["train"], "train"), loss=loss)
-    try:
-        world.validate()
-        train.validate()  # checks train.loss too
-    except SumlError as exc:
-        raise ConfigValidationError(str(exc)) from exc
-    return world, train
+    loss = LossConfig(**data["loss"])
+    return WorldSpec(**data["world"]), TrainConfig(**data["train"], loss=loss)
 
 
 def _cmd_synth(args) -> int:
@@ -195,7 +177,7 @@ def _parse_edges(text: str) -> tuple:
 def _cmd_stats(args) -> int:
     pairs = _read_pairs_csv(args.pairs)
     edges = DEFAULT_BUCKET_EDGES
-    if args.edges:
+    if args.edges is not None:
         edges = _parse_edges(args.edges)
     hist = similarity_histogram(pairs, edges)
 

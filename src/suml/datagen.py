@@ -43,9 +43,9 @@ class WorldSpec:
     text_noise_std: float = rule(0.2, lo=0.0)
     feat_noise_std: float = rule(0.3, lo=0.0)
     noun_overlap_fraction: float = rule(0.25, lo=0.0, hi=1.0)
-    seed: int = rule(0, lo=0)
+    seed: int = rule(0, lo=0)  # not a config key: each run derives it from train.seed
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check(self, "world", InvalidSpecError)
         if self.n_verbs * self.n_nouns < 2:
             raise InvalidSpecError("need n_verbs*n_nouns >= 2")
@@ -103,7 +103,6 @@ def _unit_cols(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 
 def generate_world(spec: WorldSpec) -> SyntheticWorld:
     """Deterministically build prototypes, render matrices and the TPV noun set."""
-    spec.validate()
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     half = spec.text_dim // 2
     k = int(round(spec.noun_overlap_fraction * spec.n_nouns))

@@ -17,10 +17,6 @@ class ShapeMismatchError(SumlError):
     """Matrix/batch shapes do not agree."""
 
 
-class InvalidSpecError(SumlError):
-    """A world specification violates its invariants."""
-
-
 class InvalidViewError(SumlError):
     """View tag is neither 'fpv' nor 'tpv'."""
 
@@ -63,6 +59,10 @@ class ConfigParseError(ConfigError):
 
 class ConfigValidationError(ConfigError):
     """Config values violate a declared invariant."""
+
+
+class InvalidSpecError(ConfigValidationError):
+    """A world specification violates its invariants."""
 
 
 class AllocationError(SumlError):

@@ -26,6 +26,7 @@ import numpy as np
 
 from .exceptions import (
     BatchTooSmallError,
+    ConfigValidationError,
     LabelOutOfRangeError,
     ShapeMismatchError,
 )
@@ -43,8 +44,8 @@ class LossConfig:
     w_m: float = rule(1.0, lo=0.0)
     triplet_margin: float = rule(0.2, lo=0.0)
 
-    def validate(self) -> None:
-        check(self, "loss", ValueError)
+    def __post_init__(self) -> None:
+        check(self, "loss", ConfigValidationError)
 
 
 @dataclass

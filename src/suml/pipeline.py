@@ -5,6 +5,11 @@ Stage 2 mines pseudo-pairs over the full corpora, gates them by narration
 similarity, and trains both views jointly under the combined objective.
 Evaluation uses the FPV encoder and task head only.
 
+Configs check their own rules, each field's and those that tie fields
+together, when they are built, so every stage starts from a valid config.
+:func:`effective_config` is the one document of every key a user can set:
+runs write it, and the CLI reads exactly its keys.
+
 Seed handling: the experiment seed feeds a SeedSequence whose spawned
 children drive, in fixed order, world generation, FPV/TPV initialization,
 the four dataset draws, and the per-stage shuffles.  Ablation cells with
@@ -155,11 +160,15 @@ class TrainConfig:
     n_fpv_test: int = rule(480, lo=1)
     n_tpv_test: int = rule(120, lo=1)
     hidden_dim: int = rule(32, lo=1)
-    proj_dim: int | None = rule(None, lo=1)  # None: match world.text_dim (video-text alignment)
 
-    def validate(self) -> None:
-        check(self, "train", ConfigError)
-        check(self.loss, "loss", ConfigError)
+    def __post_init__(self) -> None:
+        check(self, "train", ConfigValidationError)
+        if self.epochs_stage2 and self.n_fpv_train < 2:
+            raise ConfigValidationError(
+                "stage 2 trains on batches of at least 2 pseudo-pairs, one per FPV clip, so "
+                "train.n_fpv_train must be at least 2 when epochs_stage2 > 0, "
+                f"got {self.n_fpv_train}"
+            )
 
 
 @dataclass
@@ -190,23 +199,6 @@ class ExperimentResult:
     tpv_stack: EncoderStack
     final_fpv_test_acc: float
     final_tpv_test_acc: float
-
-
-def _validate_run(config: TrainConfig, world_spec: WorldSpec) -> None:
-    """Check the config, the world and the fields that depend on both."""
-    config.validate()
-    world_spec.validate()
-    slots = [slot for slot, _, _ in _stage2_terms(config.method, config.loss)]
-    if "m" in slots and config.proj_dim not in (None, world_spec.text_dim):
-        raise ConfigValidationError(
-            f"method {config.method!r} aligns video with text, so proj_dim must be "
-            f"None or world.text_dim={world_spec.text_dim}, got {config.proj_dim}"
-        )
-    if config.epochs_stage2 and config.n_fpv_train < 2:
-        raise ConfigValidationError(
-            "stage 2 trains on batches of at least 2 pseudo-pairs, one per FPV clip, so "
-            f"n_fpv_train must be at least 2 when epochs_stage2 > 0, got {config.n_fpv_train}"
-        )
 
 
 def derive_seeds(seed: int) -> dict:
@@ -261,12 +253,9 @@ def _replica_corpus(corpus: Corpus, r: int) -> Corpus:
     return Corpus(*(getattr(corpus, k)[r] for k in _COLUMNS), ids=corpus.ids[r], view=corpus.view)
 
 
-def _as_replicas(config: TrainConfig, world_spec: WorldSpec, seeds, train_sets, test_sets):
-    """(seeds, train sets, test sets) of a stage, once its config and world are
-    checked; a single run (``seeds`` None) is one replica on ``config.seed``,
-    and its empty test set is not scored."""
-    config.validate()
-    world_spec.validate()
+def _as_replicas(config: TrainConfig, seeds, train_sets, test_sets):
+    """(seeds, train sets, test sets) of a stage; a single run (``seeds`` None)
+    is one replica on ``config.seed``, and its empty test set is not scored."""
     if seeds is not None:
         if any(len(d) != len(seeds) for d in train_sets):
             raise ConfigError(f"{len(seeds)} seeds need datasets of {len(seeds)} replicas")
@@ -277,10 +266,9 @@ def _as_replicas(config: TrainConfig, world_spec: WorldSpec, seeds, train_sets, 
 
 def _new_stack(config: TrainConfig, world_spec: WorldSpec, view: str, seeds) -> EncoderStack:
     """Freshly initialized ``view`` stacks, one replica per seed, each seeded by
-    its run's ``init_<view>`` stream."""
-    proj_dim = config.proj_dim or world_spec.text_dim
+    its run's ``init_<view>`` stream; both views project to the narration width."""
     stacks = [
-        init_stack(world_spec.feat_dim, world_spec.n_actions, proj_dim,
+        init_stack(world_spec.feat_dim, world_spec.n_actions, world_spec.text_dim,
                    derive_seeds(seed)[f"init_{view}"], config.hidden_dim, view)
         for seed in seeds
     ]
@@ -360,8 +348,7 @@ def pretrain_tpv(
     if len(tpv_dataset) == 0:
         raise ConfigError("TPV dataset must be nonempty for stage 1")
     single = seeds is None
-    seeds, (tpv,), (tpv_test,) = _as_replicas(config, world_spec, seeds, (tpv_dataset,),
-                                              (tpv_test,))
+    seeds, (tpv,), (tpv_test,) = _as_replicas(config, seeds, (tpv_dataset,), (tpv_test,))
     stack = _new_stack(config, world_spec, "tpv", seeds)
     rows = np.arange(len(seeds))[:, None]
 
@@ -417,7 +404,7 @@ def joint_train(
     lc = config.loss
     single = seeds is None
     seeds, (fpv, tpv), (fpv_test, tpv_test) = _as_replicas(
-        config, world_spec, seeds, (fpv_dataset, tpv_dataset), (fpv_test, tpv_test)
+        config, seeds, (fpv_dataset, tpv_dataset), (fpv_test, tpv_test)
     )
     if tpv_stack is not None:
         if single:
@@ -489,10 +476,17 @@ def _draw(world: SyntheticWorld, config: TrainConfig, split: str):
     return sample_dataset(world, view, n, derive_seeds(config.seed)[split])
 
 
+def effective_config(world_spec: WorldSpec, config: TrainConfig) -> dict:
+    """Every key a user can set, as the run acted on it: the document ``--config``
+    reads, with the loss in its own section and no world seed, which each run
+    derives from ``train.seed`` (``build_world``)."""
+    world, train = asdict(world_spec), asdict(config)
+    del world["seed"]
+    return {"world": world, "loss": train.pop("loss"), "train": train}
+
+
 def write_effective_config(world_spec: WorldSpec, config: TrainConfig, path) -> None:
-    """The config a run acted on, in the layout ``--config`` reads (loss in its own section)."""
-    train = asdict(config)
-    doc = {"world": asdict(world_spec), "loss": train.pop("loss"), "train": train}
+    doc = effective_config(world_spec, config)
     write_atomic(path, lambda fh: fh.write(json.dumps(doc, indent=2) + "\n"))
 
 
@@ -524,7 +518,6 @@ def run_experiment(
     With ``out_dir``, the artifacts and the effective config are written after
     the run succeeds, so a failed run leaves no file, nor a directory it created.
     """
-    _validate_run(config, world_spec)
     with output_dir(out_dir):
         world = build_world(world_spec, config.seed)
         splits = ("fpv_train", "tpv_train", "fpv_test", "tpv_test")
@@ -549,8 +542,9 @@ def run_experiment(
     return result
 
 
-def _train_grid(cell_configs: list, world_spec: WorldSpec, seeds) -> list:
-    """Final FPV test accuracy of each cell at each seed, as [cell][seed].
+def _train_grid(cell_configs: list, seed_configs: list, world_spec: WorldSpec) -> list:
+    """Final FPV test accuracy of each cell at each seed, as [cell][seed];
+    ``seed_configs`` holds the grid's base config at each seed.
 
     Worlds, train sets and stage 1 read only the seed and fields all cells
     share: each seed's train sets are drawn once and stay alive, and one
@@ -559,10 +553,10 @@ def _train_grid(cell_configs: list, world_spec: WorldSpec, seeds) -> list:
     is scored and no TPV test set is drawn; once all cells are trained, each
     seed's FPV test set is drawn, scores its replica of every cell and is freed.
     """
-    configs = [replace(cell_configs[0], seed=seed) for seed in seeds]
+    seeds = [cfg.seed for cfg in seed_configs]
     worlds = [build_world(world_spec, seed) for seed in seeds]
     fpv_train, tpv_train = (
-        stack_datasets([_draw(w, cfg, split) for w, cfg in zip(worlds, configs)])
+        stack_datasets([_draw(w, cfg, split) for w, cfg in zip(worlds, seed_configs)])
         for split in ("fpv_train", "tpv_train")
     )
     stage1_config = next((c for c in cell_configs if c.tpv_mode != "same_init"), None)
@@ -575,7 +569,7 @@ def _train_grid(cell_configs: list, world_spec: WorldSpec, seeds) -> list:
     ]
     del fpv_train, tpv_train  # no cell reads them again: freed before any test set is drawn
     accs = [[] for _ in cell_configs]
-    for r, (world, cfg) in enumerate(zip(worlds, configs)):
+    for r, (world, cfg) in enumerate(zip(worlds, seed_configs)):
         fpv_test = _draw(world, cfg, "fpv_test")
         for cell_accs, stack in zip(accs, fpv_stacks):
             cell_accs.append(evaluate_fpv(replica(stack, r), fpv_test))
@@ -592,12 +586,13 @@ def run_ablation_grid(
 ):
     """One run per {method x tpv_mode x seed}; returns (per-run rows, per-cell rows).
 
-    Every cell's config, and that each axis holds distinct values, at least
-    one, is checked before any work starts.  Each cell trains its seeds as
-    replicas of one stacked model (see ``_train_grid``); each replica's
-    accuracy equals ``run_experiment`` on its config, and rows keep method,
-    tpv_mode, seed order.  ``out_dir`` gets the rows and the effective config
-    once the grid succeeds; a failed grid leaves no ``out_dir`` it created.
+    Every cell's and seed's config is built from ``base_config``, and so
+    checked, and each axis must hold distinct values, at least one, before any
+    work starts.  Each cell trains its seeds as replicas of one stacked model
+    (see ``_train_grid``); each replica's accuracy equals ``run_experiment`` on
+    its config, and rows keep method, tpv_mode, seed order.  ``out_dir`` gets
+    the rows and the effective config, ``base_config``'s, once the grid
+    succeeds; a failed grid leaves no ``out_dir`` it created.
     """
     for axis, values in (("methods", methods), ("tpv_modes", tpv_modes), ("seeds", seeds)):
         if len(values) == 0 or len(set(values)) != len(values):
@@ -605,11 +600,9 @@ def run_ablation_grid(
                 f"an ablation grid needs one or more distinct {axis}, got {list(values)}")
     cell_keys = [(method, tpv_mode) for method in methods for tpv_mode in tpv_modes]
     cell_configs = [replace(base_config, method=m, tpv_mode=t) for m, t in cell_keys]
-    for cfg in cell_configs:
-        for seed in seeds:
-            _validate_run(replace(cfg, seed=seed), world_spec)
+    seed_configs = [replace(base_config, seed=seed) for seed in seeds]
     with output_dir(out_dir):
-        by_cell = _train_grid(cell_configs, world_spec, seeds)
+        by_cell = _train_grid(cell_configs, seed_configs, world_spec)
         runs = []
         cells = []
         for (method, tpv_mode), accs in zip(cell_keys, by_cell):

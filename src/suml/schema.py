@@ -1,11 +1,11 @@
 """One declarative rule per config field, kept beside the field.
 
 A config field is declared as ``tau: float = rule(0.5, lo=0.0, lo_open=True)``.
-Its annotation (``int``, ``float``, ``str`` or ``int | None``; the config
-modules postpone annotations, so ``Field.type`` is that text) is its JSON
-type, and its :class:`Rule` holds its bounds and choices.  Floats must be
-finite, and a bool is never an int.  :func:`check` validates a config
-instance and :func:`parse` reads a command-line string for one field.
+Its annotation (``int``, ``float`` or ``str``; the config modules postpone
+annotations, so ``Field.type`` is that text) is its JSON type, and its
+:class:`Rule` holds its bounds and choices.  Floats must be finite, and a
+bool is never an int.  Each config calls :func:`check` on itself when it is
+built, and :func:`parse` reads a command-line string for one field.
 """
 
 from __future__ import annotations
@@ -39,14 +39,11 @@ def rule(default, **bounds):
 
 def _problem(f: dataclasses.Field, value) -> str | None:
     """Why ``value`` breaks the rule of field ``f``, or None if it does not."""
-    kind = f.type.removesuffix(" | None")
-    if value is None and kind != f.type:
-        return None
-    noun, _, types = _TYPES[kind]
+    noun, _, types = _TYPES[f.type]
     if isinstance(value, bool) or not isinstance(value, types) or (
-        kind == "float" and not abs(value) <= sys.float_info.max
+        f.type == "float" and not abs(value) <= sys.float_info.max
     ):
-        return f"must be {noun}{' or null' if kind != f.type else ''}, got {value!r}"
+        return f"must be {noun}, got {value!r}"
     r = f.metadata["rule"]
     if r.choices is not None and value not in r.choices:
         return f"must be one of {r.choices}, got {value!r}"
@@ -70,14 +67,10 @@ def check(obj, section: str, error: type) -> None:
 def parse(cls, key: str, raw: str, name: str):
     """Read ``raw`` by the declared type of field ``key`` of ``cls`` and check its rule.
 
-    ``none``/``null`` reads as None for an optional field.  A failure is a
-    ConfigValidationError naming ``name``.
+    A failure is a ConfigValidationError naming ``name``.
     """
     f = next(f for f in dataclasses.fields(cls) if f.name == key)
-    kind = f.type.removesuffix(" | None")
-    if kind != f.type and raw.lower() in ("none", "null"):
-        return None
-    noun, parser, _ = _TYPES[kind]
+    noun, parser, _ = _TYPES[f.type]
     try:
         value = parser(raw)
     except ValueError:

@@ -7,11 +7,6 @@ def rng():
     return np.random.default_rng(12345)
 
 
-@pytest.fixture(autouse=True)
-def _no_ambient_seed_env(monkeypatch):
-    monkeypatch.delenv("SUML_SEED", raising=False)
-
-
 def count_calls(monkeypatch, module, name):
     """Replace ``module.name`` with a wrapper; returns the list it appends to per call."""
     calls = []

@@ -8,6 +8,7 @@ import pytest
 from conftest import count_calls
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from test_golden import ARTIFACTS
 
 from suml import pipeline
 from suml.cli import _read_pairs_csv, main, parse_config
@@ -20,7 +21,7 @@ from suml.exceptions import (
 )
 from suml.model import init_stack, load_checkpoint, save_checkpoint
 from suml.losses import LossConfig
-from suml.pipeline import TrainConfig, derive_seeds
+from suml.pipeline import TrainConfig, derive_seeds, effective_config, run_experiment
 
 SMALL = {
     "world": {"n_verbs": 3, "n_nouns": 4, "text_dim": 16, "feat_dim": 12,
@@ -39,16 +40,15 @@ def config_file(tmp_path):
 
 
 def test_parse_config_defaults_without_file():
-    world, train = parse_config(env={})
+    world, train = parse_config()
     assert train.loss == LossConfig()
     assert train.seed == 0
-    world.validate()
+    assert world == WorldSpec()
 
 
 def test_parse_config_file_and_overrides(config_file):
     world, train = parse_config(
-        config_file, overrides=["train.seed=7", "loss.theta=0.5", "world.n_nouns=5"],
-        env={},
+        config_file, overrides=["train.seed=7", "loss.theta=0.5", "world.n_nouns=5"]
     )
     assert train.seed == 7
     assert train.loss.theta == 0.5
@@ -56,39 +56,29 @@ def test_parse_config_file_and_overrides(config_file):
     assert train.epochs_stage2 == 3  # file value survives
 
 
-def test_seed_env_var_below_set_precedence(config_file):
-    _, train = parse_config(config_file, env={"SUML_SEED": "11"})
-    assert train.seed == 11
-    _, train = parse_config(
-        config_file, overrides=["train.seed=5"], env={"SUML_SEED": "11"}
-    )
-    assert train.seed == 5
-
-
 def test_parse_config_rejects_unknown_keys(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"train": {"learning_rate": 0.1}}))
     with pytest.raises(ConfigParseError) as err:
-        parse_config(str(bad), env={})
+        parse_config(str(bad))
     assert "train.learning_rate" in str(err.value)
     bad.write_text(json.dumps({"optimizer": {}}))
     with pytest.raises(ConfigParseError):
-        parse_config(str(bad), env={})
+        parse_config(str(bad))
 
 
 def test_parse_config_rejects_invalid_values(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"loss": {"tau": -1.0}}))
     with pytest.raises(ConfigValidationError):
-        parse_config(str(bad), env={})
+        parse_config(str(bad))
 
 
-# Every config field as (section, key, default); train.loss lives in its own section.
+# Every key a user can set, as (section, key, default): the effective-config document.
+DOCUMENT = effective_config(WorldSpec(), TrainConfig())
 CONFIG_FIELDS = [
-    (section, f.name, getattr(cls(), f.name))
-    for section, cls in (("world", WorldSpec), ("loss", LossConfig), ("train", TrainConfig))
-    for f in dataclasses.fields(cls)
-    if f.name != "loss"
+    (section, key, default) for section, values in DOCUMENT.items()
+    for key, default in values.items()
 ]
 
 
@@ -96,8 +86,6 @@ def _fits(default, value) -> bool:
     """Whether a JSON value has the type a field declares through its default."""
     if isinstance(default, bool) or isinstance(value, bool):
         return isinstance(default, bool) and isinstance(value, bool)
-    if default is None:  # optional int
-        return value is None or isinstance(value, int)
     if isinstance(default, float):
         return isinstance(value, (int, float))
     return isinstance(value, type(default))
@@ -115,13 +103,13 @@ def test_wrong_typed_config_value_is_a_validation_error(tmp_path, field, value):
     path = tmp_path / "typed.json"
     path.write_text(json.dumps({section: {key: value}}))
     with pytest.raises(ConfigValidationError, match=f"{section}.{key} must be"):
-        parse_config(str(path), env={})
+        parse_config(str(path))
 
 
 @pytest.mark.parametrize(
     "section,key,value",
     [("train", "epochs_stage1", "3"), ("train", "seed", "0"), ("train", "batch_size", True),
-     ("train", "proj_dim", 16.0), ("loss", "theta", "0.7"), ("world", "n_verbs", None)],
+     ("train", "hidden_dim", 16.0), ("loss", "theta", "0.7"), ("world", "n_verbs", None)],
 )
 def test_train_rejects_wrong_typed_config_without_traceback(
     tmp_path, capsys, monkeypatch, section, key, value
@@ -139,27 +127,20 @@ def test_train_rejects_wrong_typed_config_without_traceback(
 
 def test_set_parses_by_the_declared_type(tmp_path):
     path = tmp_path / "ints.json"
-    path.write_text(json.dumps({"train": {"proj_dim": 16, "base_lr": 1}}))
-    _, train = parse_config(str(path), env={})
-    assert (train.proj_dim, train.base_lr) == (16, 1)
-    _, train = parse_config(
-        str(path), overrides=["train.proj_dim=none", "train.base_lr=0.1"], env={}
-    )
-    assert train.proj_dim is None
+    path.write_text(json.dumps({"train": {"hidden_dim": 16, "base_lr": 1}}))
+    _, train = parse_config(str(path))
+    assert (train.hidden_dim, train.base_lr) == (16, 1)
+    _, train = parse_config(str(path), overrides=["train.hidden_dim=8", "train.base_lr=0.1"])
+    assert train.hidden_dim == 8
     assert train.base_lr == 0.1 and isinstance(train.base_lr, float)
 
 
-def test_parse_config_rejects_bad_env_seed():
-    with pytest.raises(ConfigValidationError):
-        parse_config(env={"SUML_SEED": "eleven"})
-
-
-# Every field that carries a rule, as (section, dataclass field).
+# Every settable field, as (section, dataclass field); each carries a rule.
 RULED_FIELDS = [
     (section, f)
     for section, cls in (("world", WorldSpec), ("loss", LossConfig), ("train", TrainConfig))
     for f in dataclasses.fields(cls)
-    if "rule" in f.metadata
+    if f.name in DOCUMENT[section]
 ]
 
 
@@ -168,7 +149,7 @@ def _rule_breakers(f):
     r = f.metadata["rule"]
     if r.choices is not None:
         return st.text().filter(lambda s: s not in r.choices)
-    kind = f.type.removesuffix(" | None")
+    kind = f.type
     breakers = [st.sampled_from([math.nan, math.inf, -math.inf])] if kind == "float" else []
     if r.lo is not None:
         breakers += [st.just(r.lo)] if r.lo_open else []
@@ -193,9 +174,9 @@ def test_value_off_its_rule_fails_before_any_work(tmp_path, capsys, monkeypatch,
     path.write_text(json.dumps({section: {f.name: value}}))
     override = f"{name}={value if isinstance(value, str) else repr(value)}"
     with pytest.raises(ConfigValidationError, match=f"^{name} must be"):
-        parse_config(str(path), env={})
+        parse_config(str(path))
     with pytest.raises(ConfigValidationError, match=f"^{name} must be"):
-        parse_config(overrides=[override], env={})
+        parse_config(overrides=[override])
     out_dir = tmp_path / "run"
     for source in (["--config", str(path)], ["--set", override]):
         assert main(["train", *source, "--out-dir", str(out_dir)]) == 1
@@ -205,23 +186,20 @@ def test_value_off_its_rule_fails_before_any_work(tmp_path, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize(
-    "argv,env,flag",
+    "argv,flag",
     [
-        (["synth", "--set", "world.text_noise_std=nan", "--view", "fpv", "--n", "3"], {},
+        (["synth", "--set", "world.text_noise_std=nan", "--view", "fpv", "--n", "3"],
          "world.text_noise_std"),
-        (["synth", "--sample-seed", "-1", "--view", "fpv", "--n", "3"], {}, "--sample-seed"),
-        (["train"], {"SUML_SEED": "-1"}, "SUML_SEED"),
-        (["train", "--set", "train.seed=-3"], {}, "train.seed"),
-        (["ablate", "--seeds", "-1"], {}, "--seeds"),
-        (["ablate", "--seeds", "0,x"], {}, "--seeds"),
-        (["ablate", "--seeds="], {}, "--seeds"),
+        (["synth", "--sample-seed", "-1", "--view", "fpv", "--n", "3"], "--sample-seed"),
+        (["train", "--set", "train.seed=-3"], "train.seed"),
+        (["ablate", "--seeds", "-1"], "--seeds"),
+        (["ablate", "--seeds", "0,x"], "--seeds"),
+        (["ablate", "--seeds="], "--seeds"),
     ],
-    ids=["synth_nan", "sample_seed", "env_seed", "set_seed", "ablate_negative",
-         "ablate_not_an_int", "ablate_empty"],
+    ids=["synth_nan", "sample_seed", "set_seed", "ablate_negative", "ablate_not_an_int",
+         "ablate_empty"],
 )
-def test_bad_value_exits_one_and_writes_nothing(tmp_path, capsys, monkeypatch, argv, env, flag):
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
+def test_bad_value_exits_one_and_writes_nothing(tmp_path, capsys, argv, flag):
     target = tmp_path / "out"
     dest = ["--out", str(target)] if argv[0] == "synth" else ["--out-dir", str(target)]
     assert main([*argv, *dest]) == 1
@@ -389,18 +367,56 @@ def test_eval_rejects_feature_dim_mismatch(tmp_path, config_file, capsys):
     assert "feature dim 10" in capsys.readouterr().err
 
 
-def test_multimodal_proj_dim_mismatch_fails_before_training(tmp_path, config_file, capsys, monkeypatch):
-    stage1 = count_calls(monkeypatch, pipeline, "pretrain_tpv")
+@pytest.mark.parametrize("source", ["file", "set"])
+@pytest.mark.parametrize("key", ["world.seed", "train.proj_dim", "train.loss"])
+def test_key_outside_the_effective_config_exits_one_naming_it(tmp_path, capsys, source, key):
+    """The world seed derives from train.seed, stacks project to world.text_dim and
+    the loss has its own section, so none of these is a key."""
+    section, name = key.split(".")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({section: {name: 8}}))
+    flags = ["--config", str(path)] if source == "file" else ["--set", f"{key}=8"]
     out_dir = tmp_path / "run"
-    assert main(["train", "--config", config_file, "--set", "train.proj_dim=8",
-                 "--out-dir", str(out_dir)]) == 1
-    assert "proj_dim" in capsys.readouterr().err
-    assert stage1 == []
-    assert not (out_dir / "metrics.jsonl").exists()
-    # the same proj_dim is fine for a method without the multimodal term
-    assert main(["train", "--config", config_file, "--set", "train.proj_dim=8",
-                 "--set", "train.method=sum_l_no_multimodal",
-                 "--out-dir", str(out_dir)]) == 0
+    assert main(["train", *flags, "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unknown key {key}") and "Traceback" not in err
+    assert not out_dir.exists()
+
+
+# One value per settable key that differs from the tiny run's own.
+ALTERNATIVES = {
+    "world.n_verbs": 4, "world.n_nouns": 5, "world.text_dim": 12, "world.feat_dim": 10,
+    "world.frames_per_clip": 3, "world.text_noise_std": 0.3, "world.feat_noise_std": 0.4,
+    "world.noun_overlap_fraction": 0.5,
+    "loss.tau": 0.3, "loss.sigma": 0.5, "loss.theta": 0.2, "loss.w_t": 0.5, "loss.w_aw": 0.5,
+    "loss.w_m": 0.5, "loss.triplet_margin": 0.5,
+    "train.method": "typical_cl", "train.batch_size": 4, "train.epochs_stage1": 2,
+    "train.epochs_stage2": 2, "train.base_lr": 0.1, "train.momentum": 0.5, "train.seed": 1,
+    "train.tpv_mode": "frozen", "train.negative_set_mode": "full_batch",
+    "train.n_fpv_train": 12, "train.n_tpv_train": 20, "train.n_fpv_test": 20,
+    "train.n_tpv_test": 9, "train.hidden_dim": 8,
+}
+TINY_RUN = {**SMALL, "train": {**SMALL["train"], "epochs_stage1": 1, "epochs_stage2": 1}}
+
+
+def _run_bytes(config_path, out_dir, overrides) -> bytes:
+    world, train = parse_config(config_path, overrides)
+    run_experiment(train, world, out_dir=str(out_dir))
+    return b"".join((out_dir / name).read_bytes() for name in ARTIFACTS)
+
+
+def test_the_alternatives_cover_every_settable_key():
+    assert set(ALTERNATIVES) == {f"{s}.{k}" for s, values in DOCUMENT.items() for k in values}
+
+
+@pytest.mark.parametrize("key", sorted(ALTERNATIVES))
+def test_every_settable_key_changes_the_run(tmp_path, key):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(TINY_RUN))
+    base = ["train.method=triplet"] if key == "loss.triplet_margin" else []
+    override = f"{key}={ALTERNATIVES[key]}"
+    assert _run_bytes(str(path), tmp_path / "a", base) != _run_bytes(
+        str(path), tmp_path / "b", [*base, override])
 
 
 @pytest.mark.parametrize("command", ["train", "ablate"])
@@ -421,10 +437,9 @@ def test_ablate_checks_every_cell_before_training(tmp_path, config_file, capsys,
                  "--tpv-modes", "trainable", "--seeds", "0,1",
                  "--out-dir", str(out_dir)]) == 1
     assert "bogus" in capsys.readouterr().err
-    assert main(["ablate", "--config", config_file, "--methods", "fpv_only,sum_l",
-                 "--set", "train.proj_dim=8", "--seeds", "0",
-                 "--out-dir", str(out_dir)]) == 1
-    assert "proj_dim" in capsys.readouterr().err
+    assert main(["ablate", "--config", config_file, "--tpv-modes", "trainable,molten",
+                 "--seeds", "0", "--out-dir", str(out_dir)]) == 1
+    assert "molten" in capsys.readouterr().err
     assert main(["ablate", "--config", config_file, "--seeds", "0,0",
                  "--out-dir", str(out_dir)]) == 1
     err = capsys.readouterr().err
@@ -481,7 +496,7 @@ def test_stats_counts_a_cosine_one_ulp_past_one_in_the_top_bucket(tmp_path):
     assert sum(int(r["count"]) for r in rows) == 2
 
 
-@pytest.mark.parametrize("edges", ["-1,x,1", "-1,nan,1"])
+@pytest.mark.parametrize("edges", ["-1,x,1", "-1,nan,1", ""])
 def test_stats_non_numeric_edges_are_rejected(tmp_path, capsys, edges):
     pairs = tmp_path / "pairs.csv"
     pairs.write_text("fpv_index,tpv_index,similarity\n0,1,0.5\n")
@@ -497,8 +512,8 @@ def test_stats_non_numeric_edges_are_rejected(tmp_path, capsys, edges):
     [
         # stage 1 succeeds, stage 2 diverges
         ["train.base_lr=30", "train.epochs_stage1=2"],
-        # rejected by the cross-field check
-        ["train.proj_dim=8"],
+        # rejected by the cross-field rule when the config is built
+        ["train.n_fpv_train=1"],
     ],
 )
 def test_failed_train_leaves_no_file(tmp_path, capsys, overrides):

@@ -152,10 +152,10 @@ def test_read_dataset_reports_bad_line(tmp_path):
 
 def test_world_spec_validation():
     with pytest.raises(InvalidSpecError):
-        WorldSpec(text_dim=15).validate()
+        WorldSpec(text_dim=15)
     with pytest.raises(InvalidSpecError):
-        WorldSpec(noun_overlap_fraction=1.5).validate()
+        WorldSpec(noun_overlap_fraction=1.5)
     with pytest.raises(InvalidSpecError):
-        WorldSpec(frames_per_clip=0).validate()
+        WorldSpec(frames_per_clip=0)
     with pytest.raises(InvalidSpecError):
-        WorldSpec(text_noise_std=-0.1).validate()
+        replace(WorldSpec(), text_noise_std=-0.1)

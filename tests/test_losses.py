@@ -6,6 +6,7 @@ import pytest
 from conftest import numeric_grad, unit_rows
 from suml.exceptions import (
     BatchTooSmallError,
+    ConfigError,
     LabelOutOfRangeError,
     ShapeMismatchError,
 )
@@ -357,15 +358,15 @@ def test_shape_and_batch_errors(rng):
 
 
 def test_loss_config_validation():
-    LossConfig().validate()
-    with pytest.raises(ValueError):
-        LossConfig(tau=0.0).validate()
-    with pytest.raises(ValueError):
-        LossConfig(theta=1.5).validate()
-    with pytest.raises(ValueError):
-        LossConfig(w_m=-1.0).validate()
-    with pytest.raises(ValueError):
-        LossConfig(sigma=0.0).validate()
+    LossConfig()
+    with pytest.raises(ConfigError, match="loss.tau"):
+        LossConfig(tau=0.0)
+    with pytest.raises(ConfigError, match="loss.theta"):
+        LossConfig(theta=1.5)
+    with pytest.raises(ConfigError, match="loss.w_m"):
+        LossConfig(w_m=-1.0)
+    with pytest.raises(ConfigError, match="loss.sigma"):
+        LossConfig(sigma=0.0)
 
 
 @pytest.mark.parametrize(

@@ -236,8 +236,9 @@ def test_runs_write_the_effective_config_the_cli_reads_back(tmp_path):
         path = tmp_path / run / "effective_config.json"
         doc = json.loads(path.read_text())
         assert list(doc) == ["world", "loss", "train"] and "loss" not in doc["train"]
+        assert "seed" not in doc["world"]  # each run derives it from train.seed
         assert doc["loss"]["theta"] == 0.5
-        assert parse_config(str(path), env={}) == (WORLD, config)
+        assert parse_config(str(path)) == (WORLD, config)
 
 
 def test_joint_train_without_an_fpv_test_set_scores_no_epoch(monkeypatch):
@@ -251,15 +252,15 @@ def test_joint_train_without_an_fpv_test_set_scores_no_epoch(monkeypatch):
 
 def test_train_config_validation():
     with pytest.raises(ConfigError):
-        replace(FAST, method="nope").validate()
+        replace(FAST, method="nope")
     with pytest.raises(ConfigError):
-        replace(FAST, tpv_mode="melted").validate()
+        replace(FAST, tpv_mode="melted")
     with pytest.raises(ConfigError):
-        replace(FAST, batch_size=1).validate()
+        replace(FAST, batch_size=1)
     with pytest.raises(ConfigError):
-        replace(FAST, momentum=1.0).validate()
+        replace(FAST, momentum=1.0)
     with pytest.raises(ConfigError):
-        replace(FAST, base_lr=0.0).validate()
+        TrainConfig(base_lr=0.0)
 
 
 def test_grid_cells_equal_independent_runs():
@@ -445,19 +446,25 @@ def test_stage2_epoch_means_reduce_each_replicas_batch_values(monkeypatch):
             assert getattr(record, f"loss_{slot}") == want.tolist()[0]
 
 
-NO_STAGE2_BATCH = TrainConfig(n_fpv_train=1, epochs_stage1=1, epochs_stage2=2)
+NO_STAGE2_BATCH = dict(n_fpv_train=1, epochs_stage1=1, epochs_stage2=2)
 
 
-def test_stage2_without_a_batch_is_rejected_before_any_work(monkeypatch):
-    stage1 = count_calls(monkeypatch, pipeline, "pretrain_tpv")
+def test_stage2_without_a_batch_is_rejected_before_any_work():
+    # a config that would leave stage 2 no batch cannot be built, so no run starts
+    with pytest.raises(ConfigValidationError, match="n_fpv_train must be at least 2"):
+        TrainConfig(**NO_STAGE2_BATCH)
+    one_clip = TrainConfig(**{**NO_STAGE2_BATCH, "epochs_stage2": 0})
+    with pytest.raises(ConfigValidationError, match="n_fpv_train must be at least 2"):
+        replace(one_clip, epochs_stage2=2)
+    run_experiment(one_clip, WorldSpec())  # without stage-2 epochs one FPV clip is fine
+
+
+def test_grid_seed_off_its_rule_fails_before_any_draw(monkeypatch, tmp_path):
     draws = count_calls(monkeypatch, pipeline, "sample_dataset")
-    with pytest.raises(ConfigValidationError, match="n_fpv_train must be at least 2"):
-        run_experiment(NO_STAGE2_BATCH, WorldSpec())
-    with pytest.raises(ConfigValidationError, match="n_fpv_train must be at least 2"):
-        run_ablation_grid(NO_STAGE2_BATCH, WorldSpec(), ["fpv_only"], ["trainable"], [0])
-    assert stage1 == [] and draws == []
-    # without stage-2 epochs one FPV clip is fine
-    run_experiment(replace(NO_STAGE2_BATCH, epochs_stage2=0), WorldSpec())
+    out = tmp_path / "grid"
+    with pytest.raises(ConfigValidationError, match="train.seed must be >= 0"):
+        run_ablation_grid(FAST, WORLD, ["fpv_only"], ["trainable"], [0, -1], out_dir=str(out))
+    assert draws == [] and not out.exists()
 
 
 def test_joint_train_without_a_batch_raises():
