@@ -12,7 +12,10 @@ may therefore go negative.  The weighted alignment direction multiplies
 each positive term by a per-pair semantic weight with batch mean one.
 Every decoupled loss here is ``_decoupled``, positives on the diagonal,
 with its own negatives and weights; the theta-gated loss masks the score
-matrix (rows, columns, weights) instead of gathering the gated rows.
+matrix (rows, columns, weights) instead of gathering the gated rows.  Stage
+2 runs all of a batch's directions as one stacked call
+(``stacked_directions``), ungated ones under an all-true gate with unit
+weights, which is bitwise the ungated arithmetic of the losses below.
 Every loss also takes (S, N, d) replica batches, computing each slice as its
 2-D batch, with one value per replica; narrations that only set semantic
 weights stay (N, D), except the gated loss's, which have one row per pair.
@@ -92,12 +95,17 @@ def _decoupled(anchors, pool, tau, weights, gate=None, full_batch=True):
     """Weighted decoupled direction: the one kernel behind every alignment term.
 
     Anchor row i is positive with pool row i; every other pool row is a
-    negative.  A boolean ``gate`` (per replica no row or at least two) makes
-    its rows the only anchors, the value their mean, and, unless
-    ``full_batch``, the only negatives; ``weights`` are then zero off it.
+    negative.  A boolean ``gate`` makes its rows the only anchors, the value
+    their mean, and, unless ``full_batch``, the only negatives; a replica
+    gating fewer than two rows gates none, and ``weights`` are zero off it.
     Returns the value and the gradients w.r.t. the anchors and the pool.
     """
     n = anchors.shape[-2]
+    if gate is not None:  # k: the gated rows a replica's mean runs over, at least one
+        k = np.add.reduce(gate, axis=-1, keepdims=True)
+        gate = gate & (k >= 2)
+        weights = weights * gate
+        k[k < 2] = 1
     A = (anchors @ pool.swapaxes(-1, -2)) / tau
     flat = A.reshape(*A.shape[:-2], n * n)
     pos = flat[..., :: n + 1].copy()
@@ -111,12 +119,21 @@ def _decoupled(anchors, pool, tau, weights, gate=None, full_batch=True):
         G /= n * tau
         G.reshape(flat.shape)[..., :: n + 1] -= weights / (n * tau)
     else:  # ungated rows padded with zeros; the mean runs over the gated ones
-        k = np.maximum(np.count_nonzero(gate, axis=-1), 1)
-        norm = (k * tau)[..., None]
-        value = np.add.reduce(gate * (lse - weights * pos), axis=-1) / k
-        G = G / norm[..., None] * gate[..., None]
+        norm = k * tau
+        value = np.add.reduce(gate * (lse - weights * pos), axis=-1) / k[..., 0]
+        G /= norm[..., None]
+        G *= gate[..., None]
         G.reshape(flat.shape)[..., :: n + 1] -= weights / norm
     return value, G @ pool, G.swapaxes(-1, -2) @ anchors
+
+
+def stacked_directions(directions, tau: float, full_batch: bool):
+    """(anchors, pool, gate, weights) directions of one shape as one ``_decoupled``
+    call, yielding each one's value and anchor and pool gradients.  An all-true
+    gate with unit weights is the ungated arithmetic, bit for bit."""
+    anchors, pools, gates, weights = (np.concatenate(c) for c in zip(*directions))
+    out = _decoupled(anchors, pools, tau, weights, gates, full_batch)
+    return zip(*(x.reshape(len(directions), -1, *x.shape[1:]) for x in out))
 
 
 def _both_directions(Za, Zb, tau, weights, gate=None, full_batch=True):
@@ -190,18 +207,17 @@ def weighted_alignment_loss_pooled(
 
     Gated pairs are the only anchors and positives; the negatives are the
     other gated pairs, or with ``full_batch`` every other pair of the batch.
-    A replica with fewer than two gated pairs adds zero, and its pairs count
-    as ungated for ``semantic_weights``, which weighs the rest; pass
-    ``weights`` explicitly (e.g. ones) to bypass them.
+    A replica with fewer than two gated pairs adds zero (``_decoupled``'s
+    two-row rule); ``semantic_weights`` weighs each replica's gated pairs
+    unless ``weights`` are given (e.g. ones).
     """
     Zf, Zt = _check_pair_batch(Zf, Zt)
     gate = np.asarray(gate)
     if gate.dtype != bool or gate.shape != Zf.shape[:-1]:
         raise ShapeMismatchError(f"gate needs one flag per pair {Zf.shape[:-1]}, got {gate.shape}")
-    gate = gate & (np.add.reduce(gate, axis=-1, keepdims=True) >= 2)
     if weights is None:
         weights = semantic_weights(Df, Dt, sigma, gate)
-    return _alignment(Zf, Zt, tau, as_f64(weights) * gate, gate, full_batch)
+    return _alignment(Zf, Zt, tau, as_f64(weights), gate, full_batch)
 
 
 def multimodal_loss(Zf, Df, Zt, Dt, tau: float) -> LossOutput:

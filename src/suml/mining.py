@@ -14,7 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import Corpus
-from .exceptions import BadEdgesError, DimMismatchError, EmptyCorpusError, ZeroNormError
+from .exceptions import (
+    BadEdgesError,
+    ConfigValidationError,
+    DimMismatchError,
+    EmptyCorpusError,
+    ZeroNormError,
+)
 from .numerics import ZERO_NORM_EPS
 
 DEFAULT_BUCKET_EDGES = (-1.0, 0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
@@ -128,7 +134,7 @@ def _similarities(pairs) -> np.ndarray:
 def select_pairs(pairs, theta: float) -> PairBatch:
     """Keep pairs whose similarity is >= theta; order preserved."""
     if not -1.0 <= theta <= 1.0:
-        raise ValueError(f"theta must lie in [-1, 1], got {theta}")
+        raise ConfigValidationError(f"theta must lie in [-1, 1], got {theta}")
     mask = _similarities(pairs) >= theta
     return PairBatch(selected=mask)
 

@@ -46,6 +46,7 @@ import numpy as np
 from .atomic import write_atomic
 from .datagen import VIEWS
 from .exceptions import (
+    ConfigValidationError,
     DatasetIOError,
     DatasetParseError,
     DimMismatchError,
@@ -286,7 +287,7 @@ def sgd_momentum_step(
 def cosine_lr(epoch: int, total_epochs: int, base_lr: float) -> float:
     """Cosine decay from base_lr at epoch 0 toward zero at total_epochs."""
     if not 0 <= epoch < total_epochs:
-        raise ValueError("need 0 <= epoch < total_epochs")
+        raise ConfigValidationError(f"need 0 <= epoch < total_epochs, got {epoch} of {total_epochs}")
     return base_lr * 0.5 * (1.0 + np.cos(np.pi * epoch / total_epochs))
 
 

@@ -26,6 +26,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -88,30 +89,51 @@ def _tpv_task(b: _Batch) -> LossOutput:
     return LossOutput(ce.value, {"logits_t": ce.grads["logits"]})
 
 
-def _all_pairs_dcl(b: _Batch) -> LossOutput:
-    return losses.alignment_loss_unweighted(b.f.z, b.t.z, b.lc.tau)
-
-
 def _triplet(b: _Batch) -> LossOutput:
     return losses.triplet_loss(b.f.z, b.t.z, b.lc.triplet_margin)
 
 
-def _selected_alignment(weighted: bool):
-    """Alignment on the theta-gated pairs, semantically weighted or not: one
-    call on the stacked batch, the gate a row mask that passes a different
-    number of pairs per replica (a replica with fewer than two adds zero)."""
+class _Contrastive(NamedTuple):
+    """A contrastive term: its (anchor, pool) directions, in the order their values
+    add, on every pair or on the theta-``gated`` ones, semantically ``weighted``
+    or not.  Called alone, a term runs only its own directions."""
 
-    def term(b: _Batch) -> LossOutput:
-        return losses.weighted_alignment_loss_pooled(
-            b.f.z, b.t.z, b.df, b.dt, b.gate, b.full_batch, b.lc.tau, b.lc.sigma,
-            weights=None if weighted else 1.0,
-        )
+    directions: tuple
+    gated: bool = False
+    weighted: bool = False
 
-    return term
+    def __call__(self, b: _Batch) -> LossOutput:
+        return _contrastive_terms([self], b)[0]
 
 
-def _video_text(b: _Batch) -> LossOutput:
-    return losses.multimodal_loss(b.f.z, b.df, b.t.z, b.dt, b.lc.tau)
+def _contrastive_terms(terms, b: _Batch) -> list:
+    """Each term's LossOutput from one kernel call over all their directions.  A
+    field is the anchor of one direction and the pool of another; its gradient
+    adds the two parts, and text gets none."""
+    fields = {"zf": b.f.z, "zt": b.t.z, "df": b.df, "dt": b.dt}
+    ones = np.ones(b.gate.shape)
+    directions = []
+    for t in terms:
+        gate = b.gate if t.gated else ones.astype(bool)
+        w = losses.semantic_weights(b.df, b.dt, b.lc.sigma, gate) if t.weighted else ones
+        directions += [(fields[a], fields[p], gate, w) for a, p in t.directions]
+    results = losses.stacked_directions(directions, b.lc.tau, b.full_batch)
+    outs = []
+    for t in terms:
+        values, grads = [], {}
+        for (a, p), (value, g_a, g_p) in zip(t.directions, results):  # t's directions only
+            values.append(value)
+            for name, g in ((a, g_a), (p, g_p)):
+                if name.startswith("z"):
+                    grads[name] = grads[name] + g if name in grads else g
+        outs.append(LossOutput(sum(values[1:], values[0]), grads))
+    return outs
+
+
+_ALIGN = (("zf", "zt"), ("zt", "zf"))
+_all_pairs_dcl = _Contrastive(_ALIGN)
+_selected_alignment = partial(_Contrastive, _ALIGN, True)  # (weighted: bool)
+_video_text = _Contrastive((("zf", "df"), ("df", "zf"), ("zt", "dt"), ("dt", "zt")))
 
 
 # Stage-2 terms of each method beyond the FPV task, as (record slot, term).
@@ -294,6 +316,7 @@ def _train_stage(config, stage, seeds, views, n_rows, terms, batch_at, epoch_fie
     streams = [derive_seeds(seed)[f"stage{stage}_shuffle"] for seed in seeds]
     rngs = [np.random.default_rng(np.random.SeedSequence(s)) for s in streams]
     project = any(term not in (_fpv_task, _tpv_task) for _, _, term in terms)  # a term reads z
+    contrastive = [term for _, _, term in terms if isinstance(term, _Contrastive)]
     slots = [slot for slot, _, _ in terms] + ["total"]
     learners = {}  # per stack: its fields and its velocity
     for field, stack in views.items():
@@ -305,7 +328,8 @@ def _train_stage(config, stage, seeds, views, n_rows, terms, batch_at, epoch_fie
         values = []  # per batch: each term's value, then the total's
         for b, idx in enumerate(order[..., i : i + config.batch_size] for i in starts):
             batch = batch_at(idx, project)
-            outs = [term(batch) for _, _, term in terms]
+            fused = iter(_contrastive_terms(contrastive, batch) if contrastive else ())
+            outs = [next(fused) if term in contrastive else term(batch) for _, _, term in terms]
             total = losses.total_loss([(w, out) for (_, w, _), out in zip(terms, outs)])
             for seed, value in zip(seeds, total.value.tolist()):
                 if not math.isfinite(value):

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from suml import mining
 from suml.datagen import WorldSpec, generate_world, sample_dataset
-from suml.exceptions import BadEdgesError, DimMismatchError, EmptyCorpusError, ZeroNormError
+from suml.exceptions import (
+    BadEdgesError,
+    ConfigValidationError,
+    DimMismatchError,
+    EmptyCorpusError,
+    ZeroNormError,
+)
 from suml.mining import (
     DEFAULT_BUCKET_EDGES,
     PseudoPair,
@@ -139,7 +145,7 @@ def test_select_pairs_threshold_and_monotonicity():
     assert batch.n_selected == 3
     counts = [select_pairs(pairs, th).n_selected for th in np.linspace(-1, 1, 21)]
     assert counts == sorted(counts, reverse=True)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigValidationError):
         select_pairs(pairs, 1.5)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import numeric_grad
 from suml import gradcheck
-from suml.exceptions import DimMismatchError, ShapeMismatchError
+from suml.exceptions import ConfigValidationError, DimMismatchError, ShapeMismatchError
 from suml.losses import cross_entropy
 from suml.model import (
     EncoderStack,
@@ -168,6 +168,8 @@ def test_cosine_lr_schedule():
     vals = [cosine_lr(e, 10, 0.1) for e in range(10)]
     assert vals == sorted(vals, reverse=True)
     assert vals[-1] > 0.0
+    with pytest.raises(ConfigValidationError):
+        cosine_lr(5, 5, 0.1)
 
 
 def test_clone_stack_is_independent():

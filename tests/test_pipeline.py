@@ -2,10 +2,11 @@ import json
 import math
 import os
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import count_calls
+from conftest import count_calls, unit_rows
 from test_golden import GRID_TRAIN, GRID_WORLD
 
 from suml import losses, model, pipeline
@@ -519,3 +520,74 @@ def test_collapsed_projection_head_fails_where_z_is_first_read(monkeypatch):
         joint_train(FAST, WORLD, fpv, tpv, stage1)
     fpv_stack, _, records = joint_train(replace(FAST, method="fpv_only"), WORLD, fpv, tpv, stage1)
     assert len(records) == FAST.epochs_stage2 and not np.any(fpv_stack.h.weights[-1])
+
+
+# Every (method, loss weights) whose stage 2 has a contrastive term, with the
+# term subsets the default-weight pins never run: video-text alone (w_aw=0) and
+# the gated alignment alone (w_m=0).
+FUSED_CASES = [
+    ("sum_l", {}), ("sum_l", {"w_aw": 0.0}), ("sum_l", {"w_m": 0.0}),
+    ("sum_l_no_weighting", {}), ("sum_l_no_weighting", {"w_aw": 0.0}),
+    ("sum_l_no_weighting", {"w_m": 0.0}), ("typical_cl", {}), ("sum_l_no_multimodal", {}),
+]
+
+
+def reference_term(method, slot, b):
+    """A stage-2 contrastive term as the public losses compute it."""
+    zf, zt, lc = b.f.z, b.t.z, b.lc
+    if slot == "m":
+        return losses.multimodal_loss(zf, b.df, zt, b.dt, lc.tau)
+    if method == "typical_cl":
+        return losses.alignment_loss_unweighted(zf, zt, lc.tau)
+    return losses.weighted_alignment_loss_pooled(
+        zf, zt, b.df, b.dt, b.gate, b.full_batch, lc.tau, lc.sigma,
+        weights=1.0 if method == "sum_l_no_weighting" else None,
+    )
+
+
+def outputs_equal(a, b):
+    return (np.array_equal(a.value, b.value) and a.grads.keys() == b.grads.keys()
+            and all(np.array_equal(a.grads[k], b.grads[k]) for k in a.grads))
+
+
+@pytest.mark.parametrize("replicas", [1, 5])
+@pytest.mark.parametrize("full_batch", [False, True])
+@pytest.mark.parametrize("method,weights", FUSED_CASES)
+def test_fused_contrastive_terms_equal_the_public_losses_bitwise(rng, method, weights,
+                                                                 full_batch, replicas):
+    n, d = 16, 32
+    lc = LossConfig(tau=0.3, sigma=0.7, **weights)
+    terms = [(slot, w, term) for slot, w, term in pipeline._stage2_terms(method, lc)
+             if isinstance(term, pipeline._Contrastive)]
+    assert terms  # each case has a contrastive term
+    # gates of 0, 1, 2 and n rows: one replica each at S = 5, one batch each at S = 1
+    row_counts = [0, 1, 2, n, 7] if replicas == 5 else [0, 1, 2, n]
+    for batch_counts in ([row_counts] if replicas == 5 else [[k] for k in row_counts]):
+        gate = np.zeros((replicas, n), dtype=bool)
+        for r, k in enumerate(batch_counts):
+            gate[r, rng.choice(n, size=k, replace=False)] = True
+        zf, zt, df, dt = (unit_rows(rng, replicas * n, d).reshape(replicas, n, d)
+                          for _ in range(4))
+        b = pipeline._Batch(SimpleNamespace(z=zf), SimpleNamespace(z=zt), None, None,
+                            df, dt, gate, lc, full_batch)
+        fused = pipeline._contrastive_terms([term for _, _, term in terms], b)
+        want = [reference_term(method, slot, b) for slot, _, _ in terms]
+        assert len(fused) == len(want)
+        for got, ref in zip(fused, want):
+            assert outputs_equal(got, ref)
+        weighted = lambda outs: losses.total_loss([(w, o) for (_, w, _), o in zip(terms, outs)])
+        assert outputs_equal(weighted(fused), weighted(want))
+        for (_, _, term), ref in zip(terms, want):  # a term called alone runs only its own
+            assert outputs_equal(term(b), ref)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_one_contrastive_kernel_call_per_stage2_batch(monkeypatch, method):
+    cfg = replace(FAST, method=method)
+    fpv, tpv = train_sets(cfg)
+    stage1 = pretrain_tpv(cfg, WORLD, tpv)
+    kernel_calls = count_calls(monkeypatch, losses, "_decoupled")
+    joint_train(cfg, WORLD, fpv, tpv, stage1)
+    stage2_batches = cfg.epochs_stage2 * (cfg.n_fpv_train // cfg.batch_size)
+    contrastive = method not in ("fpv_only", "triplet")
+    assert len(kernel_calls) == (stage2_batches if contrastive else 0)
