@@ -171,13 +171,15 @@ def semantic_weights(Df, Dt, sigma: float, gate=True) -> np.ndarray:
     if gate.dtype != bool or gate.shape not in ((), Df.shape[:-1]):
         raise ShapeMismatchError(f"gate needs one flag per text row {Df.shape[:-1]}, "
                                  f"got {gate.shape}")
-    s = np.sum(Df * Dt, axis=-1) / sigma
+    # ufuncs only: at a batch's 16 rows, numpy's wrappers would cost as much as the sums
+    s = np.add.reduce(Df * Dt, axis=-1) / sigma
     # shift-invariant in the ratio; the shift is the largest gated similarity
-    e = np.exp(s - np.max(s, axis=-1, keepdims=True, where=gate, initial=-np.inf),
-               out=np.zeros_like(s), where=gate)
-    k = np.add.reduce(np.broadcast_to(gate, s.shape), axis=-1, keepdims=True)
+    top = np.maximum.reduce(s, axis=-1, keepdims=True, where=gate, initial=-np.inf)
+    e = np.exp(s - top, out=np.zeros(s.shape), where=gate)
+    # a scalar gate is every row or none, and with none every weight is zero anyway
+    k = np.add.reduce(gate, axis=-1, keepdims=True) if gate.ndim else s.shape[-1]
     mean = np.add.reduce(e, axis=-1, keepdims=True) / np.maximum(k, 1)
-    return np.divide(e, mean, out=np.zeros_like(e), where=gate)
+    return np.divide(e, mean, out=np.zeros(e.shape), where=gate)
 
 
 def _alignment(Zf, Zt, tau, weights, gate=None, full_batch=True) -> LossOutput:

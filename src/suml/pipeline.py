@@ -16,7 +16,8 @@ the four dataset draws, and the per-stage shuffles.  Ablation cells with
 equal seeds therefore share worlds and initializations while varying the
 method, so the grid builds each seed's world, datasets and stage 1 once.
 Given ``seeds``, both stages train one replica per seed at once (see
-``model``), bitwise as each would train alone; a single run is one replica.
+``model``), bitwise as each would train alone.  A single run is the grid's
+one-cell, one-seed case with every epoch scored: both run ``_train_cells``.
 """
 
 from __future__ import annotations
@@ -493,13 +494,6 @@ def write_metrics_jsonl(records, path) -> None:
     write_atomic(path, lambda fh: fh.writelines(json.dumps(r.to_dict()) + "\n" for r in records))
 
 
-def _draw(world: SyntheticWorld, config: TrainConfig, split: str):
-    """Dataset ``split`` (``fpv_train``, ``tpv_test`` ...) of ``config``'s seed in ``world``."""
-    view = split.split("_")[0]
-    n = getattr(config, f"n_{split}")
-    return sample_dataset(world, view, n, derive_seeds(config.seed)[split])
-
-
 def effective_config(world_spec: WorldSpec, config: TrainConfig) -> dict:
     """Every key a user can set, as the run acted on it: the document ``--config``
     reads, with the loss in its own section and no world seed, which each run
@@ -534,70 +528,64 @@ def _write_run(result: ExperimentResult, world_spec, stage1_stack, out_dir) -> N
     write_atomic(os.path.join(out_dir, "summary.json"), lambda fh: json.dump(summary, fh, indent=2))
 
 
+def _train_cells(cell_configs: list, seed_configs: list, world_spec: WorldSpec, scored: bool):
+    """Train every cell on every seed (``seed_configs``: the base config at each
+    seed); return the stacked stage-1 stack, or None, and per cell [fpv_stack,
+    tpv_stack, records, final FPV and TPV test accuracies per seed].  ``scored``,
+    all four sets are drawn up front and every epoch scores its test sets.
+    Unscored, no TPV test set is drawn, a cell keeps only its FPV stack and FPV
+    accuracies, and the train sets are freed before any FPV test set is drawn.
+    """
+    seeds = [cfg.seed for cfg in seed_configs]
+    worlds = [build_world(world_spec, seed) for seed in seeds]
+
+    def draw(split: str, r: int):  # split ``fpv_train``, ``tpv_test`` ... of seed r
+        n = getattr(seed_configs[r], f"n_{split}")
+        return sample_dataset(worlds[r], split[:3], n, derive_seeds(seeds[r])[split])
+
+    splits = ("fpv_train", "tpv_train", "fpv_test", "tpv_test")[: 4 if scored else 2]
+    sets = {split: stack_datasets([draw(split, r) for r in range(len(seeds))]) for split in splits}
+    fpv_test, tpv_test = sets.get("fpv_test"), sets.get("tpv_test")
+    stage1_config = next((c for c in cell_configs if c.tpv_mode != "same_init"), None)
+    stage1_records = [] if scored else None
+    stage1 = None if stage1_config is None else pretrain_tpv(
+        stage1_config, world_spec, sets["tpv_train"], tpv_test, stage1_records, seeds)
+    cells = []
+    for cfg in cell_configs:
+        fpv, tpv, records = joint_train(cfg, world_spec, sets["fpv_train"], sets["tpv_train"],
+                                        None if cfg.tpv_mode == "same_init" else stage1,
+                                        fpv_test, tpv_test, seeds)
+        cells.append([fpv, tpv, stage1_records + records, [], []] if scored
+                     else [fpv, None, None, [], None])
+        del tpv, records  # unscored, the grid reads neither: freed before the next cell trains
+    del sets  # no cell reads the train sets again: freed before any test set is drawn
+    for r in range(len(seeds)):
+        fpv_test_r = _replica_corpus(fpv_test, r) if scored else draw("fpv_test", r)
+        for fpv, tpv, _, fpv_accs, tpv_accs in cells:
+            fpv_accs.append(evaluate_fpv(replica(fpv, r), fpv_test_r))
+            if scored:
+                tpv_accs.append(evaluate_fpv(replica(tpv, r), _replica_corpus(tpv_test, r)))
+    return stage1, cells
+
+
 def run_experiment(
     config: TrainConfig, world_spec: WorldSpec, out_dir=None
 ) -> ExperimentResult:
-    """Full stage-1 + stage-2 + evaluation run; deterministic per seed.
+    """Full stage-1 + stage-2 + evaluation run; deterministic per seed.  It is the
+    grid's one-cell, one-seed case with every epoch scored (``_train_cells``).
 
     With ``out_dir``, the artifacts and the effective config are written after
     the run succeeds, so a failed run leaves no file, nor a directory it created.
     """
     with output_dir(out_dir):
-        world = build_world(world_spec, config.seed)
-        splits = ("fpv_train", "tpv_train", "fpv_test", "tpv_test")
-        fpv_train, tpv_train, fpv_test, tpv_test = (_draw(world, config, s) for s in splits)
-        records: list[MetricsRecord] = []
-        stage1_stack = None  # under same_init joint_train copies the FPV init
-        if config.tpv_mode != "same_init":
-            stage1_stack = pretrain_tpv(config, world_spec, tpv_train, tpv_test, records)
-        fpv_stack, tpv_stack, stage2_records = joint_train(
-            config, world_spec, fpv_train, tpv_train, stage1_stack, fpv_test, tpv_test
-        )
-        result = ExperimentResult(
-            config=config,
-            records=records + stage2_records,
-            fpv_stack=fpv_stack,
-            tpv_stack=tpv_stack,
-            final_fpv_test_acc=evaluate_fpv(fpv_stack, fpv_test),
-            final_tpv_test_acc=evaluate_fpv(tpv_stack, tpv_test),
-        )
+        stage1, [[fpv, tpv, records, [fpv_acc], [tpv_acc]]] = _train_cells(
+            [config], [config], world_spec, scored=True)
+        fpv_stack = replica(fpv, 0)
+        tpv_stack = fpv_stack if tpv is fpv else replica(tpv, 0)  # shared_weights: one stack
+        result = ExperimentResult(config, records, fpv_stack, tpv_stack, fpv_acc, tpv_acc)
         if out_dir is not None:
-            _write_run(result, world_spec, stage1_stack, out_dir)
+            _write_run(result, world_spec, stage1 and replica(stage1, 0), out_dir)
     return result
-
-
-def _train_grid(cell_configs: list, seed_configs: list, world_spec: WorldSpec) -> list:
-    """Final FPV test accuracy of each cell at each seed, as [cell][seed];
-    ``seed_configs`` holds the grid's base config at each seed.
-
-    Worlds, train sets and stage 1 read only the seed and fields all cells
-    share: each seed's train sets are drawn once and stay alive, and one
-    stacked stage 1 serves every cell, whose seeds then train as replicas of
-    one stage 2.  Cells report only the final FPV test accuracy, so no epoch
-    is scored and no TPV test set is drawn; once all cells are trained, each
-    seed's FPV test set is drawn, scores its replica of every cell and is freed.
-    """
-    seeds = [cfg.seed for cfg in seed_configs]
-    worlds = [build_world(world_spec, seed) for seed in seeds]
-    fpv_train, tpv_train = (
-        stack_datasets([_draw(w, cfg, split) for w, cfg in zip(worlds, seed_configs)])
-        for split in ("fpv_train", "tpv_train")
-    )
-    stage1_config = next((c for c in cell_configs if c.tpv_mode != "same_init"), None)
-    if stage1_config is not None:
-        stage1_stack = pretrain_tpv(stage1_config, world_spec, tpv_train, seeds=seeds)
-    fpv_stacks = [
-        joint_train(cfg, world_spec, fpv_train, tpv_train,
-                    None if cfg.tpv_mode == "same_init" else stage1_stack, seeds=seeds)[0]
-        for cfg in cell_configs
-    ]
-    del fpv_train, tpv_train  # no cell reads them again: freed before any test set is drawn
-    accs = [[] for _ in cell_configs]
-    for r, (world, cfg) in enumerate(zip(worlds, seed_configs)):
-        fpv_test = _draw(world, cfg, "fpv_test")
-        for cell_accs, stack in zip(accs, fpv_stacks):
-            cell_accs.append(evaluate_fpv(replica(stack, r), fpv_test))
-    return accs
 
 
 def run_ablation_grid(
@@ -612,11 +600,11 @@ def run_ablation_grid(
 
     Every cell's and seed's config is built from ``base_config``, and so
     checked, and each axis must hold distinct values, at least one, before any
-    work starts.  Each cell trains its seeds as replicas of one stacked model
-    (see ``_train_grid``); each replica's accuracy equals ``run_experiment`` on
-    its config, and rows keep method, tpv_mode, seed order.  ``out_dir`` gets
-    the rows and the effective config, ``base_config``'s, once the grid
-    succeeds; a failed grid leaves no ``out_dir`` it created.
+    work starts.  Each cell trains its seeds as replicas of one stacked model and
+    scores no epoch (``_train_cells``); each replica's accuracy equals
+    ``run_experiment`` on its config, and rows keep method, tpv_mode, seed order.
+    ``out_dir`` gets the rows and the effective config, ``base_config``'s, once
+    the grid succeeds; a failed grid leaves no ``out_dir`` it created.
     """
     for axis, values in (("methods", methods), ("tpv_modes", tpv_modes), ("seeds", seeds)):
         if len(values) == 0 or len(set(values)) != len(values):
@@ -626,10 +614,10 @@ def run_ablation_grid(
     cell_configs = [replace(base_config, method=m, tpv_mode=t) for m, t in cell_keys]
     seed_configs = [replace(base_config, seed=seed) for seed in seeds]
     with output_dir(out_dir):
-        by_cell = _train_grid(cell_configs, seed_configs, world_spec)
+        _, trained = _train_cells(cell_configs, seed_configs, world_spec, scored=False)
         runs = []
         cells = []
-        for (method, tpv_mode), accs in zip(cell_keys, by_cell):
+        for (method, tpv_mode), (_, _, _, accs, _) in zip(cell_keys, trained):
             runs.extend(
                 {"method": method, "tpv_mode": tpv_mode, "seed": seed, "final_fpv_acc": acc}
                 for seed, acc in zip(seeds, accs)

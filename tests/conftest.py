@@ -7,13 +7,15 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def count_calls(monkeypatch, module, name):
-    """Replace ``module.name`` with a wrapper; returns the list it appends to per call."""
-    calls = []
+def count_calls(monkeypatch, module, name, calls=None):
+    """Replace ``module.name`` with a wrapper; returns the list it appends
+    ``(name, positional args)`` to per call.  Wrappers given one ``calls`` list
+    record their calls in the order they are made."""
+    calls = [] if calls is None else calls
     original = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(name)
+        calls.append((name, args))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)

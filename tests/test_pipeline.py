@@ -315,6 +315,40 @@ def test_grid_scores_only_what_it_reports(monkeypatch):
     assert len(evals) == cells
 
 
+def record_calls(monkeypatch, names) -> list:
+    """One list of the calls to each ``pipeline.<name>`` of ``names``, in call order."""
+    calls = []
+    for name in names:
+        count_calls(monkeypatch, pipeline, name, calls)
+    return calls
+
+
+def call_names(calls, seeds) -> list:
+    """``record_calls``' names, a ``sample_dataset`` call named by the split
+    (``fpv_test`` ...) that its seed draws at one of ``seeds``."""
+    splits = {value: split for s in seeds for split, value in derive_seeds(s).items()}
+    return [splits[args[3]] if name == "sample_dataset" else name for name, args in calls]
+
+
+def test_grid_draws_each_fpv_test_set_after_every_cell_is_trained(monkeypatch):
+    seeds = [0, 1]
+    calls = record_calls(monkeypatch, ("sample_dataset", "joint_train"))
+    run_ablation_grid(GRID_TRAIN, GRID_WORLD, ["fpv_only", "sum_l"], ["trainable", "frozen"], seeds)
+    order = call_names(calls, seeds)
+    last_train = max(i for i, name in enumerate(order) if name == "joint_train")
+    fpv_tests = [i for i, name in enumerate(order) if name == "fpv_test"]
+    # the train sets are freed before any test set is drawn, and no cell reads a TPV test set
+    assert len(fpv_tests) == len(seeds) and min(fpv_tests) > last_train
+    assert "tpv_test" not in order
+
+
+def test_single_run_draws_all_four_sets_before_stage1(monkeypatch):
+    calls = record_calls(monkeypatch, ("sample_dataset", "pretrain_tpv", "joint_train"))
+    run_experiment(FAST, WORLD)
+    assert call_names(calls, [FAST.seed]) == [
+        "fpv_train", "tpv_train", "fpv_test", "tpv_test", "pretrain_tpv", "joint_train"]
+
+
 @pytest.mark.parametrize(
     "method,tpv_mode",
     [("fpv_only", "trainable"), ("sum_l", "frozen"), ("sum_l", "trainable"),
