@@ -201,11 +201,6 @@ class Corpus:
         return all(a == b for a, b in zip(self, other))
 
 
-def as_corpus(dataset) -> Corpus:
-    """``dataset`` itself if it is a :class:`Corpus`, else its columns."""
-    return dataset if isinstance(dataset, Corpus) else Corpus.from_samples(dataset)
-
-
 def sample_dataset(world: SyntheticWorld, view: str, n: int, rng_seed: int) -> Corpus:
     """Draw ``n`` clips for one view; deterministic per (world, view, n, seed)."""
     if view not in VIEWS:

@@ -1,8 +1,9 @@
 """Cross-view pseudo-pair mining over narration embeddings.
 
-For every FPV clip the single most narration-similar TPV clip is selected
-by exact exhaustive cosine-similarity search (ties break to the smallest
-TPV index).  Pairs can then be gated by a similarity threshold and
+Mining takes an FPV and a TPV ``Corpus`` and reads their ``narrations``
+columns.  For every FPV clip the single most narration-similar TPV clip is
+selected by exact exhaustive cosine-similarity search (ties break to the
+smallest TPV index).  Pairs can then be gated by a similarity threshold and
 summarized as a bucket histogram.
 """
 
@@ -13,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import Corpus
 from .exceptions import (
     BadEdgesError,
     ConfigValidationError,
     DimMismatchError,
     EmptyCorpusError,
+    InvalidViewError,
     ZeroNormError,
 )
 from .numerics import ZERO_NORM_EPS
@@ -52,27 +53,15 @@ class SimilarityHistogram:
     fractions: np.ndarray
 
 
-def _narration_dims(samples) -> list:
-    if isinstance(samples, Corpus):
-        return [samples.narrations.shape[1]]
-    return [s.narration.shape[0] for s in samples]
-
-
-def _narration_matrix(samples) -> np.ndarray:
-    """Narrations as one C-contiguous (N, D) array; a Corpus already holds it."""
-    if isinstance(samples, Corpus):
-        return np.ascontiguousarray(samples.narrations)
-    return np.stack([s.narration for s in samples])
-
-
 def _norms(M: np.ndarray) -> np.ndarray:
     # Row by row with np.linalg.norm, the exact norm the reported similarity uses;
     # an axis-wise norm sums in another order and can differ in the last bit.
     return np.array([float(np.linalg.norm(v)) for v in M])
 
 
-def mine_pseudo_pairs(fpv_samples, tpv_samples) -> list[PseudoPair]:
-    """Exact argmax of narration cosine similarity, one pair per FPV clip.
+def mine_pseudo_pairs(fpv, tpv) -> list[PseudoPair]:
+    """Exact argmax of narration cosine similarity, one pair per clip of the
+    FPV corpus ``fpv`` over the TPV corpus ``tpv``.
 
     The reported similarity is ``float(np.dot(f, t) / (|f| * |t|))`` and ties
     break to the smallest TPV index, exactly as a scalar scan over all TPV
@@ -84,17 +73,16 @@ def mine_pseudo_pairs(fpv_samples, tpv_samples) -> list[PseudoPair]:
     Blocks hold at most ``BLOCK_SIMS`` similarities (blocked exact search as
     in Johnson et al., "Billion-scale similarity search with GPUs", 2019).
     """
-    if len(fpv_samples) == 0 or len(tpv_samples) == 0:
+    if len(fpv) == 0 or len(tpv) == 0:
         raise EmptyCorpusError("both corpora must be nonempty")
-    f_dims = _narration_dims(fpv_samples)
-    dim = f_dims[0]
-    if any(d != dim for d in f_dims):
-        raise DimMismatchError("inconsistent FPV narration dims")
-    for d in _narration_dims(tpv_samples):
-        if d != dim:
-            raise DimMismatchError(f"narration dims differ: {d} vs {dim}")
-    F = _narration_matrix(fpv_samples)
-    T = _narration_matrix(tpv_samples)
+    for corpus, view in ((fpv, "fpv"), (tpv, "tpv")):
+        if corpus.view != view:
+            raise InvalidViewError(f"the {view.upper()} corpus holds {corpus.view} clips")
+    F = np.ascontiguousarray(fpv.narrations)
+    T = np.ascontiguousarray(tpv.narrations)
+    dim = F.shape[1]
+    if T.shape[1] != dim:
+        raise DimMismatchError(f"narration dims differ: {T.shape[1]} vs {dim}")
     t_norms = _norms(T)
     if np.any(t_norms < ZERO_NORM_EPS):
         raise ZeroNormError("zero-norm TPV narration")

@@ -38,7 +38,6 @@ from .datagen import (
     Corpus,
     SyntheticWorld,
     WorldSpec,
-    as_corpus,
     generate_world,
     sample_dataset,
 )
@@ -47,6 +46,7 @@ from .exceptions import (
     ConfigValidationError,
     DivergenceError,
     EmptySetError,
+    LabelOutOfRangeError,
 )
 from .losses import LossConfig, LossOutput
 from .mining import mine_pseudo_pairs, select_pairs
@@ -241,15 +241,17 @@ def build_world(world_spec: WorldSpec, train_seed: int) -> SyntheticWorld:
     return generate_world(replace(world_spec, seed=derive_seeds(train_seed)["world"]))
 
 
-def evaluate_fpv(fpv_stack: EncoderStack, dataset):
-    """Top-1 action accuracy using the FPV encoder and task head only.
+def evaluate_fpv(fpv_stack: EncoderStack, corpus: Corpus):
+    """Top-1 action accuracy on ``corpus`` using the FPV encoder and task head only.
 
     A stacked ``fpv_stack`` takes a ``stack_datasets`` corpus and returns one
     accuracy per replica, as a list.
     """
-    if len(dataset) == 0:
+    if len(corpus) == 0:
         raise EmptySetError("evaluation dataset is empty")
-    corpus = as_corpus(dataset)
+    n_classes, top = fpv_stack.dims[2][-1], int(corpus.labels.max())
+    if top >= n_classes:
+        raise LabelOutOfRangeError(f"label {top} is outside the task head's {n_classes} classes")
     pred = np.argmax(encode_batch(fpv_stack, corpus.frames, project=False).logits, axis=-1)
     return np.mean(pred == corpus.labels, axis=-1).tolist()
 
@@ -257,11 +259,10 @@ def evaluate_fpv(fpv_stack: EncoderStack, dataset):
 _COLUMNS = ("frames", "labels", "verb_ids", "noun_ids", "narrations")
 
 
-def stack_datasets(datasets) -> Corpus:
-    """One corpus whose columns stack ``datasets`` (one per seed, of one size) on
-    a leading replica axis, as the stages take them with ``seeds``; it is read
-    through its columns (and ``_replica_corpus``) only."""
-    corpora = [as_corpus(d) for d in datasets]
+def stack_datasets(corpora) -> Corpus:
+    """One corpus whose columns stack ``corpora`` (one per seed, of one size and
+    view) on a leading replica axis, as the stages take them with ``seeds``; it
+    is read through its columns (and ``_replica_corpus``) only."""
     if len({len(c) for c in corpora}) != 1:
         raise ConfigError("the seeds' datasets of one view must have one size")
     if len(corpora) == 1:  # views: a single run's data is not copied

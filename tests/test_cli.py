@@ -342,17 +342,29 @@ def test_ragged_dataset_is_a_parse_error_naming_the_line(tmp_path, config_file, 
 
 
 def test_mine_rejects_zero_norm_narration(tmp_path, config_file, capsys):
-    path = tmp_path / "fpv.jsonl"
-    _synth(config_file, str(path))
+    fpv, path = str(tmp_path / "fpv.jsonl"), tmp_path / "tpv.jsonl"
+    _synth(config_file, fpv)
+    _synth(config_file, str(path), "--view", "tpv")
     lines = path.read_text().splitlines()
     rec = json.loads(lines[1])
     rec["narration"] = [0.0] * len(rec["narration"])
     lines[1] = json.dumps(rec)
     path.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    assert main(["mine", "--fpv", str(path), "--tpv", str(path),
+    assert main(["mine", "--fpv", fpv, "--tpv", str(path),
                  "--out", str(tmp_path / "pairs.csv")]) == 1
     assert "zero-norm TPV narration" in capsys.readouterr().err
+    assert not (tmp_path / "pairs.csv").exists()
+
+
+def test_mine_rejects_swapped_views(tmp_path, config_file, capsys):
+    fpv, tpv = str(tmp_path / "fpv.jsonl"), str(tmp_path / "tpv.jsonl")
+    _synth(config_file, fpv)
+    _synth(config_file, tpv, "--view", "tpv")
+    capsys.readouterr()
+    assert main(["mine", "--fpv", tpv, "--tpv", fpv, "--out", str(tmp_path / "pairs.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "the FPV corpus holds tpv clips" in err and "Traceback" not in err
     assert not (tmp_path / "pairs.csv").exists()
 
 
@@ -365,6 +377,21 @@ def test_eval_rejects_feature_dim_mismatch(tmp_path, config_file, capsys):
     assert main(["eval", "--checkpoint", str(run / "checkpoint_fpv.json"),
                  "--dataset", data]) == 1
     assert "feature dim 10" in capsys.readouterr().err
+
+
+def test_eval_rejects_labels_the_task_head_cannot_predict(tmp_path, config_file, capsys):
+    ckpt = str(tmp_path / "ckpt.json")
+    save_checkpoint(init_stack(12, 12, 16, seed=0), ckpt, "stage2_fpv")  # SMALL: 3 x 4 actions
+    data = str(tmp_path / "more_nouns.jsonl")
+    assert main(["synth", "--config", config_file, "--set", "world.n_nouns=8", "--view", "fpv",
+                 "--n", "40", "--out", data]) == 0
+    top = int(read_dataset(data).labels.max())
+    assert top >= 12
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", ckpt, "--dataset", data]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert f"label {top} is outside the task head's 12 classes" in err
 
 
 @pytest.mark.parametrize("source", ["file", "set"])

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from suml import mining
-from suml.datagen import WorldSpec, generate_world, sample_dataset
+from suml.datagen import Corpus, WorldSpec, generate_world, sample_dataset
 from suml.exceptions import (
     BadEdgesError,
     ConfigValidationError,
     DimMismatchError,
     EmptyCorpusError,
+    InvalidViewError,
     ZeroNormError,
 )
 from suml.mining import (
@@ -25,9 +26,13 @@ from suml.mining import (
 SPEC = WorldSpec(n_verbs=3, n_nouns=4, text_dim=8, feat_dim=6, frames_per_clip=2)
 
 
-class FakeSample:
-    def __init__(self, narration):
-        self.narration = np.asarray(narration, dtype=float)
+def narrations(view, rows):
+    """A narrations-only ``view`` corpus: the columns mining reads, and no frames."""
+    N = np.asarray(rows, dtype=float)
+    n = len(N)
+    zeros = np.zeros(n, dtype=int)
+    return Corpus(frames=np.zeros((n, 0, 0)), labels=zeros, verb_ids=zeros, noun_ids=zeros,
+                  narrations=N, ids=[f"{view}-{i}" for i in range(n)], view=view)
 
 
 def oracle_mine(fpv, tpv):
@@ -56,7 +61,7 @@ def test_mining_matches_oracle_on_synthetic_corpora():
 
 @st.composite
 def tie_prone_corpora(draw):
-    """FPV/TPV narration lists built from a few base rows, so that exact
+    """FPV/TPV narration corpora built from a few base rows, so that exact
     duplicates, scaled copies and one-ulp neighbours compete for the argmax."""
     dim = draw(st.integers(1, 5))
     entry = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 3.0])
@@ -78,13 +83,13 @@ def tie_prone_corpora(draw):
                 st.floats(-5, 5, allow_nan=False, allow_subnormal=False),
                 min_size=dim, max_size=dim,
             ).filter(lambda r: np.linalg.norm(r) > 1e-3)))
-        return FakeSample(v)
+        return v
 
-    def rows(min_size, max_size):
+    def rows(view, min_size, max_size):
         picks = draw(st.lists(st.sampled_from(bases), min_size=min_size, max_size=max_size))
-        return [derived(r) for r in picks]
+        return narrations(view, [derived(r) for r in picks])
 
-    return rows(1, 6), rows(1, 10)
+    return rows("fpv", 1, 6), rows("tpv", 1, 10)
 
 
 @settings(max_examples=300, deadline=None)
@@ -109,29 +114,39 @@ def test_mining_is_exact_across_block_boundaries(block_sims, n_fpv):
 
 
 def test_mining_breaks_ties_to_smallest_index():
-    f = [FakeSample([1.0, 0.0])]
-    t = [FakeSample([0.0, 1.0]), FakeSample([2.0, 0.0]), FakeSample([1.0, 0.0])]
+    f = narrations("fpv", [[1.0, 0.0]])
+    t = narrations("tpv", [[0.0, 1.0], [2.0, 0.0], [1.0, 0.0]])
     (p,) = mine_pseudo_pairs(f, t)
     assert p.tpv_index == 1  # indices 1 and 2 both have similarity 1.0
     assert p.similarity == pytest.approx(1.0)
 
 
 def test_mining_rejects_empty_or_mismatched():
-    f = [FakeSample([1.0, 0.0])]
+    f, t = narrations("fpv", [[1.0, 0.0]]), narrations("tpv", [[1.0, 0.0]])
     with pytest.raises(EmptyCorpusError):
-        mine_pseudo_pairs([], f)
+        mine_pseudo_pairs(narrations("fpv", np.zeros((0, 2))), t)
     with pytest.raises(EmptyCorpusError):
-        mine_pseudo_pairs(f, [])
-    with pytest.raises(DimMismatchError):
-        mine_pseudo_pairs(f, [FakeSample([1.0, 0.0, 0.0])])
+        mine_pseudo_pairs(f, narrations("tpv", np.zeros((0, 2))))
+    with pytest.raises(DimMismatchError, match="narration dims differ: 3 vs 2"):
+        mine_pseudo_pairs(f, narrations("tpv", [[1.0, 0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("fpv_view, tpv_view, named", [
+    ("tpv", "fpv", "the FPV corpus holds tpv clips"),
+    ("fpv", "fpv", "the TPV corpus holds fpv clips"),
+])
+def test_mining_rejects_a_corpus_of_the_wrong_view(fpv_view, tpv_view, named):
+    f, t = narrations(fpv_view, [[1.0, 0.0]]), narrations(tpv_view, [[1.0, 0.0]])
+    with pytest.raises(InvalidViewError, match=named):
+        mine_pseudo_pairs(f, t)
 
 
 @pytest.mark.parametrize("view", ["FPV", "TPV"])
 def test_mining_rejects_zero_norm_narrations(view):
-    unit, zero = [FakeSample([1.0, 0.0])], [FakeSample([1.0, 1.0]), FakeSample([0.0, 0.0])]
+    unit, zero = [[1.0, 0.0]], [[1.0, 1.0], [0.0, 0.0]]
     fpv, tpv = (zero, unit) if view == "FPV" else (unit, zero)
     with pytest.raises(ZeroNormError, match=f"zero-norm {view} narration"):
-        mine_pseudo_pairs(fpv, tpv)
+        mine_pseudo_pairs(narrations("fpv", fpv), narrations("tpv", tpv))
 
 
 def _pairs(sims):
