@@ -39,6 +39,7 @@ from .exceptions import (
     ConfigParseError,
     DatasetIOError,
     DatasetParseError,
+    InvalidViewError,
     SumlError,
 )
 from .losses import LossConfig
@@ -208,6 +209,9 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     stack, stage = load_checkpoint(args.checkpoint)
     dataset = read_dataset(args.dataset)
+    if len(dataset) and stack.view != dataset.view:
+        raise InvalidViewError(f"the {stage} checkpoint encodes {stack.view} clips, "
+                               f"the dataset holds {dataset.view} clips")
     acc = evaluate_fpv(stack, dataset)
     print(json.dumps({"stage": stage, "n": len(dataset), "accuracy": acc}))
     return 0

@@ -12,10 +12,12 @@ may therefore go negative.  The weighted alignment direction multiplies
 each positive term by a per-pair semantic weight with batch mean one.
 Every decoupled loss here is ``_decoupled``, positives on the diagonal,
 with its own negatives and weights; the theta-gated loss masks the score
-matrix (rows, columns, weights) instead of gathering the gated rows.  Stage
-2 runs all of a batch's directions as one stacked call
-(``stacked_directions``), ungated ones under an all-true gate with unit
-weights, which is bitwise the ungated arithmetic of the losses below.
+matrix (rows, columns, weights) instead of gathering the gated rows.
+``contrastive_terms`` is the one entry point to that kernel: stage 2 runs all
+of a batch's terms through it as one stacked call, and each public decoupled
+loss below is one ``Contrastive`` term through it.  Stage 2's ungated terms run
+under an all-true gate with unit weights, which is bitwise the ungated
+arithmetic that the public ungated losses keep.
 Every loss also takes (S, N, d) replica batches, computing each slice as its
 2-D batch, with one value per replica; narrations that only set semantic
 weights stay (N, D), except the gated loss's, which have one row per pair.
@@ -24,6 +26,7 @@ weights stay (N, D), except the gated loss's, which have one row per pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,22 +60,22 @@ class LossOutput:
     grads: dict = field(default_factory=dict)
 
 
-def _check_pair_batch(Z1, Z2):
+def _check_batches(*batches):
     """Equal-shape (N, d) batches, or (S, N, d) replica batches."""
-    Z1 = as_f64(Z1)
-    Z2 = as_f64(Z2)
-    if Z1.shape != Z2.shape:
-        raise ShapeMismatchError(f"batch shapes differ: {Z1.shape} vs {Z2.shape}")
+    batches = [as_f64(Z) for Z in batches]
+    Z1 = batches[0]
+    if any(Z.shape != Z1.shape for Z in batches):
+        raise ShapeMismatchError(f"batch shapes differ: {[Z.shape for Z in batches]}")
     if Z1.ndim not in (2, 3):
         raise ShapeMismatchError(f"feature batches must be (N, d), got {Z1.shape}")
     if Z1.shape[-2] < 2:
         raise BatchTooSmallError(f"need at least 2 rows, got {Z1.shape[-2]}")
-    return Z1, Z2
+    return batches
 
 
 def info_nce_direction(Z1, Z2, tau: float) -> LossOutput:
     """One direction of the contrastive loss; positives on the diagonal."""
-    Z1, Z2 = _check_pair_batch(Z1, Z2)
+    Z1, Z2 = _check_batches(Z1, Z2)
     n = Z1.shape[-2]
     A = (Z1 @ Z2.swapaxes(-1, -2)) / tau
     lse = logsumexp_rows(A)
@@ -127,30 +130,70 @@ def _decoupled(anchors, pool, tau, weights, gate=None, full_batch=True):
     return value, G @ pool, G.swapaxes(-1, -2) @ anchors
 
 
-def stacked_directions(directions, tau: float, full_batch: bool):
-    """(anchors, pool, gate, weights) directions of one shape as one ``_decoupled``
-    call, yielding each one's value and anchor and pool gradients.  An all-true
-    gate with unit weights is the ungated arithmetic, bit for bit."""
-    anchors, pools, gates, weights = (np.concatenate(c) for c in zip(*directions))
-    out = _decoupled(anchors, pools, tau, weights, gates, full_batch)
-    return zip(*(x.reshape(len(directions), -1, *x.shape[1:]) for x in out))
+class Contrastive(NamedTuple):
+    """A decoupled contrastive term: its (anchor, pool) field ``directions``, in the
+    order their values add, on every pair or on the theta-``gated`` ones,
+    semantically ``weighted`` or not."""
+
+    directions: tuple
+    gated: bool = False
+    weighted: bool = False
 
 
-def _both_directions(Za, Zb, tau, weights, gate=None, full_batch=True):
-    """Za rows against Zb, then Zb rows against Za: both values and the gradients
-    w.r.t. Za and Zb, each anchor's gradient added onto its own view's pool's."""
-    v1, ga, g_pool_b = _decoupled(Za, Zb, tau, weights, gate, full_batch)
-    v2, gb, g_pool_a = _decoupled(Zb, Za, tau, weights, gate, full_batch)
-    g_pool_a += ga
-    g_pool_b += gb
-    return v1, v2, g_pool_a, g_pool_b
+ALIGN = (("zf", "zt"), ("zt", "zf"))  # view alignment's directions
+VIDEO_TEXT = Contrastive((("zf", "df"), ("df", "zf"), ("zt", "dt"), ("dt", "zt")))
+
+
+def contrastive_terms(terms, fields, tau: float, sigma: float, full_batch: bool) -> list:
+    """Each ``Contrastive`` term's LossOutput from one ``_decoupled`` call over all
+    their directions.
+
+    ``fields`` maps names to (S, N, d) replica batches: features ``z*``, the
+    narrations ``df`` and ``dt`` (a weighted term's may be (N, D), shared by
+    every replica), and an optional (S, N) boolean ``gate``.  Given a gate, an ungated term runs under an all-true one;
+    without one, no direction is gated.  A field is the anchor of one direction
+    and the pool of another; its gradient adds the two parts, and text gets none.
+    """
+    gate = fields.get("gate")
+    ones = np.ones(fields[terms[0].directions[0][0]].shape[:-1])
+    all_true = None if gate is None else ones.astype(bool)
+    directions = []
+    for t in terms:
+        g = gate if t.gated else all_true
+        w = ones
+        if t.weighted:  # times ones: shared (N, D) narrations' (N,) weights to (S, N), exactly
+            w = semantic_weights(fields["df"], fields["dt"], sigma, gate if t.gated else True) * w
+        directions += [(fields[a], fields[p], g, w) for a, p in t.directions]
+    anchors, pools, gates, weights = zip(*directions)
+    out = _decoupled(np.concatenate(anchors), np.concatenate(pools), tau,
+                     np.concatenate(weights), None if gate is None else np.concatenate(gates),
+                     full_batch)
+    results = zip(*(x.reshape(len(directions), -1, *x.shape[1:]) for x in out))
+    outs = []
+    for t in terms:
+        values, grads = [], {}
+        for (a, p), (value, g_a, g_p) in zip(t.directions, results):  # t's directions only
+            values.append(value)
+            for name, g in ((a, g_a), (p, g_p)):
+                if name.startswith("z"):
+                    grads[name] = grads[name] + g if name in grads else g
+        outs.append(LossOutput(sum(values[1:], values[0]), grads))
+    return outs
+
+
+def _term(term, fields, tau, sigma=None, full_batch=True) -> LossOutput:
+    """``term`` alone through ``contrastive_terms``; (N, d) fields run as one replica."""
+    single = fields[term.directions[0][0]].ndim == 2
+    if single:
+        fields = {k: np.asarray(v)[None] for k, v in fields.items()}
+    out, = contrastive_terms([term], fields, tau, sigma, full_batch)
+    return LossOutput(out.value[0], {k: g[0] for k, g in out.grads.items()}) if single else out
 
 
 def dcl_direction(Z1, Z2, tau: float) -> LossOutput:
     """Decoupled contrastive direction: positive term removed from the denominator."""
-    Z1, Z2 = _check_pair_batch(Z1, Z2)
-    value, g1, g2 = _decoupled(Z1, Z2, tau, 1.0)
-    return LossOutput(value, {"z1": g1, "z2": g2})
+    Z1, Z2 = _check_batches(Z1, Z2)
+    return _term(Contrastive((("z1", "z2"),)), {"z1": Z1, "z2": Z2}, tau)
 
 
 def semantic_weights(Df, Dt, sigma: float, gate=True) -> np.ndarray:
@@ -182,24 +225,19 @@ def semantic_weights(Df, Dt, sigma: float, gate=True) -> np.ndarray:
     return np.divide(e, mean, out=np.zeros(e.shape), where=gate)
 
 
-def _alignment(Zf, Zt, tau, weights, gate=None, full_batch=True) -> LossOutput:
-    v1, v2, gf, gt = _both_directions(Zf, Zt, tau, weights, gate, full_batch)
-    return LossOutput(v1 + v2, {"zf": gf, "zt": gt})
-
-
 def alignment_loss_unweighted(Zf, Zt, tau: float) -> LossOutput:
     """Both decoupled directions on the selected pseudo-pairs."""
-    Zf, Zt = _check_pair_batch(Zf, Zt)
-    return _alignment(Zf, Zt, tau, 1.0)
+    Zf, Zt = _check_batches(Zf, Zt)
+    return _term(Contrastive(ALIGN), {"zf": Zf, "zt": Zt}, tau)
 
 
 def weighted_alignment_loss(Zf, Zt, Df, Dt, tau: float, sigma: float) -> LossOutput:
     """Semantics-weighted alignment on the selected pseudo-pairs, both directions."""
-    Zf, Zt = _check_pair_batch(Zf, Zt)
-    w = semantic_weights(Df, Dt, sigma)
-    if w.shape != Zf.shape[-2:-1]:  # (N, D) narrations, shared by every replica
+    Zf, Zt = _check_batches(Zf, Zt)
+    if np.shape(Df)[:-1] != Zf.shape[-2:-1]:  # (N, D) narrations, shared by every replica
         raise ShapeMismatchError("text batch size must match feature batch size")
-    return _alignment(Zf, Zt, tau, w)
+    fields = {"zf": Zf, "zt": Zt, "df": Df, "dt": Dt}
+    return _term(Contrastive(ALIGN, weighted=True), fields, tau, sigma)
 
 
 def weighted_alignment_loss_pooled(
@@ -211,24 +249,23 @@ def weighted_alignment_loss_pooled(
     other gated pairs, or with ``full_batch`` every other pair of the batch.
     A replica with fewer than two gated pairs adds zero (``_decoupled``'s
     two-row rule); ``semantic_weights`` weighs each replica's gated pairs
-    unless ``weights`` are given (e.g. ones).
+    unless ``weights`` is given as 1.0, unit weights.
     """
-    Zf, Zt = _check_pair_batch(Zf, Zt)
+    Zf, Zt = _check_batches(Zf, Zt)
+    if weights is not None and np.any(as_f64(weights) != 1.0):
+        raise ConfigValidationError("weights must be None (semantic) or 1.0 (unit)")
     gate = np.asarray(gate)
     if gate.dtype != bool or gate.shape != Zf.shape[:-1]:
         raise ShapeMismatchError(f"gate needs one flag per pair {Zf.shape[:-1]}, got {gate.shape}")
-    if weights is None:
-        weights = semantic_weights(Df, Dt, sigma, gate)
-    return _alignment(Zf, Zt, tau, as_f64(weights), gate, full_batch)
+    fields = {"zf": Zf, "zt": Zt, "df": Df, "dt": Dt, "gate": gate}
+    return _term(Contrastive(ALIGN, True, weights is None), fields, tau, sigma, full_batch)
 
 
 def multimodal_loss(Zf, Df, Zt, Dt, tau: float) -> LossOutput:
-    """Video-text alignment over the full batch; text vectors are constants."""
-    Zf, Df = _check_pair_batch(Zf, Df)
-    Zt, Dt = _check_pair_batch(Zt, Dt)
-    v1, v2, gzf, _ = _both_directions(Zf, Df, tau, 1.0)
-    v3, v4, gzt, _ = _both_directions(Zt, Dt, tau, 1.0)
-    return LossOutput(v1 + v2 + v3 + v4, {"zf": gzf, "zt": gzt})
+    """Video-text alignment over the full batch, all four batches of one shape;
+    text vectors are constants."""
+    Zf, Df, Zt, Dt = _check_batches(Zf, Df, Zt, Dt)
+    return _term(VIDEO_TEXT, {"zf": Zf, "zt": Zt, "df": Df, "dt": Dt}, tau)
 
 
 def cross_entropy(logits, labels) -> LossOutput:
@@ -251,7 +288,7 @@ def cross_entropy(logits, labels) -> LossOutput:
 
 def triplet_loss(Zf, Zt, margin: float) -> LossOutput:
     """Hardest-in-batch margin loss over squared distances; subgradient 0 at the hinge."""
-    Zf, Zt = _check_pair_batch(Zf, Zt)
+    Zf, Zt = _check_batches(Zf, Zt)
     n, d = Zf.shape[-2:]
     sq_f = np.sum(Zf * Zf, axis=-1)
     sq_t = np.sum(Zt * Zt, axis=-1)

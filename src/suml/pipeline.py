@@ -27,7 +27,6 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -48,7 +47,7 @@ from .exceptions import (
     EmptySetError,
     LabelOutOfRangeError,
 )
-from .losses import LossConfig, LossOutput
+from .losses import ALIGN, VIDEO_TEXT, Contrastive, LossConfig, LossOutput
 from .mining import mine_pseudo_pairs, select_pairs
 from .model import (
     EncoderStack,
@@ -77,7 +76,6 @@ class _Batch(NamedTuple):
     dt: np.ndarray | None = None
     gate: np.ndarray | None = None  # (replicas, rows) bool: the pairs whose similarity passes theta
     lc: LossConfig | None = None
-    full_batch: bool = False  # negative_set_mode: negatives from every pair of the batch
 
 
 def _fpv_task(b: _Batch) -> LossOutput:
@@ -94,60 +92,16 @@ def _triplet(b: _Batch) -> LossOutput:
     return losses.triplet_loss(b.f.z, b.t.z, b.lc.triplet_margin)
 
 
-class _Contrastive(NamedTuple):
-    """A contrastive term: its (anchor, pool) directions, in the order their values
-    add, on every pair or on the theta-``gated`` ones, semantically ``weighted``
-    or not.  Called alone, a term runs only its own directions."""
-
-    directions: tuple
-    gated: bool = False
-    weighted: bool = False
-
-    def __call__(self, b: _Batch) -> LossOutput:
-        return _contrastive_terms([self], b)[0]
-
-
-def _contrastive_terms(terms, b: _Batch) -> list:
-    """Each term's LossOutput from one kernel call over all their directions.  A
-    field is the anchor of one direction and the pool of another; its gradient
-    adds the two parts, and text gets none."""
-    fields = {"zf": b.f.z, "zt": b.t.z, "df": b.df, "dt": b.dt}
-    ones = np.ones(b.gate.shape)
-    directions = []
-    for t in terms:
-        gate = b.gate if t.gated else ones.astype(bool)
-        w = losses.semantic_weights(b.df, b.dt, b.lc.sigma, gate) if t.weighted else ones
-        directions += [(fields[a], fields[p], gate, w) for a, p in t.directions]
-    results = losses.stacked_directions(directions, b.lc.tau, b.full_batch)
-    outs = []
-    for t in terms:
-        values, grads = [], {}
-        for (a, p), (value, g_a, g_p) in zip(t.directions, results):  # t's directions only
-            values.append(value)
-            for name, g in ((a, g_a), (p, g_p)):
-                if name.startswith("z"):
-                    grads[name] = grads[name] + g if name in grads else g
-        outs.append(LossOutput(sum(values[1:], values[0]), grads))
-    return outs
-
-
-_ALIGN = (("zf", "zt"), ("zt", "zf"))
-_all_pairs_dcl = _Contrastive(_ALIGN)
-_selected_alignment = partial(_Contrastive, _ALIGN, True)  # (weighted: bool)
-_video_text = _Contrastive((("zf", "df"), ("df", "zf"), ("zt", "dt"), ("dt", "zt")))
-
-
 # Stage-2 terms of each method beyond the FPV task, as (record slot, term).
-# A term in slot s is weighted by LossConfig.w_s.
+# A term in slot s is weighted by LossConfig.w_s; losses.contrastive_terms runs
+# a batch's Contrastive terms as one kernel call.
 _STAGE2_TERMS = {
     "fpv_only": (),
-    "typical_cl": (("t", _tpv_task), ("aw", _all_pairs_dcl)),
+    "typical_cl": (("t", _tpv_task), ("aw", Contrastive(ALIGN))),
     "triplet": (("t", _tpv_task), ("aw", _triplet)),
-    "sum_l": (("t", _tpv_task), ("aw", _selected_alignment(True)), ("m", _video_text)),
-    "sum_l_no_weighting": (
-        ("t", _tpv_task), ("aw", _selected_alignment(False)), ("m", _video_text),
-    ),
-    "sum_l_no_multimodal": (("t", _tpv_task), ("aw", _selected_alignment(True))),
+    "sum_l": (("t", _tpv_task), ("aw", Contrastive(ALIGN, True, True)), ("m", VIDEO_TEXT)),
+    "sum_l_no_weighting": (("t", _tpv_task), ("aw", Contrastive(ALIGN, True)), ("m", VIDEO_TEXT)),
+    "sum_l_no_multimodal": (("t", _tpv_task), ("aw", Contrastive(ALIGN, True, True))),
 }
 METHODS = tuple(_STAGE2_TERMS)
 TPV_MODES = ("trainable", "frozen", "shared_weights", "same_init")
@@ -318,7 +272,8 @@ def _train_stage(config, stage, seeds, views, n_rows, terms, batch_at, epoch_fie
     streams = [derive_seeds(seed)[f"stage{stage}_shuffle"] for seed in seeds]
     rngs = [np.random.default_rng(np.random.SeedSequence(s)) for s in streams]
     project = any(term not in (_fpv_task, _tpv_task) for _, _, term in terms)  # a term reads z
-    contrastive = [term for _, _, term in terms if isinstance(term, _Contrastive)]
+    contrastive = [term for _, _, term in terms if isinstance(term, Contrastive)]
+    lc, full_batch = config.loss, config.negative_set_mode == "full_batch"
     slots = [slot for slot, _, _ in terms] + ["total"]
     learners = {}  # per stack: its fields and its velocity
     for field, stack in views.items():
@@ -330,7 +285,9 @@ def _train_stage(config, stage, seeds, views, n_rows, terms, batch_at, epoch_fie
         values = []  # per batch: each term's value, then the total's
         for b, idx in enumerate(order[..., i : i + config.batch_size] for i in starts):
             batch = batch_at(idx, project)
-            fused = iter(_contrastive_terms(contrastive, batch) if contrastive else ())
+            fused = iter(losses.contrastive_terms(contrastive, dict(
+                zf=batch.f.z, zt=batch.t.z, df=batch.df, dt=batch.dt, gate=batch.gate,
+            ), lc.tau, lc.sigma, full_batch) if contrastive else ())
             outs = [next(fused) if term in contrastive else term(batch) for _, _, term in terms]
             total = losses.total_loss([(w, out) for (_, w, _), out in zip(terms, outs)])
             for seed, value in zip(seeds, total.value.tolist()):
@@ -470,7 +427,6 @@ def joint_train(
             encode_batch(tpv_stack, tpv.frames[rows, ti], project=project) if tpv_touched else None,
             fpv.labels[rows, idx], tpv.labels[rows, ti], fpv.narrations[rows, idx],
             tpv.narrations[rows, ti], gated[rows, idx], lc,
-            config.negative_set_mode == "full_batch",
         )
 
     def epoch_fields(seen) -> dict:
@@ -517,7 +473,8 @@ def _write_run(result: ExperimentResult, world_spec, stage1_stack, out_dir) -> N
     if stage1_stack is not None:
         path = os.path.join(out_dir, "checkpoint_stage1_tpv.json")
         save_checkpoint(stage1_stack, path, "stage1_tpv")
-    save_checkpoint(result.fpv_stack, os.path.join(out_dir, "checkpoint_fpv.json"), "stage2_fpv")
+    fpv_stack = replace(result.fpv_stack, view="fpv")  # shared_weights: it is the TPV stack
+    save_checkpoint(fpv_stack, os.path.join(out_dir, "checkpoint_fpv.json"), "stage2_fpv")
     save_checkpoint(result.tpv_stack, os.path.join(out_dir, "checkpoint_tpv.json"), "stage2_tpv")
     summary = {
         "method": config.method,

@@ -394,6 +394,35 @@ def test_eval_rejects_labels_the_task_head_cannot_predict(tmp_path, config_file,
     assert f"label {top} is outside the task head's 12 classes" in err
 
 
+@pytest.mark.parametrize("stage,view,data_view", [("stage2_fpv", "fpv", "tpv"),
+                                                  ("stage1_tpv", "tpv", "fpv")])
+def test_eval_rejects_a_dataset_of_the_other_view(tmp_path, config_file, capsys, stage, view,
+                                                  data_view):
+    ckpt, data = str(tmp_path / "ckpt.json"), str(tmp_path / f"{data_view}.jsonl")
+    save_checkpoint(init_stack(12, 12, 16, seed=0, hidden_dim=12, view=view), ckpt, stage)
+    _synth(config_file, data, "--view", data_view)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", ckpt, "--dataset", data]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert f"{stage} checkpoint encodes {view} clips, the dataset holds {data_view} clips" in err
+
+
+def test_eval_scores_a_shared_weights_fpv_checkpoint_on_fpv_clips(tmp_path, config_file, capsys):
+    """Under shared weights the FPV stack is the TPV stack; its FPV checkpoint still
+    records the FPV view it was trained and scored on."""
+    run, data = tmp_path / "run", str(tmp_path / "fpv.jsonl")
+    assert main(["train", "--config", config_file, "--set", "train.tpv_mode=shared_weights",
+                 "--out-dir", str(run)]) == 0
+    assert load_checkpoint(str(run / "checkpoint_fpv.json"))[0].view == "fpv"
+    assert load_checkpoint(str(run / "checkpoint_tpv.json"))[0].view == "tpv"
+    _synth(config_file, data)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run / "checkpoint_fpv.json"),
+                 "--dataset", data]) == 0
+    assert 0.0 <= json.loads(capsys.readouterr().out)["accuracy"] <= 1.0
+
+
 @pytest.mark.parametrize("source", ["file", "set"])
 @pytest.mark.parametrize("key", ["world.seed", "train.proj_dim", "train.loss"])
 def test_key_outside_the_effective_config_exits_one_naming_it(tmp_path, capsys, source, key):

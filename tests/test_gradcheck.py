@@ -1,12 +1,9 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
 from conftest import unit_rows
-from suml import gradcheck, losses, model
+from suml import gradcheck, losses, model, pipeline
 from suml.losses import LossConfig
-from suml.pipeline import _Batch, _selected_alignment
 
 
 def per_entry_difference(fn, X, eps):
@@ -49,8 +46,9 @@ def test_finite_difference_is_the_per_entry_central_difference(rng, shape):
 @pytest.mark.parametrize("weighted", [True, False])
 @pytest.mark.parametrize("full_batch", [False, True])
 def test_gated_alignment_term_gradients_as_stage2_composes_them(rng, weighted, full_batch):
-    """``_selected_alignment`` summed by ``total_loss``, against finite differences
-    of each replica's features; the gates pass 0, 1 and 4 of 6 rows."""
+    """``weighted_alignment_loss_pooled``, which runs stage 2's gated term through
+    ``losses.contrastive_terms``, summed by ``total_loss``, against finite
+    differences of each replica's features; the gates pass 0, 1 and 4 of 6 rows."""
     n, d, text = 6, 4, 5
     gate = np.zeros((3, n), dtype=bool)
     gate[1, 2] = True
@@ -58,17 +56,16 @@ def test_gated_alignment_term_gradients_as_stage2_composes_them(rng, weighted, f
     Z = {view: unit_rows(rng, 3 * n, d).reshape(3, n, d) for view in ("zf", "zt")}
     Df, Dt = (unit_rows(rng, 3 * n, text).reshape(3, n, text) for _ in range(2))
     lc = LossConfig(tau=0.4, sigma=0.8, w_aw=0.7)
-    term = _selected_alignment(weighted)
-
-    def batch(zf, zt, copies):
-        tile = lambda x: np.broadcast_to(x, (copies, *x.shape)).reshape(-1, *x.shape[1:])
-        return _Batch(  # the term reads no labels
-            SimpleNamespace(z=zf.reshape(-1, n, d)), SimpleNamespace(z=zt.reshape(-1, n, d)),
-            None, None, tile(Df), tile(Dt), tile(gate), lc, full_batch,
-        )
+    stage2 = dict(pipeline._STAGE2_TERMS["sum_l" if weighted else "sum_l_no_weighting"])
+    assert stage2["aw"] == losses.Contrastive(losses.ALIGN, True, weighted)  # the pooled term
 
     def loss(zf, zt, copies=1):
-        return losses.total_loss([(lc.w_aw, term(batch(zf, zt, copies)))])
+        tile = lambda x: np.broadcast_to(x, (copies, *x.shape)).reshape(-1, *x.shape[1:])
+        term = losses.weighted_alignment_loss_pooled(
+            zf.reshape(-1, n, d), zt.reshape(-1, n, d), tile(Df), tile(Dt), tile(gate),
+            full_batch, lc.tau, lc.sigma, weights=None if weighted else 1.0,
+        )
+        return losses.total_loss([(lc.w_aw, term)])
 
     out = loss(Z["zf"], Z["zt"])
     for key in ("zf", "zt"):

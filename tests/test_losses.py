@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import numeric_grad, unit_rows
+from conftest import count_calls, numeric_grad, unit_rows
+from suml import losses
 from suml.exceptions import (
     BatchTooSmallError,
     ConfigError,
@@ -347,6 +348,9 @@ def test_shape_and_batch_errors(rng):
             weighted_alignment_loss_pooled(Z, Z, D, D, gate, False, 0.5, 1.0)
     with pytest.raises(ShapeMismatchError):
         weighted_alignment_loss_pooled(Z, Z, D[:3], D[:3], np.ones(4, dtype=bool), True, 0.5, 1.0)
+    with pytest.raises(ConfigError, match="weights must be None"):  # unit or semantic only
+        weighted_alignment_loss_pooled(Z, Z, D, D, np.ones(4, dtype=bool), True, 0.5, 1.0,
+                                       weights=np.full(4, 2.0))
     S = np.ones((2, 3, 4))
     with pytest.raises(ShapeMismatchError):
         weighted_alignment_loss(S, S, TEXT, TEXT, 0.5, 1.0)  # 6 narrations for 3 rows
@@ -389,6 +393,31 @@ def test_replica_batches_equal_each_replica_alone(rng, loss):
         alone = loss(*(x[r] for x in stacked))
         assert out.value[r] == alone.value
         assert all(np.array_equal(out.grads[k][r], g) for k, g in alone.grads.items())
+
+
+DECOUPLED_LOSSES = {
+    "dcl_direction": lambda a, b, c, d, g: dcl_direction(a, b, 0.4),
+    "alignment_loss_unweighted": lambda a, b, c, d, g: alignment_loss_unweighted(a, b, 0.4),
+    "weighted_alignment_loss":  # (N, D) narrations for every replica
+        lambda a, b, c, d, g: weighted_alignment_loss(a, b, TEXT, TEXT[::-1], 0.4, 1.0),
+    "weighted_alignment_loss_pooled":
+        lambda a, b, c, d, g: weighted_alignment_loss_pooled(a, b, c, d, g, True, 0.4, 1.0),
+    "multimodal_loss": lambda a, b, c, d, g: multimodal_loss(a, c, b, d, 0.4),
+}
+
+
+@pytest.mark.parametrize("replicas", [None, 3])
+@pytest.mark.parametrize("name", list(DECOUPLED_LOSSES))
+def test_one_kernel_call_per_public_decoupled_loss(monkeypatch, rng, name, replicas):
+    """Each public decoupled loss is one term through ``contrastive_terms``: one
+    ``_decoupled`` call, on an (N, d) batch as on (S, N, d) replicas."""
+    shape = (6, 5) if replicas is None else (replicas, 6, 5)
+    a, b, c, d = (unit_rows(rng, math.prod(shape[:-1]), 5).reshape(shape) for _ in range(4))
+    gate = rng.random(shape[:-1]) < 0.6
+    calls = count_calls(monkeypatch, losses, "_decoupled")
+    out = DECOUPLED_LOSSES[name](a, b, c, d, gate)
+    assert len(calls) == 1
+    assert np.shape(out.value) == shape[:-2]
 
 
 def triplet_per_row(Zf, Zt, margin):

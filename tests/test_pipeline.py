@@ -2,7 +2,6 @@ import json
 import math
 import os
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -566,15 +565,36 @@ FUSED_CASES = [
 ]
 
 
-def reference_term(method, slot, b):
-    """A stage-2 contrastive term as the public losses compute it."""
-    zf, zt, lc = b.f.z, b.t.z, b.lc
+def both_directions(za, zb, tau, weights, gate=None, full_batch=True):
+    """Za rows against Zb, then Zb rows against Za, as two ``_decoupled`` calls: both
+    values and the gradients w.r.t. Za and Zb, each anchor's part added onto its
+    pool's.  The oracle, independent of ``losses.contrastive_terms``."""
+    v1, ga, g_pool_b = losses._decoupled(za, zb, tau, weights, gate, full_batch)
+    v2, gb, g_pool_a = losses._decoupled(zb, za, tau, weights, gate, full_batch)
+    return v1, v2, g_pool_a + ga, g_pool_b + gb
+
+
+def oracle_term(method, slot, f, lc, full_batch):
+    """A stage-2 contrastive term on ``fields`` as the two-call oracle composes it."""
     if slot == "m":
-        return losses.multimodal_loss(zf, b.df, zt, b.dt, lc.tau)
+        v1, v2, gzf, _ = both_directions(f["zf"], f["df"], lc.tau, 1.0)
+        v3, v4, gzt, _ = both_directions(f["zt"], f["dt"], lc.tau, 1.0)
+        return losses.LossOutput(v1 + v2 + v3 + v4, {"zf": gzf, "zt": gzt})
+    gate = None if method == "typical_cl" else f["gate"]
+    weighted = method not in ("typical_cl", "sum_l_no_weighting")
+    w = losses.semantic_weights(f["df"], f["dt"], lc.sigma, gate) if weighted else 1.0
+    v1, v2, gzf, gzt = both_directions(f["zf"], f["zt"], lc.tau, w, gate, full_batch)
+    return losses.LossOutput(v1 + v2, {"zf": gzf, "zt": gzt})
+
+
+def public_term(method, slot, f, lc, full_batch):
+    """The same term as the public losses compute it."""
+    if slot == "m":
+        return losses.multimodal_loss(f["zf"], f["df"], f["zt"], f["dt"], lc.tau)
     if method == "typical_cl":
-        return losses.alignment_loss_unweighted(zf, zt, lc.tau)
+        return losses.alignment_loss_unweighted(f["zf"], f["zt"], lc.tau)
     return losses.weighted_alignment_loss_pooled(
-        zf, zt, b.df, b.dt, b.gate, b.full_batch, lc.tau, lc.sigma,
+        f["zf"], f["zt"], f["df"], f["dt"], f["gate"], full_batch, lc.tau, lc.sigma,
         weights=1.0 if method == "sum_l_no_weighting" else None,
     )
 
@@ -589,10 +609,12 @@ def outputs_equal(a, b):
 @pytest.mark.parametrize("method,weights", FUSED_CASES)
 def test_fused_contrastive_terms_equal_the_public_losses_bitwise(rng, method, weights,
                                                                  full_batch, replicas):
+    """Stage 2's one fused call, each term alone and the public losses all equal the
+    two-call oracle, bit for bit."""
     n, d = 16, 32
     lc = LossConfig(tau=0.3, sigma=0.7, **weights)
     terms = [(slot, w, term) for slot, w, term in pipeline._stage2_terms(method, lc)
-             if isinstance(term, pipeline._Contrastive)]
+             if isinstance(term, losses.Contrastive)]
     assert terms  # each case has a contrastive term
     # gates of 0, 1, 2 and n rows: one replica each at S = 5, one batch each at S = 1
     row_counts = [0, 1, 2, n, 7] if replicas == 5 else [0, 1, 2, n]
@@ -602,17 +624,19 @@ def test_fused_contrastive_terms_equal_the_public_losses_bitwise(rng, method, we
             gate[r, rng.choice(n, size=k, replace=False)] = True
         zf, zt, df, dt = (unit_rows(rng, replicas * n, d).reshape(replicas, n, d)
                           for _ in range(4))
-        b = pipeline._Batch(SimpleNamespace(z=zf), SimpleNamespace(z=zt), None, None,
-                            df, dt, gate, lc, full_batch)
-        fused = pipeline._contrastive_terms([term for _, _, term in terms], b)
-        want = [reference_term(method, slot, b) for slot, _, _ in terms]
+        fields = {"zf": zf, "zt": zt, "df": df, "dt": dt, "gate": gate}
+        fused = losses.contrastive_terms([term for _, _, term in terms], fields, lc.tau,
+                                         lc.sigma, full_batch)
+        want = [oracle_term(method, slot, fields, lc, full_batch) for slot, _, _ in terms]
         assert len(fused) == len(want)
         for got, ref in zip(fused, want):
             assert outputs_equal(got, ref)
         weighted = lambda outs: losses.total_loss([(w, o) for (_, w, _), o in zip(terms, outs)])
         assert outputs_equal(weighted(fused), weighted(want))
-        for (_, _, term), ref in zip(terms, want):  # a term called alone runs only its own
-            assert outputs_equal(term(b), ref)
+        for (slot, _, term), ref in zip(terms, want):  # a term alone runs only its own
+            alone, = losses.contrastive_terms([term], fields, lc.tau, lc.sigma, full_batch)
+            assert outputs_equal(alone, ref)
+            assert outputs_equal(public_term(method, slot, fields, lc, full_batch), ref)
 
 
 @pytest.mark.parametrize("method", METHODS)
