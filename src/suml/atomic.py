@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import os
 import shutil
 
@@ -58,3 +59,14 @@ def write_atomic(path, write) -> None:
             raise
     except OSError as exc:
         raise DatasetIOError(f"cannot write {path}: {exc}") from exc
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` (an iterable, a generator too) as CSV
+    through ``write_atomic``; lines end in ``\\r\\n``, the csv module's excel dialect."""
+    def write(fh):
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+    write_atomic(path, write)

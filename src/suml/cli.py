@@ -32,7 +32,7 @@ import math
 import sys
 
 from . import gradcheck, schema
-from .atomic import write_atomic
+from .atomic import write_csv
 from .datagen import WorldSpec, read_dataset, sample_dataset, write_dataset
 from .exceptions import (
     BadEdgesError,
@@ -80,12 +80,12 @@ def parse_config(path=None, overrides=()):
 
     if path is not None:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 loaded = json.load(fh)
         except OSError as exc:
             raise ConfigParseError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigParseError(f"config {path} is not valid JSON: {exc}") from exc
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigParseError(f"config {path} is not valid UTF-8 JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigParseError("config root must be a JSON object")
         for section, values in loaded.items():
@@ -115,10 +115,10 @@ def _cmd_synth(args) -> int:
         seed = derive_seeds(train.seed)[f"{args.view}_train"]
     else:
         seed = schema.parse(TrainConfig, "seed", args.sample_seed, "--sample-seed")
-    samples = sample_dataset(world, args.view, args.n, seed)
-    write_dataset(samples, args.out)
+    corpus = sample_dataset(world, args.view, args.n, seed)
+    write_dataset(corpus, args.out)
     write_effective_config(world_spec, train, f"{args.out}.config.json")
-    print(f"wrote {len(samples)} {args.view} samples to {args.out}")
+    print(f"wrote {len(corpus)} {args.view} samples to {args.out}")
     return 0
 
 
@@ -126,14 +126,8 @@ def _cmd_mine(args) -> int:
     fpv = read_dataset(args.fpv)
     tpv = read_dataset(args.tpv)
     pairs = mine_pseudo_pairs(fpv, tpv)
-
-    def write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(["fpv_index", "tpv_index", "similarity"])
-        for p in pairs:
-            writer.writerow([p.fpv_index, p.tpv_index, repr(p.similarity)])
-
-    write_atomic(args.out, write)
+    write_csv(args.out, ["fpv_index", "tpv_index", "similarity"],
+              ([p.fpv_index, p.tpv_index, repr(p.similarity)] for p in pairs))
     print(f"wrote {len(pairs)} pairs to {args.out}")
     return 0
 
@@ -141,7 +135,7 @@ def _cmd_mine(args) -> int:
 def _read_pairs_csv(path):
     pairs = []
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             try:
                 for row in reader:
@@ -155,6 +149,8 @@ def _read_pairs_csv(path):
                             similarity=sim,
                         )
                     )
+            except UnicodeDecodeError as exc:
+                raise DatasetParseError(f"pairs {path} is not UTF-8 text ({exc})") from exc
             except (KeyError, TypeError, ValueError, csv.Error) as exc:
                 raise DatasetParseError(
                     f"{path} line {reader.line_num}: need numeric fpv_index, "
@@ -181,16 +177,10 @@ def _cmd_stats(args) -> int:
     if args.edges is not None:
         edges = _parse_edges(args.edges)
     hist = similarity_histogram(pairs, edges)
-
-    def write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(["bucket_low", "bucket_high", "count", "fraction"])
-        for lo, hi, count, frac in zip(
-            hist.bucket_edges, hist.bucket_edges[1:], hist.counts, hist.fractions
-        ):
-            writer.writerow([repr(lo), repr(hi), int(count), repr(float(frac))])
-
-    write_atomic(args.out, write)
+    buckets = zip(hist.bucket_edges, hist.bucket_edges[1:], hist.counts, hist.fractions)
+    write_csv(args.out, ["bucket_low", "bucket_high", "count", "fraction"],
+              ([repr(lo), repr(hi), int(count), repr(float(frac))]
+               for lo, hi, count, frac in buckets))
     print(f"wrote histogram ({len(hist.counts)} buckets) to {args.out}")
     return 0
 

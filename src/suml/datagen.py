@@ -9,6 +9,10 @@ random matrix, so the same semantics look different from FPV vs TPV.
 
 RNG: numpy's default_rng (PCG64), seeded through SeedSequence; all
 generation is a pure function of (spec, seed).
+
+Datasets cross the file boundary as :class:`Corpus` columns: ``write_dataset``
+writes one JSON Lines record per clip, and ``read_dataset`` checks each record
+and collects its fields into columns.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ from .schema import check, rule
 VIEWS = ("fpv", "tpv")
 
 DATASET_FIELDS = ("id", "view", "verb_id", "noun_id", "action_id", "frames", "narration")
+
+CORPUS_COLUMNS = ("frames", "labels", "verb_ids", "noun_ids", "narrations")
 
 
 @dataclass(frozen=True)
@@ -67,7 +73,7 @@ class SyntheticWorld:
     tpv_noun_set: tuple          # sorted noun ids TPV clips may use
 
 
-@dataclass
+@dataclass(eq=False)
 class VideoSample:
     id: str
     view: str
@@ -76,19 +82,6 @@ class VideoSample:
     noun_id: int
     action_id: int
     narration: np.ndarray  # (text_dim,), unit norm
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VideoSample):
-            return NotImplemented
-        return (
-            self.id == other.id
-            and self.view == other.view
-            and self.verb_id == other.verb_id
-            and self.noun_id == other.noun_id
-            and self.action_id == other.action_id
-            and np.array_equal(self.frames, other.frames)
-            and np.array_equal(self.narration, other.narration)
-        )
 
 
 def unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
@@ -152,29 +145,6 @@ class Corpus:
     ids: list
     view: str | None        # None only for an empty corpus
 
-    @classmethod
-    def from_samples(cls, samples) -> "Corpus":
-        """Stack a sequence of samples into columns (one copy, done once)."""
-        samples = list(samples)
-        if not samples:
-            return cls(
-                frames=np.zeros((0, 0, 0)), labels=np.zeros(0, dtype=int),
-                verb_ids=np.zeros(0, dtype=int), noun_ids=np.zeros(0, dtype=int),
-                narrations=np.zeros((0, 0)), ids=[], view=None,
-            )
-        view = samples[0].view
-        if any(s.view != view for s in samples):
-            raise InvalidViewError("a corpus holds clips of one view only")
-        return cls(
-            frames=np.stack([s.frames for s in samples]),
-            labels=np.asarray([s.action_id for s in samples], dtype=int),
-            verb_ids=np.asarray([s.verb_id for s in samples], dtype=int),
-            noun_ids=np.asarray([s.noun_id for s in samples], dtype=int),
-            narrations=np.stack([s.narration for s in samples]),
-            ids=[s.id for s in samples],
-            view=view,
-        )
-
     def __len__(self) -> int:
         return len(self.ids)
 
@@ -193,12 +163,10 @@ class Corpus:
         return (self[i] for i in range(len(self)))
 
     def __eq__(self, other) -> bool:
-        try:
-            if len(self) != len(other):
-                return False
-        except TypeError:
+        if not isinstance(other, Corpus):
             return NotImplemented
-        return all(a == b for a, b in zip(self, other))
+        return (self.view == other.view and self.ids == other.ids and all(
+            np.array_equal(getattr(self, k), getattr(other, k)) for k in CORPUS_COLUMNS))
 
 
 def sample_dataset(world: SyntheticWorld, view: str, n: int, rng_seed: int) -> Corpus:
@@ -243,19 +211,13 @@ def sample_dataset(world: SyntheticWorld, view: str, n: int, rng_seed: int) -> C
     )
 
 
-def _sample_to_record(s: VideoSample) -> dict:
-    return {
-        "id": s.id,
-        "view": s.view,
-        "verb_id": s.verb_id,
-        "noun_id": s.noun_id,
-        "action_id": s.action_id,
-        "frames": s.frames.tolist(),
-        "narration": s.narration.tolist(),
-    }
-
-
-def _record_to_sample(rec: dict, lineno: int) -> VideoSample:
+def _append_record(fields: dict, line: str, lineno: int) -> None:
+    """Check one JSONL record, against the first record's view and shapes too, and
+    append its fields to the columns in ``fields``, arrays as float64."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DatasetParseError(f"line {lineno}: invalid JSON ({exc})") from exc
     if not isinstance(rec, dict):
         raise DatasetParseError(f"line {lineno}: record must be a JSON object")
     for key in DATASET_FIELDS:
@@ -278,50 +240,61 @@ def _record_to_sample(rec: dict, lineno: int) -> VideoSample:
         raise DatasetParseError(f"line {lineno}: frames must be 2-D, narration 1-D")
     if not (np.all(np.isfinite(frames)) and np.all(np.isfinite(narration))):
         raise DatasetParseError(f"line {lineno}: non-finite values")
-    return VideoSample(
-        id=str(rec["id"]),
-        view=rec["view"],
-        frames=frames,
-        verb_id=rec["verb_id"],
-        noun_id=rec["noun_id"],
-        action_id=rec["action_id"],
-        narration=narration,
-    )
+    if fields["id"]:
+        for what, got, want in (
+            ("frames shape", frames.shape, fields["frames"][0].shape),
+            ("narration shape", narration.shape, fields["narration"][0].shape),
+            ("view", rec["view"], fields["view"][0]),
+        ):
+            if got != want:
+                raise DatasetParseError(
+                    f"line {lineno}: {what} {got!r} differs from the first record's {want!r}"
+                )
+    rec.update(id=str(rec["id"]), frames=frames, narration=narration)
+    for key in DATASET_FIELDS:
+        fields[key].append(rec[key])
 
 
-def write_dataset(samples, path) -> None:
-    """Write samples as JSON Lines; floats serialize losslessly (repr round-trip)."""
-    write_atomic(path, lambda fh: fh.writelines(
-        json.dumps(_sample_to_record(s)) + "\n" for s in samples
-    ))
+def write_dataset(corpus: Corpus, path) -> None:
+    """Write ``corpus`` as JSON Lines, one clip per line, keys in ``DATASET_FIELDS``
+    order, labels as ints and floats lossless (repr round-trip).  Arrays are
+    converted clip by clip, so no list copy of a whole column is held."""
+    def lines():
+        for i, clip_id in enumerate(corpus.ids):
+            values = (clip_id, corpus.view, int(corpus.verb_ids[i]), int(corpus.noun_ids[i]),
+                      int(corpus.labels[i]), corpus.frames[i].tolist(),
+                      corpus.narrations[i].tolist())
+            yield json.dumps(dict(zip(DATASET_FIELDS, values))) + "\n"
+
+    write_atomic(path, lambda fh: fh.writelines(lines()))
 
 
 def read_dataset(path) -> Corpus:
-    """Load a JSON Lines dataset; every record must match the first one's view and shapes."""
+    """Load a JSON Lines dataset into a :class:`Corpus`; every record must match
+    the first one's view and shapes.  Blank lines are skipped, so a file without
+    records is a zero-clip corpus whose ``view`` is None."""
+    fields = {key: [] for key in DATASET_FIELDS}
     try:
-        with open(path) as fh:
-            lines = fh.readlines()
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if line.strip():
+                    _append_record(fields, line, lineno)
     except OSError as exc:
         raise DatasetIOError(f"cannot read {path}: {exc}") from exc
-    samples = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DatasetParseError(f"line {lineno}: invalid JSON ({exc})") from exc
-        sample = _record_to_sample(rec, lineno)
-        if samples:
-            first = samples[0]
-            for what, got, want in (
-                ("frames shape", sample.frames.shape, first.frames.shape),
-                ("narration shape", sample.narration.shape, first.narration.shape),
-                ("view", sample.view, first.view),
-            ):
-                if got != want:
-                    raise DatasetParseError(
-                        f"line {lineno}: {what} {got!r} differs from the first record's {want!r}"
-                    )
-        samples.append(sample)
-    return Corpus.from_samples(samples)
+    except UnicodeDecodeError as exc:
+        raise DatasetParseError(f"{path} is not UTF-8 text ({exc})") from exc
+    if not fields["id"]:
+        return Corpus(
+            frames=np.zeros((0, 0, 0)), labels=np.zeros(0, dtype=np.int64),
+            verb_ids=np.zeros(0, dtype=np.int64), noun_ids=np.zeros(0, dtype=np.int64),
+            narrations=np.zeros((0, 0)), ids=[], view=None,
+        )
+    return Corpus(
+        frames=np.stack(fields["frames"]),
+        labels=np.array(fields["action_id"], dtype=np.int64),
+        verb_ids=np.array(fields["verb_id"], dtype=np.int64),
+        noun_ids=np.array(fields["noun_id"], dtype=np.int64),
+        narrations=np.stack(fields["narration"]),
+        ids=fields["id"],
+        view=fields["view"][0],
+    )

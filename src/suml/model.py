@@ -340,12 +340,12 @@ def save_checkpoint(stack: EncoderStack, path, stage: str) -> None:
 
 def load_checkpoint(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise DatasetIOError(f"cannot read checkpoint {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DatasetParseError(f"invalid checkpoint JSON: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DatasetParseError(f"checkpoint {path} is not valid UTF-8 JSON: {exc}") from exc
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt != CHECKPOINT_FORMAT:
         raise DatasetParseError(f"unexpected checkpoint format {fmt!r}")

@@ -22,7 +22,6 @@ one-cell, one-seed case with every epoch scored: both run ``_train_cells``.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -32,8 +31,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import losses
-from .atomic import output_dir, write_atomic
+from .atomic import output_dir, write_atomic, write_csv
 from .datagen import (
+    CORPUS_COLUMNS,
     Corpus,
     SyntheticWorld,
     WorldSpec,
@@ -210,9 +210,6 @@ def evaluate_fpv(fpv_stack: EncoderStack, corpus: Corpus):
     return np.mean(pred == corpus.labels, axis=-1).tolist()
 
 
-_COLUMNS = ("frames", "labels", "verb_ids", "noun_ids", "narrations")
-
-
 def stack_datasets(corpora) -> Corpus:
     """One corpus whose columns stack ``corpora`` (one per seed, of one size and
     view) on a leading replica axis, as the stages take them with ``seeds``; it
@@ -220,15 +217,16 @@ def stack_datasets(corpora) -> Corpus:
     if len({len(c) for c in corpora}) != 1:
         raise ConfigError("the seeds' datasets of one view must have one size")
     if len(corpora) == 1:  # views: a single run's data is not copied
-        columns = (getattr(corpora[0], k)[None] for k in _COLUMNS)
+        columns = (getattr(corpora[0], k)[None] for k in CORPUS_COLUMNS)
     else:
-        columns = (np.stack([getattr(c, k) for c in corpora]) for k in _COLUMNS)
+        columns = (np.stack([getattr(c, k) for c in corpora]) for k in CORPUS_COLUMNS)
     return Corpus(*columns, ids=[c.ids for c in corpora], view=corpora[0].view)
 
 
 def _replica_corpus(corpus: Corpus, r: int) -> Corpus:
     """Replica ``r`` of a ``stack_datasets`` corpus, as views."""
-    return Corpus(*(getattr(corpus, k)[r] for k in _COLUMNS), ids=corpus.ids[r], view=corpus.view)
+    return Corpus(*(getattr(corpus, k)[r] for k in CORPUS_COLUMNS),
+                  ids=corpus.ids[r], view=corpus.view)
 
 
 def _as_replicas(config: TrainConfig, seeds, train_sets, test_sets):
@@ -587,15 +585,6 @@ def run_ablation_grid(
         if out_dir is not None:
             write_effective_config(world_spec, base_config,
                                    os.path.join(out_dir, "effective_config.json"))
-            _write_csv(os.path.join(out_dir, "runs.csv"), runs)
-            _write_csv(os.path.join(out_dir, "summary.csv"), cells)
+            for name, rows in (("runs.csv", runs), ("summary.csv", cells)):
+                write_csv(os.path.join(out_dir, name), list(rows[0]), (r.values() for r in rows))
     return runs, cells
-
-
-def _write_csv(path, rows) -> None:
-    def write(fh):
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-
-    write_atomic(path, write)

@@ -1,6 +1,6 @@
 import pytest
 
-from suml.atomic import make_dirs, output_dir, write_atomic
+from suml.atomic import make_dirs, output_dir, write_atomic, write_csv
 from suml.exceptions import DatasetIOError
 
 
@@ -32,6 +32,28 @@ def test_write_atomic_failure_keeps_the_old_file(tmp_path):
         write_atomic(target, fail_midway)
     assert target.read_text() == "old"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_write_csv_writes_the_header_then_the_rows(tmp_path):
+    target = tmp_path / "out.csv"
+    rows = ([i, repr(x), "a,b"] for i, x in enumerate([0.1, 1 / 3]))
+    write_csv(target, ["index", "value", "note"], rows)
+    assert target.read_bytes() == (
+        b'index,value,note\r\n0,0.1,"a,b"\r\n1,0.3333333333333333,"a,b"\r\n'
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_write_csv_rows_failing_midway_leave_no_file(tmp_path):
+    target = tmp_path / "out.csv"
+
+    def rows():
+        yield [1, 2]
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError):
+        write_csv(target, ["a", "b"], rows())
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_make_dirs_under_a_file_is_an_io_error(tmp_path):

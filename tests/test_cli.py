@@ -523,6 +523,65 @@ def test_stats_missing_pairs_file_is_an_io_error(tmp_path, capsys):
     assert not (tmp_path / "h.csv").exists()
 
 
+def _cli_inputs(tmp_path, config_file):
+    """A valid FPV dataset and checkpoint, as paths keyed for ``str.format``."""
+    fpv, ckpt = str(tmp_path / "fpv.jsonl"), str(tmp_path / "ckpt.json")
+    _synth(config_file, fpv)
+    save_checkpoint(init_stack(12, 12, 16, seed=0, hidden_dim=12), ckpt, "stage2_fpv")
+    return {"fpv": fpv, "ckpt": ckpt, "out": str(tmp_path / "out")}
+
+
+def _fails_with_one_error_line(tmp_path, capsys, argv, paths):
+    """Run ``argv`` (formatted with ``paths``): exit 1, one ``error:`` line on
+    stderr and nothing else, and no new file.  Returns the error line."""
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert sorted(tmp_path.iterdir()) == before
+    return err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mine", "--fpv", "{bad}", "--tpv", "{fpv}", "--out", "{out}"],
+        ["stats", "--pairs", "{bad}", "--out", "{out}"],
+        ["eval", "--checkpoint", "{ckpt}", "--dataset", "{bad}"],
+        ["eval", "--checkpoint", "{bad}", "--dataset", "{fpv}"],
+        ["train", "--config", "{bad}", "--out-dir", "{out}"],
+    ],
+    ids=["mine_fpv", "stats_pairs", "eval_dataset", "eval_checkpoint", "train_config"],
+)
+def test_non_utf8_input_is_an_error_naming_the_file(tmp_path, config_file, capsys, argv):
+    paths = _cli_inputs(tmp_path, config_file)
+    paths["bad"] = str(tmp_path / "utf16.bin")
+    (tmp_path / "utf16.bin").write_bytes(b"\xff\xfe{\x00}\x00\n\x00")
+    err = _fails_with_one_error_line(tmp_path, capsys, argv, paths)
+    assert paths["bad"] in err and "UTF-8" in err and "line 0" not in err
+
+
+@pytest.mark.parametrize("text", ["", "\n \n"], ids=["zero_bytes", "blank_lines"])
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["eval", "--checkpoint", "{ckpt}", "--dataset", "{empty}"],
+         "evaluation dataset is empty"),
+        (["mine", "--fpv", "{empty}", "--tpv", "{fpv}", "--out", "{out}"],
+         "both corpora must be nonempty"),
+    ],
+    ids=["eval", "mine"],
+)
+def test_dataset_without_records_is_an_empty_set_error(tmp_path, config_file, capsys, argv,
+                                                       message, text):
+    paths = _cli_inputs(tmp_path, config_file)
+    paths["empty"] = str(tmp_path / "empty.jsonl")
+    (tmp_path / "empty.jsonl").write_text(text)
+    assert message in _fails_with_one_error_line(tmp_path, capsys, argv, paths)
+
+
 @pytest.mark.parametrize("row", ["1,,0.3", "1,2,abc", "1,2"])
 def test_stats_bad_pair_row_is_a_parse_error_naming_the_line(tmp_path, capsys, row):
     pairs = tmp_path / "pairs.csv"

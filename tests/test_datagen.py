@@ -111,11 +111,6 @@ def test_corpus_items_are_views_over_the_columns():
     assert np.shares_memory(s.narration, corpus.narrations)
     assert (s.id, s.action_id) == (corpus.ids[2], corpus.labels[2])
     assert [x.id for x in corpus] == corpus.ids
-    rebuilt = Corpus.from_samples(list(corpus))
-    assert rebuilt == corpus
-    assert np.array_equal(rebuilt.frames, corpus.frames)
-    assert np.array_equal(rebuilt.labels, corpus.labels)
-    assert len(Corpus.from_samples([])) == 0
 
 
 def test_jsonl_round_trip_bitwise(tmp_path):
@@ -129,6 +124,60 @@ def test_jsonl_round_trip_bitwise(tmp_path):
     path2 = tmp_path / "data2.jsonl"
     write_dataset(back, str(path2))
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_corpus_equality_compares_columns_ids_and_view():
+    w = generate_world(SPEC)
+    corpus = sample_dataset(w, "fpv", 4, 2)
+    assert corpus == sample_dataset(w, "fpv", 4, 2)
+    assert corpus != list(corpus)  # only corpora compare equal
+    assert corpus[0] != corpus[0]  # samples are views, compared by identity
+    for changed in (
+        replace(corpus, ids=corpus.ids[::-1]),
+        replace(corpus, view="tpv"),
+        replace(corpus, noun_ids=corpus.noun_ids + 1),
+        replace(corpus, narrations=-corpus.narrations),
+    ):
+        assert changed != corpus
+
+
+# Two clips written by hand: this is the JSONL format itself, pinned as text.
+PINNED_CORPUS = Corpus(
+    frames=np.array([[[0.1, 1 / 3], [-2.5e-300, 7.0]], [[1e16, -0.0], [2.0, 0.5]]]),
+    labels=np.array([5, 0]),
+    verb_ids=np.array([1, 0]),
+    noun_ids=np.array([2, 0]),
+    narrations=np.array([[0.6, -0.8], [1.0, 0.0]]),
+    ids=["fpv-000000", "clip b"],
+    view="fpv",
+)
+PINNED_JSONL = (
+    '{"id": "fpv-000000", "view": "fpv", "verb_id": 1, "noun_id": 2, "action_id": 5, '
+    '"frames": [[0.1, 0.3333333333333333], [-2.5e-300, 7.0]], "narration": [0.6, -0.8]}\n'
+    '{"id": "clip b", "view": "fpv", "verb_id": 0, "noun_id": 0, "action_id": 0, '
+    '"frames": [[1e+16, -0.0], [2.0, 0.5]], "narration": [1.0, 0.0]}\n'
+)
+
+
+def test_jsonl_format_is_pinned_as_text(tmp_path):
+    path = tmp_path / "pinned.jsonl"
+    write_dataset(PINNED_CORPUS, str(path))
+    assert path.read_bytes() == PINNED_JSONL.encode()
+    back = read_dataset(str(path))
+    assert back == PINNED_CORPUS
+    for column in (back.labels, back.verb_ids, back.noun_ids):
+        assert column.dtype == np.int64
+    assert back.frames.dtype == back.narrations.dtype == np.float64
+
+
+@pytest.mark.parametrize("text", ["", "\n\n  \n"], ids=["zero_bytes", "blank_lines"])
+def test_a_file_without_records_is_an_empty_corpus(tmp_path, text):
+    path = tmp_path / "empty.jsonl"
+    path.write_text(text)
+    corpus = read_dataset(str(path))
+    assert isinstance(corpus, Corpus)
+    assert len(corpus) == 0 and corpus.ids == [] and corpus.view is None
+    assert list(corpus) == []
 
 
 def test_jsonl_records_have_expected_fields(tmp_path):

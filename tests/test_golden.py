@@ -1,11 +1,17 @@
 """Golden trajectory: the seed-0 default run, a small all-modes grid and the
 gradient suite's report, pinned.
 
-The pins were recorded with numpy 2.4 (bundled OpenBLAS, x86-64).  A change
+The pins were recorded, and hold, on numpy 2.4 with its bundled OpenBLAS
+picking the ``SkylakeX`` kernels and numpy's AVX-512 loops (x86-64).  A change
 that alters training numbers on purpose regenerates them with
 ``python tests/test_golden.py`` and says why; a refactor must leave them
-untouched.  Another BLAS build may sum in another order, so a mismatch on a
-different platform is a platform difference first, not necessarily a bug.
+untouched.  GEMM kernels and SIMD loops round differently on each instruction
+set.  Under other OpenBLAS kernels (``OPENBLAS_CORETYPE=Haswell``, ``Zen``,
+``Sandybridge`` or ``Prescott``) 3 of the 4 pins differ: ``GRID_ROWS_SHA256``
+holds, while the default run, the cell records and the gradient report do
+not.  With only numpy's AVX-512 loops off, the default run and the cell
+records differ.  So a mismatch on a different platform is a platform
+difference first, not necessarily a bug.
 """
 
 import hashlib
