@@ -158,6 +158,8 @@ def _read_pairs_csv(path):
                 ) from exc
     except OSError as exc:
         raise DatasetIOError(f"cannot read pairs {path}: {exc}") from exc
+    if not pairs:  # a fraction of zero pairs is undefined
+        raise DatasetParseError(f"pairs {path} holds no pair rows")
     return pairs
 
 

@@ -211,9 +211,10 @@ def sample_dataset(world: SyntheticWorld, view: str, n: int, rng_seed: int) -> C
     )
 
 
-def _append_record(fields: dict, line: str, lineno: int) -> None:
-    """Check one JSONL record, against the first record's view and shapes too, and
-    append its fields to the columns in ``fields``, arrays as float64."""
+def _append_record(fields: dict, seen_ids: set, line: str, lineno: int) -> None:
+    """Check one JSONL record, against the first record's view and shapes and the
+    ids in ``seen_ids`` too, and append its fields to the columns in ``fields``,
+    arrays as float64."""
     try:
         rec = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -225,6 +226,10 @@ def _append_record(fields: dict, line: str, lineno: int) -> None:
             raise DatasetParseError(f"line {lineno}: missing field {key!r}")
     if rec["view"] not in VIEWS:
         raise DatasetParseError(f"line {lineno}: bad view {rec['view']!r}")
+    if not isinstance(rec["id"], str) or rec["id"] in seen_ids:
+        raise DatasetParseError(f"line {lineno}: id must be a string no earlier record "
+                                f"has, got {rec['id']!r}")
+    seen_ids.add(rec["id"])
     for key in ("verb_id", "noun_id", "action_id"):
         label = rec[key]
         if isinstance(label, bool) or not isinstance(label, int) or not 0 <= label < 2**63:
@@ -250,7 +255,7 @@ def _append_record(fields: dict, line: str, lineno: int) -> None:
                 raise DatasetParseError(
                     f"line {lineno}: {what} {got!r} differs from the first record's {want!r}"
                 )
-    rec.update(id=str(rec["id"]), frames=frames, narration=narration)
+    rec.update(frames=frames, narration=narration)
     for key in DATASET_FIELDS:
         fields[key].append(rec[key])
 
@@ -274,11 +279,12 @@ def read_dataset(path) -> Corpus:
     the first one's view and shapes.  Blank lines are skipped, so a file without
     records is a zero-clip corpus whose ``view`` is None."""
     fields = {key: [] for key in DATASET_FIELDS}
+    seen_ids = set()
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if line.strip():
-                    _append_record(fields, line, lineno)
+                    _append_record(fields, seen_ids, line, lineno)
     except OSError as exc:
         raise DatasetIOError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -15,9 +15,9 @@ with its own negatives and weights; the theta-gated loss masks the score
 matrix (rows, columns, weights) instead of gathering the gated rows.
 ``contrastive_terms`` is the one entry point to that kernel: stage 2 runs all
 of a batch's terms through it as one stacked call, and each public decoupled
-loss below is one ``Contrastive`` term through it.  Stage 2's ungated terms run
-under an all-true gate with unit weights, which is bitwise the ungated
-arithmetic that the public ungated losses keep.
+loss below is one ``Contrastive`` term through it.  The kernel has one
+arithmetic path: every direction is gated, and an ungated term, in stage 2 or
+a public loss, runs under an all-true gate with unit weights.
 Every loss also takes (S, N, d) replica batches, computing each slice as its
 2-D batch, with one value per replica; narrations that only set semantic
 weights stay (N, D), except the gated loss's, which have one row per pair.
@@ -94,39 +94,34 @@ def info_nce_symmetric(Zf, Zt, tau: float) -> LossOutput:
     )
 
 
-def _decoupled(anchors, pool, tau, weights, gate=None, full_batch=True):
+def _decoupled(anchors, pool, tau, weights, gate, full_batch=True):
     """Weighted decoupled direction: the one kernel behind every alignment term.
 
     Anchor row i is positive with pool row i; every other pool row is a
-    negative.  A boolean ``gate`` makes its rows the only anchors, the value
-    their mean, and, unless ``full_batch``, the only negatives; a replica
-    gating fewer than two rows gates none, and ``weights`` are zero off it.
+    negative.  The boolean ``gate`` (one flag per anchor row) makes its rows the
+    only anchors, the value their mean, and, unless ``full_batch``, the only
+    negatives; a replica gating fewer than two rows gates none, and ``weights``
+    are zero off it.  An all-true gate is the plain decoupled direction.
     Returns the value and the gradients w.r.t. the anchors and the pool.
     """
     n = anchors.shape[-2]
-    if gate is not None:  # k: the gated rows a replica's mean runs over, at least one
-        k = np.add.reduce(gate, axis=-1, keepdims=True)
-        gate = gate & (k >= 2)
-        weights = weights * gate
-        k[k < 2] = 1
+    k = np.add.reduce(gate, axis=-1, keepdims=True)  # the gated rows a replica's mean runs over
+    gate = gate & (k >= 2)
+    weights = weights * gate
+    k[k < 2] = 1  # ungated rows are padded with zeros; the mean runs over at least one
     A = (anchors @ pool.swapaxes(-1, -2)) / tau
     flat = A.reshape(*A.shape[:-2], n * n)
     pos = flat[..., :: n + 1].copy()
     flat[..., :: n + 1] = -np.inf
-    if gate is not None and not full_batch:  # ungated rows keep finite scores
+    if not full_batch:  # ungated rows keep finite scores
         A[gate[..., :, None] & ~gate[..., None, :]] = -np.inf
     lse = logsumexp_rows(A)
     G = np.exp(A - lse[..., None])  # row-softmax over the negatives, zero at positives
-    if gate is None:
-        value = mean_rows(lse - weights * pos)
-        G /= n * tau
-        G.reshape(flat.shape)[..., :: n + 1] -= weights / (n * tau)
-    else:  # ungated rows padded with zeros; the mean runs over the gated ones
-        norm = k * tau
-        value = np.add.reduce(gate * (lse - weights * pos), axis=-1) / k[..., 0]
-        G /= norm[..., None]
-        G *= gate[..., None]
-        G.reshape(flat.shape)[..., :: n + 1] -= weights / norm
+    norm = k * tau
+    value = np.add.reduce(gate * (lse - weights * pos), axis=-1) / k[..., 0]
+    G /= norm[..., None]
+    G *= gate[..., None]
+    G.reshape(flat.shape)[..., :: n + 1] -= weights / norm
     return value, G @ pool, G.swapaxes(-1, -2) @ anchors
 
 
@@ -150,24 +145,23 @@ def contrastive_terms(terms, fields, tau: float, sigma: float, full_batch: bool)
 
     ``fields`` maps names to (S, N, d) replica batches: features ``z*``, the
     narrations ``df`` and ``dt`` (a weighted term's may be (N, D), shared by
-    every replica), and an optional (S, N) boolean ``gate``.  Given a gate, an ungated term runs under an all-true one;
-    without one, no direction is gated.  A field is the anchor of one direction
-    and the pool of another; its gradient adds the two parts, and text gets none.
+    every replica), and the (S, N) boolean ``gate`` that gated terms run under.
+    Every direction is gated: an ungated term's runs under an all-true gate.  A
+    field is the anchor of one direction and the pool of another; its gradient
+    adds the two parts, and text gets none.
     """
-    gate = fields.get("gate")
     ones = np.ones(fields[terms[0].directions[0][0]].shape[:-1])
-    all_true = None if gate is None else ones.astype(bool)
+    all_true = ones.astype(bool)
     directions = []
     for t in terms:
-        g = gate if t.gated else all_true
+        g = fields["gate"] if t.gated else all_true
         w = ones
         if t.weighted:  # times ones: shared (N, D) narrations' (N,) weights to (S, N), exactly
-            w = semantic_weights(fields["df"], fields["dt"], sigma, gate if t.gated else True) * w
+            w = semantic_weights(fields["df"], fields["dt"], sigma, g if t.gated else True) * w
         directions += [(fields[a], fields[p], g, w) for a, p in t.directions]
     anchors, pools, gates, weights = zip(*directions)
     out = _decoupled(np.concatenate(anchors), np.concatenate(pools), tau,
-                     np.concatenate(weights), None if gate is None else np.concatenate(gates),
-                     full_batch)
+                     np.concatenate(weights), np.concatenate(gates), full_batch)
     results = zip(*(x.reshape(len(directions), -1, *x.shape[1:]) for x in out))
     outs = []
     for t in terms:
@@ -240,25 +234,22 @@ def weighted_alignment_loss(Zf, Zt, Df, Dt, tau: float, sigma: float) -> LossOut
     return _term(Contrastive(ALIGN, weighted=True), fields, tau, sigma)
 
 
-def weighted_alignment_loss_pooled(
-    Zf, Zt, Df, Dt, gate, full_batch: bool, tau: float, sigma: float, weights=None,
-) -> LossOutput:
-    """Alignment on the gated pairs of a batch, one boolean ``gate`` row per replica.
+def weighted_alignment_loss_pooled(Zf, Zt, Df, Dt, gate, full_batch: bool, tau: float,
+                                   sigma: float) -> LossOutput:
+    """Semantics-weighted alignment on the gated pairs of a batch, one boolean
+    ``gate`` row per replica.
 
     Gated pairs are the only anchors and positives; the negatives are the
     other gated pairs, or with ``full_batch`` every other pair of the batch.
     A replica with fewer than two gated pairs adds zero (``_decoupled``'s
-    two-row rule); ``semantic_weights`` weighs each replica's gated pairs
-    unless ``weights`` is given as 1.0, unit weights.
+    two-row rule); ``semantic_weights`` weighs each replica's gated pairs.
     """
     Zf, Zt = _check_batches(Zf, Zt)
-    if weights is not None and np.any(as_f64(weights) != 1.0):
-        raise ConfigValidationError("weights must be None (semantic) or 1.0 (unit)")
     gate = np.asarray(gate)
     if gate.dtype != bool or gate.shape != Zf.shape[:-1]:
         raise ShapeMismatchError(f"gate needs one flag per pair {Zf.shape[:-1]}, got {gate.shape}")
     fields = {"zf": Zf, "zt": Zt, "df": Df, "dt": Dt, "gate": gate}
-    return _term(Contrastive(ALIGN, True, weights is None), fields, tau, sigma, full_batch)
+    return _term(Contrastive(ALIGN, True, True), fields, tau, sigma, full_batch)
 
 
 def multimodal_loss(Zf, Df, Zt, Dt, tau: float) -> LossOutput:

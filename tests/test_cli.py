@@ -582,6 +582,15 @@ def test_dataset_without_records_is_an_empty_set_error(tmp_path, config_file, ca
     assert message in _fails_with_one_error_line(tmp_path, capsys, argv, paths)
 
 
+@pytest.mark.parametrize("text", ["", "fpv_index,tpv_index,similarity\n"],
+                         ids=["zero_bytes", "header_only"])
+def test_stats_pairs_file_without_pairs_is_an_error_naming_it(tmp_path, capsys, text):
+    paths = {"pairs": str(tmp_path / "pairs.csv"), "out": str(tmp_path / "h.csv")}
+    (tmp_path / "pairs.csv").write_text(text)
+    argv = ["stats", "--pairs", "{pairs}", "--out", "{out}"]
+    assert paths["pairs"] in _fails_with_one_error_line(tmp_path, capsys, argv, paths)
+
+
 @pytest.mark.parametrize("row", ["1,,0.3", "1,2,abc", "1,2"])
 def test_stats_bad_pair_row_is_a_parse_error_naming_the_line(tmp_path, capsys, row):
     pairs = tmp_path / "pairs.csv"

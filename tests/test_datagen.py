@@ -199,6 +199,17 @@ def test_read_dataset_reports_bad_line(tmp_path):
     assert "3" in str(err.value)  # line number surfaced
 
 
+@pytest.mark.parametrize("ids,line", [([None, None], 1), (["a", 7], 2), (["a", "a"], 2)],
+                         ids=["null", "int", "repeated"])
+def test_read_dataset_rejects_an_id_that_is_not_a_new_string(tmp_path, ids, line):
+    path = tmp_path / "d.jsonl"
+    write_dataset(sample_dataset(generate_world(SPEC), "fpv", 2, 0), str(path))
+    records = [json.loads(text) for text in path.read_text().splitlines()]
+    path.write_text("".join(json.dumps({**rec, "id": i}) + "\n" for rec, i in zip(records, ids)))
+    with pytest.raises(DatasetParseError, match=f"line {line}: id must be a string"):
+        read_dataset(str(path))
+
+
 def test_world_spec_validation():
     with pytest.raises(InvalidSpecError):
         WorldSpec(text_dim=15)

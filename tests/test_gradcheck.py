@@ -46,9 +46,10 @@ def test_finite_difference_is_the_per_entry_central_difference(rng, shape):
 @pytest.mark.parametrize("weighted", [True, False])
 @pytest.mark.parametrize("full_batch", [False, True])
 def test_gated_alignment_term_gradients_as_stage2_composes_them(rng, weighted, full_batch):
-    """``weighted_alignment_loss_pooled``, which runs stage 2's gated term through
-    ``losses.contrastive_terms``, summed by ``total_loss``, against finite
-    differences of each replica's features; the gates pass 0, 1 and 4 of 6 rows."""
+    """Stage 2's gated alignment term, weighted or not, through
+    ``losses.contrastive_terms`` as stage 2 calls it, summed by ``total_loss``,
+    against finite differences of each replica's features; the gates pass 0, 1
+    and 4 of 6 rows."""
     n, d, text = 6, 4, 5
     gate = np.zeros((3, n), dtype=bool)
     gate[1, 2] = True
@@ -61,10 +62,9 @@ def test_gated_alignment_term_gradients_as_stage2_composes_them(rng, weighted, f
 
     def loss(zf, zt, copies=1):
         tile = lambda x: np.broadcast_to(x, (copies, *x.shape)).reshape(-1, *x.shape[1:])
-        term = losses.weighted_alignment_loss_pooled(
-            zf.reshape(-1, n, d), zt.reshape(-1, n, d), tile(Df), tile(Dt), tile(gate),
-            full_batch, lc.tau, lc.sigma, weights=None if weighted else 1.0,
-        )
+        fields = {"zf": zf.reshape(-1, n, d), "zt": zt.reshape(-1, n, d),
+                  "df": tile(Df), "dt": tile(Dt), "gate": tile(gate)}
+        term, = losses.contrastive_terms([stage2["aw"]], fields, lc.tau, lc.sigma, full_batch)
         return losses.total_loss([(lc.w_aw, term)])
 
     out = loss(Z["zf"], Z["zt"])

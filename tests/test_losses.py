@@ -206,9 +206,9 @@ def test_masked_gated_alignment_equals_the_ragged_per_replica_loop(rng, full_bat
         Zf, Zt = (np.stack([unit_rows(rng, n, d) for _ in range(5)]) for _ in range(2))
         Df, Dt = (np.stack([unit_rows(rng, n, 4) for _ in range(5)]) for _ in range(2))
         tau, sigma = float(rng.uniform(0.1, 1.0)), float(rng.uniform(0.3, 2.0))
-        out = weighted_alignment_loss_pooled(
-            Zf, Zt, Df, Dt, gate, full_batch, tau, sigma, weights=None if weighted else 1.0,
-        )
+        fields = {"zf": Zf, "zt": Zt, "df": Df, "dt": Dt, "gate": gate}
+        out, = losses.contrastive_terms([losses.Contrastive(losses.ALIGN, True, weighted)],
+                                        fields, tau, sigma, full_batch)
         want = ragged_gated_alignment(Zf, Zt, Df, Dt, gate, full_batch, tau, sigma, weighted)
         for got, ref in zip((out.value, out.grads["zf"], out.grads["zt"]), want):
             for r in range(5):
@@ -348,9 +348,6 @@ def test_shape_and_batch_errors(rng):
             weighted_alignment_loss_pooled(Z, Z, D, D, gate, False, 0.5, 1.0)
     with pytest.raises(ShapeMismatchError):
         weighted_alignment_loss_pooled(Z, Z, D[:3], D[:3], np.ones(4, dtype=bool), True, 0.5, 1.0)
-    with pytest.raises(ConfigError, match="weights must be None"):  # unit or semantic only
-        weighted_alignment_loss_pooled(Z, Z, D, D, np.ones(4, dtype=bool), True, 0.5, 1.0,
-                                       weights=np.full(4, 2.0))
     S = np.ones((2, 3, 4))
     with pytest.raises(ShapeMismatchError):
         weighted_alignment_loss(S, S, TEXT, TEXT, 0.5, 1.0)  # 6 narrations for 3 rows

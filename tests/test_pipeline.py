@@ -14,6 +14,7 @@ from suml.datagen import WorldSpec, generate_world, sample_dataset
 from suml.exceptions import ConfigError, ConfigValidationError, EmptySetError, ZeroNormError
 from suml.losses import LossConfig
 from suml.model import init_stack, replica
+from suml.numerics import logsumexp_rows, mean_rows
 from suml.pipeline import (
     METHODS,
     NEGATIVE_SET_MODES,
@@ -565,12 +566,33 @@ FUSED_CASES = [
 ]
 
 
+def ungated_decoupled(anchors, pool, tau, weights):
+    """The plain weighted decoupled direction, positives on the diagonal, no gate:
+    the arithmetic ``losses._decoupled`` must reproduce under an all-true gate."""
+    n = anchors.shape[-2]
+    A = (anchors @ pool.swapaxes(-1, -2)) / tau
+    flat = A.reshape(*A.shape[:-2], n * n)
+    pos = flat[..., :: n + 1].copy()
+    flat[..., :: n + 1] = -np.inf
+    lse = logsumexp_rows(A)
+    G = np.exp(A - lse[..., None])  # row-softmax over the negatives, zero at positives
+    value = mean_rows(lse - weights * pos)
+    G /= n * tau
+    G.reshape(flat.shape)[..., :: n + 1] -= weights / (n * tau)
+    return value, G @ pool, G.swapaxes(-1, -2) @ anchors
+
+
 def both_directions(za, zb, tau, weights, gate=None, full_batch=True):
-    """Za rows against Zb, then Zb rows against Za, as two ``_decoupled`` calls: both
-    values and the gradients w.r.t. Za and Zb, each anchor's part added onto its
-    pool's.  The oracle, independent of ``losses.contrastive_terms``."""
-    v1, ga, g_pool_b = losses._decoupled(za, zb, tau, weights, gate, full_batch)
-    v2, gb, g_pool_a = losses._decoupled(zb, za, tau, weights, gate, full_batch)
+    """Za rows against Zb, then Zb rows against Za, as two kernel calls: both values
+    and the gradients w.r.t. Za and Zb, each anchor's part added onto its pool's.
+    The oracle, independent of ``losses.contrastive_terms``: without a gate each
+    direction is ``ungated_decoupled``, with one ``losses._decoupled``."""
+    if gate is None:
+        direction = lambda a, b: ungated_decoupled(a, b, tau, weights)
+    else:
+        direction = lambda a, b: losses._decoupled(a, b, tau, weights, gate, full_batch)
+    v1, ga, g_pool_b = direction(za, zb)
+    v2, gb, g_pool_a = direction(zb, za)
     return v1, v2, g_pool_a + ga, g_pool_b + gb
 
 
@@ -593,9 +615,11 @@ def public_term(method, slot, f, lc, full_batch):
         return losses.multimodal_loss(f["zf"], f["df"], f["zt"], f["dt"], lc.tau)
     if method == "typical_cl":
         return losses.alignment_loss_unweighted(f["zf"], f["zt"], lc.tau)
+    if method == "sum_l_no_weighting":  # no public loss: the call stage 2 makes
+        term = losses.Contrastive(losses.ALIGN, True)
+        return losses.contrastive_terms([term], f, lc.tau, lc.sigma, full_batch)[0]
     return losses.weighted_alignment_loss_pooled(
         f["zf"], f["zt"], f["df"], f["dt"], f["gate"], full_batch, lc.tau, lc.sigma,
-        weights=1.0 if method == "sum_l_no_weighting" else None,
     )
 
 
@@ -637,6 +661,26 @@ def test_fused_contrastive_terms_equal_the_public_losses_bitwise(rng, method, we
             alone, = losses.contrastive_terms([term], fields, lc.tau, lc.sigma, full_batch)
             assert outputs_equal(alone, ref)
             assert outputs_equal(public_term(method, slot, fields, lc, full_batch), ref)
+
+
+@pytest.mark.parametrize("shape", [(2, 5), (6, 5), (3, 2, 5), (3, 6, 5)])
+@pytest.mark.parametrize("tau", [0.3, 1e-3])
+def test_public_ungated_losses_equal_the_plain_decoupled_formula_bitwise(rng, shape, tau):
+    """``dcl_direction`` and ``weighted_alignment_loss`` run the kernel under an
+    all-true gate; that equals ``ungated_decoupled`` bit for bit, on (N, d) and
+    (S, N, d) batches, down to n = 2 and to negatives whose softmax underflows."""
+    n, sigma = shape[-2], 0.7
+    zf, zt = (unit_rows(rng, math.prod(shape[:-1]), shape[-1]).reshape(shape) for _ in range(2))
+    df, dt = (unit_rows(rng, n, 4) for _ in range(2))
+    if tau < 0.01 and n > 2:  # some negative's softmax weight is exactly zero
+        A = np.where(np.eye(n, dtype=bool), -np.inf, zf @ zt.swapaxes(-1, -2) / tau)
+        assert np.any(np.exp(A - A.max(axis=-1, keepdims=True))[..., ~np.eye(n, dtype=bool)] == 0)
+    value, g1, g2 = ungated_decoupled(zf, zt, tau, 1.0)
+    assert outputs_equal(losses.dcl_direction(zf, zt, tau),
+                         losses.LossOutput(value, {"z1": g1, "z2": g2}))
+    v1, v2, gzf, gzt = both_directions(zf, zt, tau, losses.semantic_weights(df, dt, sigma))
+    assert outputs_equal(losses.weighted_alignment_loss(zf, zt, df, dt, tau, sigma),
+                         losses.LossOutput(v1 + v2, {"zf": gzf, "zt": gzt}))
 
 
 @pytest.mark.parametrize("method", METHODS)
