@@ -71,3 +71,11 @@ class AllocationError(SumlError):
 
 class DivergenceError(SumlError):
     """A training loss became non-finite; message names the stage, epoch and batch."""
+
+
+class NormOverflowError(SumlError):
+    """Vector norms too large for float64: their products overflow."""
+
+
+class WorkerError(SumlError):
+    """A worker process ended without its result; message names the cell and exit status."""

@@ -20,6 +20,7 @@ from .exceptions import (
     DimMismatchError,
     EmptyCorpusError,
     InvalidViewError,
+    NormOverflowError,
     ZeroNormError,
 )
 from .numerics import ZERO_NORM_EPS
@@ -83,12 +84,16 @@ def mine_pseudo_pairs(fpv, tpv) -> list[PseudoPair]:
     dim = F.shape[1]
     if T.shape[1] != dim:
         raise DimMismatchError(f"narration dims differ: {T.shape[1]} vs {dim}")
-    t_norms = _norms(T)
+    with np.errstate(over="ignore"):  # an overflowed norm is the error below, not a warning
+        t_norms, f_norms = _norms(T), _norms(F)
     if np.any(t_norms < ZERO_NORM_EPS):
         raise ZeroNormError("zero-norm TPV narration")
-    f_norms = _norms(F)
     if np.any(f_norms < ZERO_NORM_EPS):
         raise ZeroNormError("zero-norm FPV narration")
+    # |f . t| <= |f| |t|: with every norm product finite, so is every similarity
+    if not math.isfinite(float(f_norms.max()) * float(t_norms.max())):
+        raise NormOverflowError("narration norms overflow float64, so their cosine "
+                                "similarities cannot be computed")
 
     margin = 16 * dim * np.finfo(np.float64).eps
     rows_per_block = max(1, BLOCK_SIMS // len(T))
@@ -99,10 +104,7 @@ def mine_pseudo_pairs(fpv, tpv) -> list[PseudoPair]:
         S /= f_norms[start:stop, None] * t_norms[None, :]
         row_max = S.max(axis=1)
         for r, i in enumerate(range(start, stop)):
-            if np.isfinite(row_max[r]):
-                candidates = np.flatnonzero(S[r] >= row_max[r] - margin)
-            else:  # overflowed narrations: scan the whole row as the scalar rule does
-                candidates = range(len(T))
+            candidates = np.flatnonzero(S[r] >= row_max[r] - margin)
             fv, fn = F[i], f_norms[i]
             best_j = 0
             best_sim = -math.inf

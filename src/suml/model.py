@@ -121,6 +121,9 @@ class EncoderStack:
     def __post_init__(self):
         self.f, self.h, self.g = mlp_views(self.params, self.dims)
 
+    def __reduce__(self):  # pickle the fields only: the views are rebuilt on the new params
+        return type(self), (self.params, self.dims, self.view, self.frozen)
+
     def param_tensors(self):
         for mlp in (self.f, self.h, self.g):
             yield from mlp.weights

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
 from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
@@ -46,6 +47,7 @@ from .exceptions import (
     DivergenceError,
     EmptySetError,
     LabelOutOfRangeError,
+    WorkerError,
 )
 from .losses import ALIGN, VIDEO_TEXT, Contrastive, LossConfig, LossOutput
 from .mining import mine_pseudo_pairs, select_pairs
@@ -484,6 +486,116 @@ def _write_run(result: ExperimentResult, world_spec, stage1_stack, out_dir) -> N
     write_atomic(os.path.join(out_dir, "summary.json"), lambda fh: json.dump(summary, fh, indent=2))
 
 
+_SIGKILL = 9  # signal.SIGKILL, without importing ``signal``
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where ``os.fork`` does not exist."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_worker(fn, items, first: int, step: int):
+    """Fork the worker of items ``first``, ``first + step``, ...; return its pid
+    and the read end of its pipe.
+
+    The child pickles ``(ok, result or exception)`` per item onto the pipe, in
+    item order, and stops after its first failure, as the serial loop would.
+    Every path of the child ends in ``os._exit``: no frame of its caller (an
+    ``output_dir`` cleanup, a test fixture) unwinds in it.
+    """
+    fds = ()
+    try:
+        fds = os.pipe()
+        pid = os.fork()
+    except OSError as exc:
+        for fd in fds:
+            os.close(fd)
+        raise WorkerError(f"cannot start a worker process: {exc}") from exc
+    read_fd, write_fd = fds
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as pipe:
+                for i in range(first, len(items), step):
+                    try:
+                        ok, value = True, fn(items[i])
+                    except BaseException as exc:
+                        ok, value = False, exc
+                    pipe.write(pickle.dumps((ok, value)))
+                    pipe.flush()
+                    if not ok:
+                        break
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
+
+
+def _map_forked(fn, items, name) -> list:
+    """``[fn(item) for item in items]``, in up to one process per usable CPU.
+
+    The parent is one of ``W = min(len(items), _usable_cpus())`` workers and
+    runs items 0, W, 2W, ...; each of the W - 1 forked children
+    (``_fork_worker``) runs its own stride, so with W = 1 nothing is forked.
+    ``fn`` need not pickle; its results and exceptions must.  The exception of
+    the lowest failing index is raised, the one the serial loop raises first; a
+    child that ends without the result it owes raises ``WorkerError`` naming
+    ``name(item)`` and its exit status.  The parent reads each child's pipe up
+    to the lowest failure before it waits for the child, and no child outlives
+    the call: once the results below the lowest failure are in, or the parent
+    itself is interrupted, every child still running is killed and reaped.
+    """
+    n = len(items)
+    workers = min(n, _usable_cpus())
+    results, failures = [None] * n, {}  # failures: item index -> exception
+    children = {}  # pid -> (its first item, its pipe), until reaped
+    try:
+        for first in range(1, workers):
+            pid, pipe = _fork_worker(fn, items, first, workers)
+            children[pid] = (first, pipe)
+        for i in range(0, n, workers):
+            try:
+                results[i] = fn(items[i])
+            except Exception as exc:
+                failures[i] = exc
+                break
+        for pid, (i, pipe) in list(children.items()):
+            with pipe:
+                while i < min(failures, default=n):  # the child's items arrive in order
+                    try:
+                        ok, value = pickle.load(pipe)
+                    except (EOFError, pickle.UnpicklingError):  # the child exited or died
+                        break
+                    if ok:
+                        results[i] = value
+                    else:
+                        failures[i] = value
+                    i += workers
+            if i < n:  # whatever the child still runs is past a failure, or it ended early
+                os.kill(pid, _SIGKILL)
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            if i < min(failures, default=n):
+                code = os.waitstatus_to_exitcode(status)
+                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                failures[i] = WorkerError(f"the worker process training {name(items[i])} "
+                                          f"ended without its result ({how})")
+        if failures:
+            raise failures[min(failures)]
+        return results
+    finally:
+        for pid, (_, pipe) in children.items():
+            pipe.close()
+            os.kill(pid, _SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _train_cells(cell_configs: list, seed_configs: list, world_spec: WorldSpec, scored: bool):
     """Train every cell on every seed (``seed_configs``: the base config at each
     seed); return the stacked stage-1 stack, or None, and per cell [fpv_stack,
@@ -491,6 +603,11 @@ def _train_cells(cell_configs: list, seed_configs: list, world_spec: WorldSpec, 
     all four sets are drawn up front and every epoch scores its test sets.
     Unscored, no TPV test set is drawn, a cell keeps only its FPV stack and FPV
     accuracies, and the train sets are freed before any FPV test set is drawn.
+
+    Once stage 1 is trained, the cells are independent: each reads the stage-1
+    stack and the sets, and none reads another's output.  So they train in up
+    to one process per usable CPU (``_map_forked``), bitwise as in one process;
+    a one-cell grid, as a single run is, forks nothing.
     """
     seeds = [cfg.seed for cfg in seed_configs]
     worlds = [build_world(world_spec, seed) for seed in seeds]
@@ -506,14 +623,16 @@ def _train_cells(cell_configs: list, seed_configs: list, world_spec: WorldSpec, 
     stage1_records = [] if scored else None
     stage1 = None if stage1_config is None else pretrain_tpv(
         stage1_config, world_spec, sets["tpv_train"], tpv_test, stage1_records, seeds)
-    cells = []
-    for cfg in cell_configs:
+
+    def train_cell(cfg):  # unscored, what it returns is the FPV stack only
         fpv, tpv, records = joint_train(cfg, world_spec, sets["fpv_train"], sets["tpv_train"],
                                         None if cfg.tpv_mode == "same_init" else stage1,
                                         fpv_test, tpv_test, seeds)
-        cells.append([fpv, tpv, stage1_records + records, [], []] if scored
-                     else [fpv, None, None, [], None])
-        del tpv, records  # unscored, the grid reads neither: freed before the next cell trains
+        return (fpv, tpv, records) if scored else (fpv, None, None)
+
+    trained = _map_forked(train_cell, cell_configs, lambda c: f"cell {c.method} x {c.tpv_mode}")
+    cells = [[fpv, tpv, stage1_records + records, [], []] if scored else [fpv, None, None, [], None]
+             for fpv, tpv, records in trained]
     del sets  # no cell reads the train sets again: freed before any test set is drawn
     for r in range(len(seeds)):
         fpv_test_r = _replica_corpus(fpv_test, r) if scored else draw("fpv_test", r)
@@ -559,6 +678,9 @@ def run_ablation_grid(
     work starts.  Each cell trains its seeds as replicas of one stacked model and
     scores no epoch (``_train_cells``); each replica's accuracy equals
     ``run_experiment`` on its config, and rows keep method, tpv_mode, seed order.
+    The cells train in up to one process per usable CPU, this one among them,
+    and the rows are bitwise those of one process; a failing cell's error is
+    raised after every worker process has ended.
     ``out_dir`` gets the rows and the effective config, ``base_config``'s, once
     the grid succeeds; a failed grid leaves no ``out_dir`` it created.
     """

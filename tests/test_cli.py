@@ -18,6 +18,7 @@ from suml.exceptions import (
     ConfigValidationError,
     DatasetIOError,
     DatasetParseError,
+    DivergenceError,
 )
 from suml.model import init_stack, load_checkpoint, save_checkpoint
 from suml.losses import LossConfig
@@ -304,6 +305,28 @@ def test_cli_reports_errors_with_exit_code_one(tmp_path, capsys):
     assert "frobnicate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config,argv,message",
+    [(None, [], "cannot read config"), ("[1, 2]", [], "config root must be a JSON object"),
+     ('{"train": 3}', [], "section train must be a JSON object"),
+     ("{}", ["--set", "train.seed"], "override 'train.seed' must look like section.key=value")],
+    ids=["unreadable", "root_not_an_object", "section_not_an_object", "set_without_equals"],
+)
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_config_that_cannot_be_parsed_exits_one_and_writes_nothing(tmp_path, capsys, config,
+                                                                   argv, message, command):
+    path = tmp_path / "config.json"
+    if config is None:
+        path.mkdir()  # a directory: open() fails
+    else:
+        path.write_text(config)
+    out_dir = tmp_path / "out"
+    assert main([command, "--config", str(path), *argv, "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert "Traceback" not in err and not out_dir.exists()
+
+
 def test_synth_train_eval_round_trip_scores_the_same_world(tmp_path, capsys):
     test_set = str(tmp_path / "fpv_test.jsonl")
     run = tmp_path / "run"
@@ -355,6 +378,34 @@ def test_mine_rejects_zero_norm_narration(tmp_path, config_file, capsys):
                  "--out", str(tmp_path / "pairs.csv")]) == 1
     assert "zero-norm TPV narration" in capsys.readouterr().err
     assert not (tmp_path / "pairs.csv").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "scaled",
+    [{"fpv": (1e200, 1)}, {"fpv": (1e155, None), "tpv": (1e155, None)}],
+    ids=["one_fpv_norm", "norm_product"],
+)
+def test_mine_rejects_narrations_whose_norms_overflow(tmp_path, config_file, capsys, scaled):
+    """Finite narrations (``read_dataset`` accepts them) scaled by ``scaled[view]``:
+    (factor, how many records from the first, all when None)."""
+    paths = {view: tmp_path / f"{view}.jsonl" for view in ("fpv", "tpv")}
+    for view, path in paths.items():
+        _synth(config_file, str(path), "--view", view)
+    for view, (factor, rows) in scaled.items():
+        lines = paths[view].read_text().splitlines()
+        for k in range(len(lines) if rows is None else rows):
+            rec = json.loads(lines[k])
+            rec["narration"] = [factor * x for x in rec["narration"]]
+            lines[k] = json.dumps(rec)
+        paths[view].write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    pairs = tmp_path / "pairs.csv"
+    assert main(["mine", "--fpv", str(paths["fpv"]), "--tpv", str(paths["tpv"]),
+                 "--out", str(pairs)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: narration norms overflow float64") and err.count("\n") == 1
+    assert "Traceback" not in err and not pairs.exists()
 
 
 def test_mine_rejects_swapped_views(tmp_path, config_file, capsys):
@@ -661,6 +712,27 @@ def test_diverging_ablate_names_the_seed_and_leaves_no_directory(tmp_path, capsy
     assert "seed" in line and "stage 2 diverged at epoch" in line
     assert "Traceback" not in err
     assert not (tmp_path / "grids").exists()
+
+
+def test_divergence_in_a_forked_cell_exits_one_and_leaves_no_process(tmp_path, capsys,
+                                                                     monkeypatch, config_file):
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)  # fpv_only here, sum_l in a child
+    parent, joint_train = os.getpid(), pipeline.joint_train
+
+    def diverge_in_a_child(cfg, *args):
+        if os.getpid() != parent:
+            raise DivergenceError(f"seed 0: stage 2 diverged in the {cfg.method} child")
+        return joint_train(cfg, *args)
+
+    monkeypatch.setattr(pipeline, "joint_train", diverge_in_a_child)  # the fork inherits it
+    out_dir = tmp_path / "grid"
+    assert main(["ablate", "--config", config_file, "--methods", "fpv_only,sum_l",
+                 "--seeds", "0,1", "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: seed 0: stage 2 diverged in the sum_l child\n"
+    assert not out_dir.exists()
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_unusable_out_dir_is_an_io_error(tmp_path, config_file, capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -241,3 +243,19 @@ def test_stacked_stack_steps_each_replica_as_alone(rng):
         assert np.array_equal(stacked.params[r], s.params)
     with pytest.raises(ShapeMismatchError):
         encode_batch(stacked, clips[0])
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "stacked"])
+def test_pickled_stack_trains_what_it_encodes(rng, lead):
+    s = small_stack(seed=4)
+    if lead:
+        s = EncoderStack(np.stack([s.params] * lead[0]), s.dims, "tpv", frozen=True)
+    c = pickle.loads(pickle.dumps(s))
+    assert (c.dims, c.view, c.frozen) == (s.dims, s.view, s.frozen) and stack_equal(s, c)
+    assert all(np.shares_memory(t, c.params) for t in c.param_tensors())
+    grad = rng.standard_normal(c.params.shape)
+    sgd_momentum_step(c, grad, 0.1, np.zeros_like(c.params))  # a step on params moves f, h and g
+    sgd_momentum_step(s, grad, 0.1, np.zeros_like(s.params))
+    assert stack_equal(s, c)
+    shared = pickle.loads(pickle.dumps((s, s)))  # shared_weights: one stack serves both views
+    assert shared[0] is shared[1]

@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +14,13 @@ from test_golden import GRID_TRAIN, GRID_WORLD
 from suml import losses, model, pipeline
 from suml.cli import parse_config
 from suml.datagen import WorldSpec, generate_world, sample_dataset
-from suml.exceptions import ConfigError, ConfigValidationError, EmptySetError, ZeroNormError
+from suml.exceptions import (
+    ConfigError,
+    ConfigValidationError,
+    EmptySetError,
+    WorkerError,
+    ZeroNormError,
+)
 from suml.losses import LossConfig
 from suml.model import init_stack, replica
 from suml.numerics import logsumexp_rows, mean_rows
@@ -42,6 +51,11 @@ FAST = TrainConfig(
     batch_size=8,
     hidden_dim=12,
 )
+
+
+def one_worker(monkeypatch):
+    """Train a grid's cells in this process, so that calls recorded in a cell are seen."""
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
 
 
 def records_equal(a, b):
@@ -306,6 +320,7 @@ def test_same_init_grid_skips_stage1(monkeypatch):
 
 
 def test_grid_scores_only_what_it_reports(monkeypatch):
+    one_worker(monkeypatch)  # so that every cell's calls are seen
     evals = count_calls(monkeypatch, pipeline, "evaluate_fpv")
     methods, seeds = ["fpv_only", "sum_l"], [0, 1]
     run_ablation_grid(GRID_TRAIN, GRID_WORLD, methods, TPV_MODES, seeds)
@@ -331,6 +346,7 @@ def call_names(calls, seeds) -> list:
 
 
 def test_grid_draws_each_fpv_test_set_after_every_cell_is_trained(monkeypatch):
+    one_worker(monkeypatch)  # so that every cell's calls are seen
     seeds = [0, 1]
     calls = record_calls(monkeypatch, ("sample_dataset", "joint_train"))
     run_ablation_grid(GRID_TRAIN, GRID_WORLD, ["fpv_only", "sum_l"], ["trainable", "frozen"], seeds)
@@ -693,3 +709,158 @@ def test_one_contrastive_kernel_call_per_stage2_batch(monkeypatch, method):
     stage2_batches = cfg.epochs_stage2 * (cfg.n_fpv_train // cfg.batch_size)
     contrastive = method not in ("fpv_only", "triplet")
     assert len(kernel_calls) == (stage2_batches if contrastive else 0)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def all_modes_grids() -> list:
+    """(runs, cells) of every method x TPV mode at seeds 0 and 1, per negative-set mode."""
+    return [run_ablation_grid(replace(GRID_TRAIN, negative_set_mode=mode), GRID_WORLD,
+                              METHODS, TPV_MODES, [0, 1])
+            for mode in NEGATIVE_SET_MODES]
+
+
+@pytest.fixture(scope="module")
+def one_worker_grids():
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        one_worker(monkeypatch)
+        return all_modes_grids()
+
+
+@pytest.mark.parametrize("workers", [None, 3], ids=["usable_cpus", "three"])
+def test_forked_grid_equals_the_one_worker_grid_bitwise(monkeypatch, one_worker_grids, workers):
+    if workers is not None:
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: workers)
+    forks = count_calls(monkeypatch, os, "fork")
+    assert all_modes_grids() == one_worker_grids  # every accuracy to the last bit
+    cells = len(METHODS) * len(TPV_MODES)
+    assert len(forks) == len(NEGATIVE_SET_MODES) * (min(cells, pipeline._usable_cpus()) - 1)
+    assert_no_child_left()
+
+
+GRID_SCRIPT = """
+import json, os, sys
+from dataclasses import replace
+sys.path[:0] = sys.argv[1:]
+from test_golden import GRID_TRAIN, GRID_WORLD
+from suml.pipeline import METHODS, NEGATIVE_SET_MODES, TPV_MODES, run_ablation_grid
+
+def no_fork():
+    raise AssertionError("a grid on one CPU forked")
+
+os.fork = no_fork
+print(json.dumps([run_ablation_grid(replace(GRID_TRAIN, negative_set_mode=mode), GRID_WORLD,
+                                    METHODS, TPV_MODES, [0, 1])
+                  for mode in NEGATIVE_SET_MODES]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_a_grid_on_one_cpu_runs_in_one_process_bitwise(one_worker_grids):
+    cpu = min(os.sched_getaffinity(0))
+    package_root = os.path.dirname(os.path.dirname(pipeline.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", GRID_SCRIPT, package_root, os.path.dirname(__file__)],
+        capture_output=True, text=True, timeout=300,
+        preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
+    )
+    assert proc.returncode == 0, proc.stderr
+    # JSON writes each float's repr, which reads back to the same bits
+    assert json.loads(proc.stdout) == [list(grid) for grid in one_worker_grids]
+
+
+def test_run_experiment_forks_nothing(monkeypatch):
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 4)
+
+    def no_fork():
+        raise AssertionError("a single run forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run_experiment(FAST, WORLD).final_fpv_test_acc >= 0.0
+
+
+def map_three_workers(monkeypatch, fn) -> list:
+    """``pipeline._map_forked`` of ``fn`` over items 0-5 with three workers: the
+    parent runs items 0 and 3, one child 1 and 4, the other 2 and 5."""
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 3)
+    return pipeline._map_forked(fn, list(range(6)), lambda i: f"item {i}")
+
+
+def test_map_forked_returns_results_in_item_order_past_a_pipe_buffer(monkeypatch):
+    # 800 KiB per result: a child blocks on its pipe until the parent reads it
+    got = map_three_workers(monkeypatch, lambda i: (os.getpid(), np.full(100_000, float(i))))
+    assert [r.tolist() for _, r in got] == [[float(i)] * 100_000 for i in range(6)]
+    pids = [pid for pid, _ in got]
+    assert pids[0] == pids[3] == os.getpid() and len(set(pids)) == 3
+    assert_no_child_left()
+
+
+def fail_at(*failing):
+    """A cell function that raises at the items ``failing``."""
+    def fn(i):
+        if i in failing:
+            raise ValueError(f"item {i} failed")
+        return i
+    return fn
+
+
+@pytest.mark.parametrize("failing,raised", [((1, 2), 1), ((0, 1), 0), ((2, 3), 2), ((4,), 4),
+                                            ((3, 5), 3)])
+def test_map_forked_raises_the_lowest_failing_item(monkeypatch, failing, raised):
+    with pytest.raises(ValueError, match=f"^item {raised} failed$"):
+        map_three_workers(monkeypatch, fail_at(*failing))
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("end,how", [(lambda: os.kill(os.getpid(), 9), "killed by signal 9"),
+                                     (lambda: os._exit(3), "exit status 3")],
+                         ids=["signal", "exit"])
+def test_a_child_that_ends_without_its_result_is_a_worker_error(monkeypatch, end, how):
+    def fn(i):
+        if i == 4:
+            end()
+        return i
+
+    with pytest.raises(WorkerError, match=f"training item 4 ended without its result \\({how}\\)"):
+        map_three_workers(monkeypatch, fn)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("exc", [ValueError, KeyboardInterrupt])
+def test_a_failure_in_the_parents_share_kills_every_child(monkeypatch, exc):
+    def fn(i):
+        if i == 0:
+            raise exc("the parent's item failed")
+        time.sleep(60)  # the children's items: killed, not waited for
+
+    start = time.monotonic()
+    with pytest.raises(exc, match="the parent's item failed"):
+        map_three_workers(monkeypatch, fn)
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+def test_a_child_never_unwinds_into_its_callers_frames(monkeypatch, tmp_path):
+    unwound = tmp_path / "unwound"
+    for fn in (lambda i: i, fail_at(1, 5)):
+        try:
+            map_three_workers(monkeypatch, fn)
+        except ValueError:
+            pass
+        finally:
+            with open(unwound, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+    assert unwound.read_text().split() == [str(os.getpid())] * 2
+
+
+def test_a_worker_that_cannot_be_forked_is_a_worker_error(monkeypatch):
+    def no_process():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_process)
+    with pytest.raises(WorkerError, match="cannot start a worker process: .*unavailable"):
+        map_three_workers(monkeypatch, lambda i: i)
+    assert_no_child_left()
