@@ -261,7 +261,13 @@ def _train_stage(config, stage, seeds, views, n_rows, terms, batch_at, epoch_fie
     project)`` building each ``_Batch`` and ``terms`` its loss.  The stack of
     each ``_Batch`` cache field in ``views`` trains, on both fields' gradients
     under shared weights.  A record holds each slot's mean batch value and the
-    fields ``epoch_fields(seen)`` returns, given the rows the epoch trained on.
+    fields ``epoch_fields(seen)`` returns, given the rows the epoch trained on;
+    a ``(stack, corpus)`` field holds ``evaluate_fpv`` of the stack as the epoch
+    left it.  With more than one usable CPU, a stage with fields to score forks
+    a scorer (``_fork_worker``), which inherits the corpora; each epoch sends it
+    one request per stack, its ``params``, and reads the previous epoch's scores,
+    so epoch e is scored, bitwise as inline, while epoch e + 1 trains.  On one
+    CPU (``taskset -c 0``) a stage scores inline.  No scorer outlives its stage.
     """
     epochs = getattr(config, f"epochs_stage{stage}")
     min_rows = 1 if stage == 1 else 2  # an alignment term needs two pairs
@@ -278,40 +284,96 @@ def _train_stage(config, stage, seeds, views, n_rows, terms, batch_at, epoch_fie
     learners = {}  # per stack: its fields and its velocity
     for field, stack in views.items():
         learners.setdefault(id(stack), (stack, [], np.zeros_like(stack.params)))[1].append(field)
-    records = [[] for _ in seeds]
-    for epoch in range(epochs):
-        lr = cosine_lr(epoch, epochs, config.base_lr)
-        order = np.stack([rng.permutation(n_rows) for rng in rngs])
-        values = []  # per batch: each term's value, then the total's
-        for b, idx in enumerate(order[..., i : i + config.batch_size] for i in starts):
-            batch = batch_at(idx, project)
-            fused = iter(losses.contrastive_terms(contrastive, dict(
-                zf=batch.f.z, zt=batch.t.z, df=batch.df, dt=batch.dt, gate=batch.gate,
-            ), lc.tau, lc.sigma, full_batch) if contrastive else ())
-            outs = [next(fused) if term in contrastive else term(batch) for _, _, term in terms]
-            total = losses.total_loss([(w, out) for (_, w, _), out in zip(terms, outs)])
-            for seed, value in zip(seeds, total.value.tolist()):
-                if not math.isfinite(value):
-                    raise DivergenceError(f"seed {seed}: stage {stage} diverged at epoch "
-                                          f"{epoch} batch {b}: loss is {value}")
-            g = total.grads
-            for stack, fields, velocity in learners.values():
-                grads = [backward(stack, getattr(batch, v), g.get(f"z{v}"), g.get(f"logits_{v}"))
-                         for v in fields]
-                sgd_momentum_step(stack, sum(grads[1:], grads[0]), lr, velocity, config.momentum)
-            values.append([out.value for out in outs] + [total.value])
-            del batch, outs, total, g, grads  # freed before the next batch is built
-        # one contiguous row of batch values per slot and replica: numpy's pairwise sum
-        means = dict(zip(slots, mean_rows(np.stack(values, axis=-1)).tolist()))
-        if stage == 1:  # the gradient is the bare task loss; the record weighs it as stage 2 does
-            means["total"] = [config.loss.w_t * value for value in means["t"]]
-        fields = epoch_fields(order[..., : starts[-1] + config.batch_size])
-        for r, sink in enumerate(records):
-            sink.append(MetricsRecord(
-                epoch, stage, **{f"loss_{slot}": mean[r] for slot, mean in means.items()},
-                **{name: value[r] for name, value in fields.items()},
-            ))
-    return [record for sink in records for record in sink]
+    epoch_records, pending = [], []  # per epoch: its loss means and fields; per request in flight
+    scorer = None  # the scorer's pid, reply pipe and request pipe, until reaped
+
+    def score(request):  # the fields ``names`` of ``targets``' stack at ``params``
+        names, params = request
+        stack = replace(targets[names[0]][0], params=params)
+        return [evaluate_fpv(stack, targets[name][1]) for name in names]
+
+    def collect():  # the oldest request's scores, into its epoch's fields
+        nonlocal scorer
+        fields, names = pending.pop(0)
+        try:
+            ok, value = pickle.load(scorer[1])
+        except (EOFError, pickle.UnpicklingError):  # the scorer exited or died
+            how, scorer = _reap(*scorer), None
+            raise WorkerError(f"the worker process scoring stage {stage} ended without its "
+                              f"result ({how})") from None
+        if not ok:
+            raise value
+        fields.update(zip(names, value))
+
+    try:
+        for epoch in range(epochs):
+            lr = cosine_lr(epoch, epochs, config.base_lr)
+            order = np.stack([rng.permutation(n_rows) for rng in rngs])
+            values = []  # per batch: each term's value, then the total's
+            for b, idx in enumerate(order[..., i : i + config.batch_size] for i in starts):
+                batch = batch_at(idx, project)
+                fused = iter(losses.contrastive_terms(contrastive, dict(
+                    zf=batch.f.z, zt=batch.t.z, df=batch.df, dt=batch.dt, gate=batch.gate,
+                ), lc.tau, lc.sigma, full_batch) if contrastive else ())
+                outs = [next(fused) if term in contrastive else term(batch) for _, _, term in terms]
+                total = losses.total_loss([(w, out) for (_, w, _), out in zip(terms, outs)])
+                for seed, value in zip(seeds, total.value.tolist()):
+                    if not math.isfinite(value):
+                        raise DivergenceError(f"seed {seed}: stage {stage} diverged at epoch "
+                                              f"{epoch} batch {b}: loss is {value}")
+                g = total.grads
+                for stack, fields, velocity in learners.values():
+                    grads = [backward(stack, getattr(batch, v), g.get(f"z{v}"), g.get(f"logits_{v}"))
+                             for v in fields]
+                    sgd_momentum_step(stack, sum(grads[1:], grads[0]), lr, velocity, config.momentum)
+                values.append([out.value for out in outs] + [total.value])
+                del batch, outs, total, g, grads  # freed before the next batch is built
+            # one contiguous row of batch values per slot and replica: numpy's pairwise sum
+            means = dict(zip(slots, mean_rows(np.stack(values, axis=-1)).tolist()))
+            if stage == 1:  # the gradient is the bare task loss; the record weighs it as stage 2 does
+                means["total"] = [config.loss.w_t * value for value in means["t"]]
+            fields = epoch_fields(order[..., : starts[-1] + config.batch_size])
+            epoch_records.append((epoch, means, fields))
+            targets, stacks = fields, {}  # per stack to score: the stack and its fields' names
+            for name, value in fields.items():
+                if isinstance(value, tuple):
+                    stacks.setdefault(id(value[0]), (value[0], []))[1].append(name)
+            requests = [(names, stack.params) for stack, names in stacks.values()]
+            if scorer is None and requests and _usable_cpus() > 1:
+                read_fd, write_fd = os.pipe()  # the scorer inherits ``targets``' stacks and corpora
+                try:
+                    scorer = (*_fork_worker(score, _requests(read_fd, write_fd)),
+                              os.fdopen(write_fd, "wb", buffering=0))
+                except WorkerError:
+                    os.close(write_fd)
+                    raise
+                finally:
+                    os.close(read_fd)
+            if scorer is None:  # one usable CPU: scored here, on the stacks themselves
+                for request in requests:
+                    fields.update(zip(request[0], score(request)))
+                continue
+            pending.extend((fields, names) for names, _ in requests)
+            try:  # one request per stack, a copy of its params; a signal can cut a write short
+                data = memoryview(b"".join(map(pickle.dumps, requests)))
+                while data:
+                    data = data[scorer[2].write(data):]
+            except BrokenPipeError:  # the scorer has ended: collecting its replies says why
+                pass
+            while len(pending) > len(requests):  # no more than two epochs are ever in flight
+                collect()
+        if scorer is not None:
+            scorer[2].close()  # the scorer ends once it has scored every request
+        while pending:
+            collect()
+    finally:
+        if scorer is not None:
+            _reap(*scorer)
+    return [
+        MetricsRecord(epoch, stage, **{f"loss_{slot}": mean[r] for slot, mean in means.items()},
+                      **{name: value[r] for name, value in fields.items()})
+        for r in range(len(seeds)) for epoch, means, fields in epoch_records
+    ]
 
 
 def pretrain_tpv(
@@ -340,7 +402,7 @@ def pretrain_tpv(
         return _Batch(t=cache, labels_t=tpv.labels[rows, idx])
 
     def epoch_fields(seen) -> dict:
-        return {"tpv_test_acc": evaluate_fpv(stack, tpv_test)} if tpv_test else {}
+        return {"tpv_test_acc": (stack, tpv_test)} if tpv_test else {}
 
     records = _train_stage(config, 1, seeds, {"t": stack}, tpv.labels.shape[-1],
                            [("t", 1.0, _tpv_task)], batch_at, epoch_fields)
@@ -433,10 +495,10 @@ def joint_train(
         fields = {"selected_pair_fraction":
                   (np.count_nonzero(gated[rows, seen], axis=-1) / seen.shape[-1]).tolist()}
         if tpv_test:
-            fields["tpv_test_acc"] = evaluate_fpv(tpv_stack, tpv_test)
+            fields["tpv_test_acc"] = (tpv_stack, tpv_test)
         if fpv_test:
-            fields["fpv_train_acc"] = evaluate_fpv(fpv_stack, fpv)
-            fields["fpv_test_acc"] = evaluate_fpv(fpv_stack, fpv_test)
+            fields["fpv_train_acc"] = (fpv_stack, fpv)
+            fields["fpv_test_acc"] = (fpv_stack, fpv_test)
         return fields
 
     records = _train_stage(config, 2, seeds, views, pair_tpv.shape[-1], terms, batch_at,
@@ -498,9 +560,9 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fork_worker(fn, items, first: int, step: int):
-    """Fork the worker of items ``first``, ``first + step``, ...; return its pid
-    and the read end of its pipe.
+def _fork_worker(fn, items):
+    """Fork the worker of ``items``, any iterable, which it reads in the child;
+    return its pid and the read end of its pipe.
 
     The child pickles ``(ok, result or exception)`` per item onto the pipe, in
     item order, and stops after its first failure, as the serial loop would.
@@ -521,9 +583,9 @@ def _fork_worker(fn, items, first: int, step: int):
         try:
             os.close(read_fd)
             with os.fdopen(write_fd, "wb") as pipe:
-                for i in range(first, len(items), step):
+                for item in items:
                     try:
-                        ok, value = True, fn(items[i])
+                        ok, value = True, fn(item)
                     except BaseException as exc:
                         ok, value = False, exc
                     pipe.write(pickle.dumps((ok, value)))
@@ -537,6 +599,24 @@ def _fork_worker(fn, items, first: int, step: int):
     return pid, os.fdopen(read_fd, "rb")
 
 
+def _requests(read_fd, write_fd):
+    """In the scorer: the requests the parent pickles onto its pipe, until it closes it."""
+    os.close(write_fd)  # the parent's end: open here, it would keep the end of file away
+    with os.fdopen(read_fd, "rb") as pipe:
+        while pipe.peek(1):
+            yield pickle.load(pipe)
+
+
+def _reap(pid, *pipes) -> str:
+    """Kill and reap the child ``pid``, close the parent's ends of its pipes and
+    say how the child ended; a child that had already ended keeps its status."""
+    os.kill(pid, _SIGKILL)
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    for pipe in pipes:
+        pipe.close()
+    return f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+
+
 def _map_forked(fn, items, name) -> list:
     """``[fn(item) for item in items]``, in up to one process per usable CPU.
 
@@ -547,8 +627,8 @@ def _map_forked(fn, items, name) -> list:
     the lowest failing index is raised, the one the serial loop raises first; a
     child that ends without the result it owes raises ``WorkerError`` naming
     ``name(item)`` and its exit status.  The parent reads each child's pipe up
-    to the lowest failure before it waits for the child, and no child outlives
-    the call: once the results below the lowest failure are in, or the parent
+    to the lowest failure before it reaps the child, and no child outlives the
+    call: once the results below the lowest failure are in, or the parent
     itself is interrupted, every child still running is killed and reaped.
     """
     n = len(items)
@@ -557,7 +637,7 @@ def _map_forked(fn, items, name) -> list:
     children = {}  # pid -> (its first item, its pipe), until reaped
     try:
         for first in range(1, workers):
-            pid, pipe = _fork_worker(fn, items, first, workers)
+            pid, pipe = _fork_worker(fn, items[first::workers])
             children[pid] = (first, pipe)
         for i in range(0, n, workers):
             try:
@@ -566,24 +646,20 @@ def _map_forked(fn, items, name) -> list:
                 failures[i] = exc
                 break
         for pid, (i, pipe) in list(children.items()):
-            with pipe:
-                while i < min(failures, default=n):  # the child's items arrive in order
-                    try:
-                        ok, value = pickle.load(pipe)
-                    except (EOFError, pickle.UnpicklingError):  # the child exited or died
-                        break
-                    if ok:
-                        results[i] = value
-                    else:
-                        failures[i] = value
-                    i += workers
-            if i < n:  # whatever the child still runs is past a failure, or it ended early
-                os.kill(pid, _SIGKILL)
-            status = os.waitpid(pid, 0)[1]
+            while i < min(failures, default=n):  # the child's items arrive in order
+                try:
+                    ok, value = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):  # the child exited or died
+                    break
+                if ok:
+                    results[i] = value
+                else:
+                    failures[i] = value
+                i += workers
+            # whatever the child still runs is past a failure, or it ended early
+            how = _reap(pid, pipe)
             del children[pid]
             if i < min(failures, default=n):
-                code = os.waitstatus_to_exitcode(status)
-                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
                 failures[i] = WorkerError(f"the worker process training {name(items[i])} "
                                           f"ended without its result ({how})")
         if failures:
@@ -591,9 +667,7 @@ def _map_forked(fn, items, name) -> list:
         return results
     finally:
         for pid, (_, pipe) in children.items():
-            pipe.close()
-            os.kill(pid, _SIGKILL)
-            os.waitpid(pid, 0)
+            _reap(pid, pipe)
 
 
 def _train_cells(cell_configs: list, seed_configs: list, world_spec: WorldSpec, scored: bool):
@@ -607,7 +681,9 @@ def _train_cells(cell_configs: list, seed_configs: list, world_spec: WorldSpec, 
     Once stage 1 is trained, the cells are independent: each reads the stage-1
     stack and the sets, and none reads another's output.  So they train in up
     to one process per usable CPU (``_map_forked``), bitwise as in one process;
-    a one-cell grid, as a single run is, forks nothing.
+    a one-cell grid, as a single run is, forks no cell worker.  Scored, each
+    stage with more than one usable CPU forks a scorer (``_train_stage``),
+    bitwise as scoring inline, which one usable CPU (``taskset -c 0``) does.
     """
     seeds = [cfg.seed for cfg in seed_configs]
     worlds = [build_world(world_spec, seed) for seed in seeds]
@@ -648,6 +724,9 @@ def run_experiment(
 ) -> ExperimentResult:
     """Full stage-1 + stage-2 + evaluation run; deterministic per seed.  It is the
     grid's one-cell, one-seed case with every epoch scored (``_train_cells``).
+    With more than one usable CPU each stage scores its epochs in a forked
+    scorer process while the next epoch trains, bitwise as inline; on one
+    (``taskset -c 0``) every epoch is scored inline and nothing is forked.
 
     With ``out_dir``, the artifacts and the effective config are written after
     the run succeeds, so a failed run leaves no file, nor a directory it created.

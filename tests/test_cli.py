@@ -866,3 +866,55 @@ def test_mine_rejects_a_bad_field_naming_line_and_field(
     err = capsys.readouterr().err
     assert "line 2" in err and named in err and "Traceback" not in err
     assert not (tmp_path / "pairs.csv").exists()
+
+
+def _dataset_line_replaced(tmp_path, config_file, name, edit):
+    """A synthesized FPV dataset ``name`` whose second line is ``edit(line)``."""
+    path = tmp_path / name
+    _synth(config_file, str(path))
+    lines = path.read_text().splitlines()
+    lines[1] = edit(lines[1])
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def _nan_first_frame(line):
+    rec = json.loads(line)
+    rec["frames"][0][0] = math.nan
+    return json.dumps(rec)  # the frame as the JSON token NaN, which json.loads reads
+
+
+def _without_narration(line):
+    rec = json.loads(line)
+    del rec["narration"]
+    return json.dumps(rec)
+
+
+@pytest.mark.parametrize(
+    "argv,edit,message",
+    [
+        (["mine", "--fpv", "{bad}", "--tpv", "{fpv}", "--out", "{out}"], lambda line: "[1, 2]",
+         "line 2: record must be a JSON object"),
+        (["eval", "--checkpoint", "{ckpt}", "--dataset", "{bad}"], _without_narration,
+         "line 2: missing field 'narration'"),
+        (["mine", "--fpv", "{fpv}", "--tpv", "{bad}", "--out", "{out}"], _nan_first_frame,
+         "line 2: non-finite values"),
+        (["eval", "--checkpoint", "{ckpt}", "--dataset", "{missing}"], None,
+         "cannot read {missing}"),
+        (["eval", "--checkpoint", "{missing}", "--dataset", "{fpv}"], None,
+         "cannot read checkpoint {missing}"),
+        (["synth", "--set", "world.n_verbs=1", "--set", "world.n_nouns=1", "--view", "fpv",
+          "--n", "3", "--out", "{out}"], None, "need n_verbs*n_nouns >= 2"),
+    ],
+    ids=["record_not_an_object", "missing_field", "non_finite", "unreadable_dataset",
+         "unreadable_checkpoint", "one_action_world"],
+)
+def test_dataset_checkpoint_and_world_errors_exit_one_and_write_nothing(
+    tmp_path, config_file, capsys, argv, edit, message
+):
+    paths = _cli_inputs(tmp_path, config_file)
+    paths["missing"] = str(tmp_path / "missing.json")
+    if edit is not None:
+        paths["bad"] = _dataset_line_replaced(tmp_path, config_file, "bad.jsonl", edit)
+    err = _fails_with_one_error_line(tmp_path, capsys, argv, paths)
+    assert message.format(**paths) in err

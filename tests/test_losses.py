@@ -467,3 +467,17 @@ def test_stacked_triplet_equals_each_replica_and_the_per_row_loop(rng):
             assert np.array_equal(got, gf)
         for got in (out.grads["zt"][r], alone.grads["zt"]):
             assert np.array_equal(got, gt)
+
+
+def test_semantic_weights_reject_one_dimensional_text():
+    with pytest.raises(ShapeMismatchError,
+                       match=r"^text batches must be \(N, D\) or \(S, N, D\) with at least one row$"):
+        semantic_weights(np.ones(4), np.ones(4), sigma=1.0)
+
+
+@pytest.mark.parametrize("logits,labels", [(np.zeros((3, 4)), np.zeros(2, dtype=int)),
+                                           (np.zeros(4), np.zeros((), dtype=int))],
+                         ids=["label_count", "one_dimensional"])
+def test_cross_entropy_rejects_mismatched_shapes(logits, labels):
+    with pytest.raises(ShapeMismatchError, match=r"^logits must be \(N, C\) with N labels$"):
+        cross_entropy(logits, labels)

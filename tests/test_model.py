@@ -259,3 +259,9 @@ def test_pickled_stack_trains_what_it_encodes(rng, lead):
     assert stack_equal(s, c)
     shared = pickle.loads(pickle.dumps((s, s)))  # shared_weights: one stack serves both views
     assert shared[0] is shared[1]
+
+
+def test_clips_without_frames_are_a_shape_error():
+    stack = init_stack(6, 3, 4, seed=0, hidden_dim=5)
+    with pytest.raises(ShapeMismatchError, match="^need at least one frame per clip$"):
+        encode_batch(stack, np.zeros((2, 0, 6)))

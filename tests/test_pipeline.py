@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -13,11 +14,12 @@ from test_golden import GRID_TRAIN, GRID_WORLD
 
 from suml import losses, model, pipeline
 from suml.cli import parse_config
-from suml.datagen import WorldSpec, generate_world, sample_dataset
+from suml.datagen import WorldSpec, generate_world, read_dataset, sample_dataset
 from suml.exceptions import (
     ConfigError,
     ConfigValidationError,
     EmptySetError,
+    LabelOutOfRangeError,
     WorkerError,
     ZeroNormError,
 )
@@ -257,6 +259,7 @@ def test_runs_write_the_effective_config_the_cli_reads_back(tmp_path):
 
 
 def test_joint_train_without_an_fpv_test_set_scores_no_epoch(monkeypatch):
+    one_worker(monkeypatch)  # so that an epoch scored would be seen
     fpv, tpv = train_sets(FAST)
     stage1 = pretrain_tpv(FAST, WORLD, tpv)
     evals = count_calls(monkeypatch, pipeline, "evaluate_fpv")
@@ -371,6 +374,7 @@ def test_single_run_draws_all_four_sets_before_stage1(monkeypatch):
      ("fpv_only", "shared_weights")],
 )
 def test_every_epoch_scores_the_test_sets_it_is_given(monkeypatch, method, tpv_mode):
+    one_worker(monkeypatch)  # so that every epoch's scoring is seen
     cfg = replace(FAST, method=method, tpv_mode=tpv_mode)
     evals = count_calls(monkeypatch, pipeline, "evaluate_fpv")
     result = run_experiment(cfg, WORLD)
@@ -772,14 +776,150 @@ def test_a_grid_on_one_cpu_runs_in_one_process_bitwise(one_worker_grids):
     assert json.loads(proc.stdout) == [list(grid) for grid in one_worker_grids]
 
 
-def test_run_experiment_forks_nothing(monkeypatch):
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 4)
-
-    def no_fork():
-        raise AssertionError("a single run forked")
-
-    monkeypatch.setattr(os, "fork", no_fork)
+@pytest.mark.parametrize("cpus,scorers", [(1, 0), (2, 2), (4, 2)])
+def test_a_single_run_forks_one_scorer_per_scored_stage(monkeypatch, cpus, scorers):
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    forks = count_calls(monkeypatch, os, "fork")
     assert run_experiment(FAST, WORLD).final_fpv_test_acc >= 0.0
+    # one scorer per stage with test sets, none on one CPU, and every scorer reaped
+    assert len(forks) == scorers
+    assert_no_child_left()
+
+
+def scorer_runs(tpv_modes) -> list:
+    """Per TPV mode: the records and both stacks of a run, as plain lists."""
+    runs = []
+    for mode in tpv_modes:
+        result = run_experiment(replace(FAST, tpv_mode=mode), WORLD)
+        runs.append([[r.to_dict() for r in result.records],
+                     result.fpv_stack.params.tolist(), result.tpv_stack.params.tolist()])
+    return runs
+
+
+SCORED_SCRIPT = """
+import json, os, sys
+sys.path[:0] = sys.argv[1:]
+from test_pipeline import TPV_MODES, scorer_runs
+
+def no_fork():
+    raise AssertionError("a run on one CPU forked")
+
+os.fork = no_fork
+print(json.dumps(scorer_runs(TPV_MODES)))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_a_run_on_one_cpu_scores_inline_bitwise_as_the_scorer(monkeypatch):
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    forks = count_calls(monkeypatch, os, "fork")
+    forked = scorer_runs(TPV_MODES)
+    assert len(forks) == 2 * len(TPV_MODES) - 1  # same_init has no stage 1
+    cpu = min(os.sched_getaffinity(0))
+    package_root = os.path.dirname(os.path.dirname(pipeline.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCORED_SCRIPT, package_root, os.path.dirname(__file__)],
+        capture_output=True, text=True, timeout=300,
+        preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
+    )
+    assert proc.returncode == 0, proc.stderr
+    # JSON writes each float's repr, which reads back to the same bits
+    assert json.loads(proc.stdout) == forked
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs interval timers")
+def test_requests_cut_short_by_signals_still_score_bitwise(monkeypatch):
+    # requests of about 100 KB outgrow a pipe's buffer, so the stage blocks in
+    # its writes, and a timer signal every half millisecond cuts them short
+    cfg = replace(FAST, hidden_dim=96, epochs_stage1=6, epochs_stage2=6)
+    one_worker(monkeypatch)
+    inline = run_experiment(cfg, WORLD)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    handler = signal.signal(signal.SIGALRM, lambda *_: None)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.0005, 0.0005)
+        forked = run_experiment(cfg, WORLD)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+    assert records_equal(forked.records, inline.records)
+    assert_no_child_left()
+
+
+def fail_in_training(monkeypatch, exc, at: int):
+    """Make the ``at``-th loss of a run, counted over both stages, raise ``exc``."""
+    total_loss, calls = losses.total_loss, []
+
+    def failing(terms):
+        calls.append(terms)
+        if len(calls) == at:
+            raise exc
+        return total_loss(terms)
+
+    monkeypatch.setattr(losses, "total_loss", failing)
+
+
+# FAST trains 4 batches per stage-1 epoch and 3 per stage-2 epoch: loss 20 is
+# stage 2's epoch 2, while the scorer holds epochs 0 and 1
+@pytest.mark.parametrize("exc", [pipeline.DivergenceError("diverged in mid-stage"),
+                                 KeyboardInterrupt("interrupted in mid-stage")],
+                         ids=["divergence", "interrupt"])
+def test_a_run_that_fails_in_mid_stage_leaves_no_scorer(monkeypatch, exc):
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    fail_in_training(monkeypatch, exc, at=20)
+    with pytest.raises(type(exc), match="in mid-stage"):
+        run_experiment(FAST, WORLD)
+    assert_no_child_left()
+
+
+def fail_in_the_scorer(monkeypatch, end):
+    """Make ``evaluate_fpv`` call ``end()`` in any process but this one."""
+    parent, evaluate_fpv = os.getpid(), pipeline.evaluate_fpv
+
+    def scored(stack, corpus):
+        if os.getpid() != parent:
+            end()
+        return evaluate_fpv(stack, corpus)
+
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(pipeline, "evaluate_fpv", scored)
+
+
+def test_a_scorer_killed_by_a_signal_is_a_worker_error(monkeypatch):
+    fail_in_the_scorer(monkeypatch, lambda: os.kill(os.getpid(), 9))
+    with pytest.raises(WorkerError, match="^the worker process scoring stage 1 ended without its "
+                                          "result \\(killed by signal 9\\)$"):
+        run_experiment(FAST, WORLD)
+    assert_no_child_left()
+
+
+def test_a_scoring_error_is_raised_as_inline(monkeypatch):
+    def out_of_range():
+        raise LabelOutOfRangeError("label 9 is outside the task head's 6 classes")
+
+    fail_in_the_scorer(monkeypatch, out_of_range)
+    with pytest.raises(LabelOutOfRangeError, match="^label 9 is outside the task head's 6 classes$"):
+        run_experiment(FAST, WORLD)
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs interval timers")
+def test_six_hundred_scored_epochs_on_tiny_sets_do_not_deadlock(monkeypatch):
+    def deadlocked(*_):
+        raise TimeoutError("600 scored epochs took over 60 s")
+
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    tiny = replace(FAST, epochs_stage1=300, epochs_stage2=300, n_fpv_train=2, n_tpv_train=2,
+                   n_fpv_test=2, n_tpv_test=2, batch_size=2)
+    handler = signal.signal(signal.SIGALRM, deadlocked)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 60)
+        result = run_experiment(tiny, WORLD)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+    assert len(result.records) == 600
+    assert_no_child_left()
 
 
 def map_three_workers(monkeypatch, fn) -> list:
@@ -864,3 +1004,36 @@ def test_a_worker_that_cannot_be_forked_is_a_worker_error(monkeypatch):
     with pytest.raises(WorkerError, match="cannot start a worker process: .*unavailable"):
         map_three_workers(monkeypatch, lambda i: i)
     assert_no_child_left()
+
+
+def test_a_scorer_that_cannot_be_forked_is_a_worker_error(monkeypatch):
+    def no_process():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_process)
+    fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    with pytest.raises(WorkerError, match="cannot start a worker process: .*unavailable"):
+        run_experiment(FAST, WORLD)
+    assert fds is None or len(os.listdir("/proc/self/fd")) == fds  # both pipes closed
+    assert_no_child_left()
+
+
+def test_stacking_datasets_of_unequal_sizes_is_a_config_error():
+    fpv, _ = train_sets(FAST)
+    fewer, _ = train_sets(replace(FAST, n_fpv_train=FAST.n_fpv_train - 1))
+    with pytest.raises(ConfigError, match="^the seeds' datasets of one view must have one size$"):
+        stack_datasets([fpv, fewer])
+
+
+def test_joint_train_needs_one_dataset_replica_per_seed():
+    fpv, tpv = train_sets(FAST)
+    with pytest.raises(ConfigError, match="^3 seeds need datasets of 3 replicas$"):
+        joint_train(replace(FAST, tpv_mode="same_init"), WORLD, stack_datasets([fpv, fpv]),
+                    stack_datasets([tpv, tpv]), None, seeds=[0, 1, 2])
+
+
+def test_stage1_on_an_empty_set_is_a_config_error(tmp_path):
+    (tmp_path / "empty.jsonl").write_text("")
+    with pytest.raises(ConfigError, match="^TPV dataset must be nonempty for stage 1$"):
+        pretrain_tpv(FAST, WORLD, read_dataset(tmp_path / "empty.jsonl"))
