@@ -40,33 +40,52 @@ def output_dir(path):
         raise
 
 
-def write_atomic(path, write) -> None:
-    """Fill ``path.tmp`` with ``write(fh)``, then rename it over ``path``.
+def write_files(outputs) -> None:
+    """Write every ``(path, write)`` of ``outputs``, or none of them.
 
-    Lines end in ``\\n`` on every platform.  On any failure the ``.tmp`` file
-    is removed, so ``path`` is either the complete new file or untouched; an
-    OSError is raised as DatasetIOError.
+    ``write(fh)`` fills ``path.tmp`` for each output first; only once all are
+    filled is each renamed over its path, in order.  Lines end in ``\\n`` on
+    every platform.  On any failure the temp files are removed and so are the
+    paths already renamed, so no output is left behind (an old file already
+    replaced is gone too); an OSError is raised as DatasetIOError naming the
+    path it failed on.
     """
-    tmp = f"{path}.tmp"
+    outputs = list(outputs)
+    made = []  # every temp file opened and every path renamed over
+    path = None
     try:
         try:
-            with open(tmp, "w", newline="") as fh:
-                write(fh)
-            os.replace(tmp, path)
+            for path, write in outputs:
+                made.append(f"{path}.tmp")
+                with open(f"{path}.tmp", "w", newline="") as fh:
+                    write(fh)
+            for path, _ in outputs:
+                os.replace(f"{path}.tmp", path)
+                made.append(path)
         except BaseException:
-            with contextlib.suppress(OSError):
-                os.remove(tmp)
+            for name in made:
+                with contextlib.suppress(OSError):
+                    os.remove(name)
             raise
     except OSError as exc:
         raise DatasetIOError(f"cannot write {path}: {exc}") from exc
 
 
-def write_csv(path, header, rows) -> None:
-    """Write ``header`` and ``rows`` (an iterable, a generator too) as CSV
-    through ``write_atomic``; lines end in ``\\r\\n``, the csv module's excel dialect."""
-    def write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def write_atomic(path, write) -> None:
+    """Fill ``path.tmp`` with ``write(fh)``, then rename it over ``path``: the
+    one-file case of :func:`write_files`, so ``path`` is either the complete new
+    file or untouched."""
+    write_files([(path, write)])
 
-    write_atomic(path, write)
+
+def dump_csv(header, rows, fh) -> None:
+    """Write ``header`` and ``rows`` (an iterable, a generator too) to ``fh`` as
+    CSV; lines end in ``\\r\\n``, the csv module's excel dialect."""
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
+def write_csv(path, header, rows) -> None:
+    """:func:`dump_csv` to ``path`` through :func:`write_atomic`."""
+    write_atomic(path, lambda fh: dump_csv(header, rows, fh))

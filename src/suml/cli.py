@@ -32,8 +32,8 @@ import math
 import sys
 
 from . import gradcheck, schema
-from .atomic import write_csv
-from .datagen import WorldSpec, read_dataset, sample_dataset, write_dataset
+from .atomic import write_csv, write_files
+from .datagen import WorldSpec, dump_dataset, read_dataset, sample_dataset
 from .exceptions import (
     BadEdgesError,
     ConfigParseError,
@@ -54,11 +54,11 @@ from .pipeline import (
     TrainConfig,
     build_world,
     derive_seeds,
+    dump_effective_config,
     effective_config,
     evaluate_fpv,
     run_ablation_grid,
     run_experiment,
-    write_effective_config,
 )
 
 _SECTIONS = {"world": WorldSpec, "loss": LossConfig, "train": TrainConfig}
@@ -116,8 +116,10 @@ def _cmd_synth(args) -> int:
     else:
         seed = schema.parse(TrainConfig, "seed", args.sample_seed, "--sample-seed")
     corpus = sample_dataset(world, args.view, args.n, seed)
-    write_dataset(corpus, args.out)
-    write_effective_config(world_spec, train, f"{args.out}.config.json")
+    write_files([
+        (args.out, lambda fh: dump_dataset(corpus, fh)),
+        (f"{args.out}.config.json", lambda fh: dump_effective_config(world_spec, train, fh)),
+    ])
     print(f"wrote {len(corpus)} {args.view} samples to {args.out}")
     return 0
 

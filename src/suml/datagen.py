@@ -260,18 +260,21 @@ def _append_record(fields: dict, seen_ids: set, line: str, lineno: int) -> None:
         fields[key].append(rec[key])
 
 
-def write_dataset(corpus: Corpus, path) -> None:
-    """Write ``corpus`` as JSON Lines, one clip per line, keys in ``DATASET_FIELDS``
-    order, labels as ints and floats lossless (repr round-trip).  Arrays are
-    converted clip by clip, so no list copy of a whole column is held."""
-    def lines():
-        for i, clip_id in enumerate(corpus.ids):
-            values = (clip_id, corpus.view, int(corpus.verb_ids[i]), int(corpus.noun_ids[i]),
-                      int(corpus.labels[i]), corpus.frames[i].tolist(),
-                      corpus.narrations[i].tolist())
-            yield json.dumps(dict(zip(DATASET_FIELDS, values))) + "\n"
+def dump_dataset(corpus: Corpus, fh) -> None:
+    """Write ``corpus`` to ``fh`` as JSON Lines, one clip per line, keys in
+    ``DATASET_FIELDS`` order, labels as ints and floats lossless (repr
+    round-trip).  Arrays are converted clip by clip, so no list copy of a whole
+    column is held."""
+    for i, clip_id in enumerate(corpus.ids):
+        values = (clip_id, corpus.view, int(corpus.verb_ids[i]), int(corpus.noun_ids[i]),
+                  int(corpus.labels[i]), corpus.frames[i].tolist(),
+                  corpus.narrations[i].tolist())
+        fh.write(json.dumps(dict(zip(DATASET_FIELDS, values))) + "\n")
 
-    write_atomic(path, lambda fh: fh.writelines(lines()))
+
+def write_dataset(corpus: Corpus, path) -> None:
+    """:func:`dump_dataset` to ``path`` through ``write_atomic``."""
+    write_atomic(path, lambda fh: dump_dataset(corpus, fh))
 
 
 def read_dataset(path) -> Corpus:

@@ -74,7 +74,7 @@ class DivergenceError(SumlError):
 
 
 class NormOverflowError(SumlError):
-    """Vector norms too large for float64: their products overflow."""
+    """Vector norms that are not finite, or too large for float64: their products overflow."""
 
 
 class WorkerError(SumlError):

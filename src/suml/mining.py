@@ -86,10 +86,12 @@ def mine_pseudo_pairs(fpv, tpv) -> list[PseudoPair]:
         raise DimMismatchError(f"narration dims differ: {T.shape[1]} vs {dim}")
     with np.errstate(over="ignore"):  # an overflowed norm is the error below, not a warning
         t_norms, f_norms = _norms(T), _norms(F)
-    if np.any(t_norms < ZERO_NORM_EPS):
-        raise ZeroNormError("zero-norm TPV narration")
-    if np.any(f_norms < ZERO_NORM_EPS):
-        raise ZeroNormError("zero-norm FPV narration")
+    for M, norms, view in ((T, t_norms, "TPV"), (F, f_norms, "FPV")):
+        # a NaN or infinite entry makes the norm non-finite; so can overflow, checked below
+        if not np.isfinite(norms).all() and not np.isfinite(M).all():
+            raise NormOverflowError(f"non-finite {view} narration")
+        if np.any(norms < ZERO_NORM_EPS):
+            raise ZeroNormError(f"zero-norm {view} narration")
     # |f . t| <= |f| |t|: with every norm product finite, so is every similarity
     if not math.isfinite(float(f_norms.max()) * float(t_norms.max())):
         raise NormOverflowError("narration norms overflow float64, so their cosine "

@@ -327,8 +327,9 @@ def _mlp_from_json(doc: dict, name: str, in_dim):
     return (weights[0].shape[1], *(W.shape[0] for W in weights)), weights + biases
 
 
-def save_checkpoint(stack: EncoderStack, path, stage: str) -> None:
-    """JSON checkpoint; floats serialize losslessly so loads round-trip exactly."""
+def dump_checkpoint(stack: EncoderStack, stage: str, fh) -> None:
+    """Write ``stack`` to ``fh`` as a JSON checkpoint; floats serialize
+    losslessly so loads round-trip exactly."""
     doc = {
         "format": CHECKPOINT_FORMAT,
         "stage": stage,
@@ -338,7 +339,12 @@ def save_checkpoint(stack: EncoderStack, path, stage: str) -> None:
         "h": _mlp_to_json(stack.h),
         "g": _mlp_to_json(stack.g),
     }
-    write_atomic(path, lambda fh: json.dump(doc, fh))
+    json.dump(doc, fh)
+
+
+def save_checkpoint(stack: EncoderStack, path, stage: str) -> None:
+    """:func:`dump_checkpoint` to ``path`` through ``write_atomic``."""
+    write_atomic(path, lambda fh: dump_checkpoint(stack, stage, fh))
 
 
 def load_checkpoint(path):

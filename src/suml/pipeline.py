@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import losses
-from .atomic import output_dir, write_atomic, write_csv
+from .atomic import dump_csv, output_dir, write_atomic, write_files
 from .datagen import (
     CORPUS_COLUMNS,
     Corpus,
@@ -57,10 +57,10 @@ from .model import (
     backward,
     clone_stack,
     cosine_lr,
+    dump_checkpoint,
     encode_batch,
     init_stack,
     replica,
-    save_checkpoint,
     sgd_momentum_step,
 )
 from .numerics import mean_rows
@@ -509,8 +509,14 @@ def joint_train(
     return fpv_stack, tpv_stack, records
 
 
+def dump_metrics(records, fh) -> None:
+    """Write ``records`` to ``fh`` as JSON Lines, one epoch per line."""
+    fh.writelines(json.dumps(r.to_dict()) + "\n" for r in records)
+
+
 def write_metrics_jsonl(records, path) -> None:
-    write_atomic(path, lambda fh: fh.writelines(json.dumps(r.to_dict()) + "\n" for r in records))
+    """:func:`dump_metrics` to ``path`` through ``write_atomic``."""
+    write_atomic(path, lambda fh: dump_metrics(records, fh))
 
 
 def effective_config(world_spec: WorldSpec, config: TrainConfig) -> dict:
@@ -522,22 +528,15 @@ def effective_config(world_spec: WorldSpec, config: TrainConfig) -> dict:
     return {"world": world, "loss": train.pop("loss"), "train": train}
 
 
-def write_effective_config(world_spec: WorldSpec, config: TrainConfig, path) -> None:
-    doc = effective_config(world_spec, config)
-    write_atomic(path, lambda fh: fh.write(json.dumps(doc, indent=2) + "\n"))
+def dump_effective_config(world_spec: WorldSpec, config: TrainConfig, fh) -> None:
+    """Write :func:`effective_config` to ``fh`` as indented JSON."""
+    fh.write(json.dumps(effective_config(world_spec, config), indent=2) + "\n")
 
 
 def _write_run(result: ExperimentResult, world_spec, stage1_stack, out_dir) -> None:
-    """The run's artifacts, written only once the whole run has succeeded."""
+    """The run's artifacts, written all or none once the whole run has succeeded."""
     config = result.config
-    write_effective_config(world_spec, config, os.path.join(out_dir, "effective_config.json"))
-    write_metrics_jsonl(result.records, os.path.join(out_dir, "metrics.jsonl"))
-    if stage1_stack is not None:
-        path = os.path.join(out_dir, "checkpoint_stage1_tpv.json")
-        save_checkpoint(stage1_stack, path, "stage1_tpv")
     fpv_stack = replace(result.fpv_stack, view="fpv")  # shared_weights: it is the TPV stack
-    save_checkpoint(fpv_stack, os.path.join(out_dir, "checkpoint_fpv.json"), "stage2_fpv")
-    save_checkpoint(result.tpv_stack, os.path.join(out_dir, "checkpoint_tpv.json"), "stage2_tpv")
     summary = {
         "method": config.method,
         "tpv_mode": config.tpv_mode,
@@ -545,7 +544,19 @@ def _write_run(result: ExperimentResult, world_spec, stage1_stack, out_dir) -> N
         "final_fpv_test_acc": result.final_fpv_test_acc,
         "final_tpv_test_acc": result.final_tpv_test_acc,
     }
-    write_atomic(os.path.join(out_dir, "summary.json"), lambda fh: json.dump(summary, fh, indent=2))
+    outputs = [
+        ("effective_config.json", lambda fh: dump_effective_config(world_spec, config, fh)),
+        ("metrics.jsonl", lambda fh: dump_metrics(result.records, fh)),
+    ]
+    if stage1_stack is not None:
+        outputs.append(("checkpoint_stage1_tpv.json",
+                        lambda fh: dump_checkpoint(stage1_stack, "stage1_tpv", fh)))
+    outputs += [
+        ("checkpoint_fpv.json", lambda fh: dump_checkpoint(fpv_stack, "stage2_fpv", fh)),
+        ("checkpoint_tpv.json", lambda fh: dump_checkpoint(result.tpv_stack, "stage2_tpv", fh)),
+        ("summary.json", lambda fh: json.dump(summary, fh, indent=2)),
+    ]
+    write_files((os.path.join(out_dir, name), write) for name, write in outputs)
 
 
 _SIGKILL = 9  # signal.SIGKILL, without importing ``signal``
@@ -784,8 +795,12 @@ def run_ablation_grid(
                 "mean_fpv_acc": float(np.mean(accs)), "std_fpv_acc": float(np.std(accs)),
             })
         if out_dir is not None:
-            write_effective_config(world_spec, base_config,
-                                   os.path.join(out_dir, "effective_config.json"))
-            for name, rows in (("runs.csv", runs), ("summary.csv", cells)):
-                write_csv(os.path.join(out_dir, name), list(rows[0]), (r.values() for r in rows))
+            write_files([
+                (os.path.join(out_dir, "effective_config.json"),
+                 lambda fh: dump_effective_config(world_spec, base_config, fh)),
+                (os.path.join(out_dir, "runs.csv"),
+                 lambda fh: dump_csv(list(runs[0]), (r.values() for r in runs), fh)),
+                (os.path.join(out_dir, "summary.csv"),
+                 lambda fh: dump_csv(list(cells[0]), (c.values() for c in cells), fh)),
+            ])
     return runs, cells

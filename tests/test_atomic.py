@@ -1,6 +1,6 @@
 import pytest
 
-from suml.atomic import make_dirs, output_dir, write_atomic, write_csv
+from suml.atomic import make_dirs, output_dir, write_atomic, write_csv, write_files
 from suml.exceptions import DatasetIOError
 
 
@@ -32,6 +32,42 @@ def test_write_atomic_failure_keeps_the_old_file(tmp_path):
         write_atomic(target, fail_midway)
     assert target.read_text() == "old"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_write_files_fills_every_file_before_renaming_any(tmp_path):
+    seen = []
+
+    def write(text):
+        def fill(fh):
+            seen.append(sorted(p.name for p in tmp_path.iterdir()))
+            fh.write(text)
+        return fill
+
+    write_files([(tmp_path / "a.txt", write("a")), (tmp_path / "b.txt", write("b"))])
+    # b.txt is filled while a.txt is still a temp file
+    assert seen == [["a.txt.tmp"], ["a.txt.tmp", "b.txt.tmp"]]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt"]
+    assert (tmp_path / "b.txt").read_text() == "b"
+
+
+def test_write_files_failing_to_rename_removes_the_files_already_renamed(tmp_path):
+    (tmp_path / "c.txt").mkdir()  # the last rename fails
+    outputs = [(tmp_path / name, lambda fh: fh.write("x")) for name in ("a.txt", "b.txt", "c.txt")]
+    with pytest.raises(DatasetIOError, match="cannot write .*c.txt"):
+        write_files(outputs)
+    assert [p.name for p in tmp_path.iterdir()] == ["c.txt"]
+
+
+def test_write_files_failing_to_fill_a_file_leaves_none(tmp_path):
+    def fail(fh):
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError):
+        write_files([(tmp_path / "a.txt", lambda fh: fh.write("a")), (tmp_path / "b.txt", fail)])
+    with pytest.raises(DatasetIOError, match="cannot write .*/missing/b.txt"):
+        write_files([(tmp_path / "a.txt", lambda fh: fh.write("a")),
+                     (tmp_path / "missing" / "b.txt", lambda fh: fh.write("b"))])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_write_csv_writes_the_header_then_the_rows(tmp_path):

@@ -3,6 +3,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 from conftest import count_calls
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from test_golden import ARTIFACTS
 
 from suml import pipeline
-from suml.cli import _read_pairs_csv, main, parse_config
+from suml.cli import _read_pairs_csv, build_parser, main, parse_config
 from suml.datagen import WorldSpec, generate_world, read_dataset, sample_dataset, write_dataset
 from suml.exceptions import (
     ConfigParseError,
@@ -277,17 +279,18 @@ def test_train_and_eval_commands(tmp_path, config_file):
 
 
 def test_cli_train_runs_are_bitwise_identical(tmp_path, config_file):
-    d1 = str(tmp_path / "a")
-    d2 = str(tmp_path / "b")
-    assert main(["train", "--config", config_file, "--out-dir", d1]) == 0
-    assert main(["train", "--config", config_file, "--out-dir", d2]) == 0
-    for name in ("metrics.jsonl", "checkpoint_fpv.json", "checkpoint_tpv.json"):
-        with open(os.path.join(d1, name), "rb") as fa, open(os.path.join(d2, name), "rb") as fb:
-            assert fa.read() == fb.read()
+    """A second run from the first's effective config writes the same bytes."""
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["train", "--config", config_file, "--set", "train.seed=3",
+                 "--set", "loss.theta=0.5", "--out-dir", str(a)]) == 0
+    assert main(["train", "--config", str(a / "effective_config.json"), "--out-dir", str(b)]) == 0
+    for name in (*ARTIFACTS, "effective_config.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_gradcheck_command_small():
+def test_gradcheck_command_small(capsys):
     assert main(["gradcheck", "--instances", "3", "--model-instances", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "gradcheck: PASS"
 
 
 def test_ablate_command(tmp_path, config_file):
@@ -595,6 +598,70 @@ def _fails_with_one_error_line(tmp_path, capsys, argv, paths):
     return err
 
 
+# Per command, (a success and what its stdout holds, a typed rejection), run in a
+# fresh process; ``{out}`` is the path the command writes.
+FRESH_PROCESS_CASES = {
+    "synth": ((["synth", "--view", "fpv", "--n", "3", "--out", "{out}"], "wrote 3 fpv samples"),
+              ["synth", "--set", "world.text_noise_std=nan", "--view", "fpv", "--n", "3",
+               "--out", "{out}"]),
+    "mine": ((["mine", "--fpv", "{fpv}", "--tpv", "{tpv}", "--out", "{out}"], "wrote 4 pairs"),
+             ["mine", "--fpv", "{tpv}", "--tpv", "{fpv}", "--out", "{out}"]),
+    "stats": ((["stats", "--pairs", "{pairs}", "--out", "{out}"], "wrote histogram"),
+              ["stats", "--pairs", "{nan_pairs}", "--out", "{out}"]),
+    "train": ((["train", "--config", "{config}", "--out-dir", "{out}"], "final_fpv_test_acc="),
+              ["train", "--config", "{config}", "--set", "world.seed=5", "--out-dir", "{out}"]),
+    "eval": ((["eval", "--checkpoint", "{ckpt}", "--dataset", "{fpv}"], '"accuracy": '),
+             ["eval", "--checkpoint", "{ckpt}", "--dataset", "{tpv}"]),
+    "gradcheck": ((["gradcheck", "--instances", "1", "--model-instances", "1"],
+                   "\ngradcheck: PASS\n"),
+                  ["gradcheck", "--instances", "0", "--model-instances", "1"]),
+    "ablate": ((["ablate", "--config", "{config}", "--methods", "fpv_only", "--seeds", "0",
+                 "--out-dir", "{out}"], "fpv_only"),
+               ["ablate", "--config", "{config}", "--seeds", "0,0", "--out-dir", "{out}"]),
+}
+
+
+def test_the_fresh_process_cases_cover_every_command():
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    assert set(FRESH_PROCESS_CASES) == set(commands)
+
+
+@pytest.mark.parametrize("outcome", ["success", "rejection"])
+@pytest.mark.parametrize("command", sorted(FRESH_PROCESS_CASES))
+def test_a_command_in_a_fresh_process(tmp_path, config_file, command, outcome):
+    """``python -m suml.cli``, as a shell runs it, with numpy RuntimeWarnings as errors:
+    a success exits 0 and writes its output; a rejection exits 1 with one ``error:``
+    line, no traceback and no file written."""
+    paths = _cli_inputs(tmp_path, config_file)
+    paths["tpv"] = str(tmp_path / "tpv.jsonl")
+    _synth(config_file, paths["tpv"], "--view", "tpv")
+    paths["pairs"], paths["nan_pairs"] = str(tmp_path / "pairs.csv"), str(tmp_path / "nan.csv")
+    (tmp_path / "pairs.csv").write_text("fpv_index,tpv_index,similarity\n0,1,0.5\n1,0,0.9\n")
+    (tmp_path / "nan.csv").write_text("fpv_index,tpv_index,similarity\n0,1,nan\n1,0,0.5\n")
+    paths["config"] = config_file
+    (argv, stdout), rejected = FRESH_PROCESS_CASES[command]
+    if outcome == "rejection":
+        argv = rejected
+    package_root = os.path.dirname(os.path.dirname(pipeline.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    before = sorted(tmp_path.iterdir())
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "suml.cli",
+         *(arg.format(**paths) for arg in argv)],
+        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=300,
+    )
+    assert "Traceback" not in proc.stderr
+    if outcome == "success":
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert stdout in proc.stdout
+        assert "{out}" not in argv or os.path.exists(paths["out"])
+    else:
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -697,7 +764,8 @@ def test_failed_train_leaves_no_file(tmp_path, capsys, overrides):
     for item in overrides:
         argv += ["--set", item]
     assert main(argv) == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
     assert not out_dir.exists()
 
 
@@ -712,6 +780,30 @@ def test_diverging_ablate_names_the_seed_and_leaves_no_directory(tmp_path, capsy
     assert "seed" in line and "stage 2 diverged at epoch" in line
     assert "Traceback" not in err
     assert not (tmp_path / "grids").exists()
+
+
+@pytest.mark.parametrize("argv,blocked", [(["train"], "summary.json"),
+                                          (["ablate", "--seeds", "0"], "summary.csv")],
+                         ids=["train", "ablate"])
+def test_a_failed_last_write_leaves_no_file_in_an_existing_out_dir(tmp_path, config_file,
+                                                                   capsys, argv, blocked):
+    out_dir = tmp_path / "out"
+    (out_dir / blocked).mkdir(parents=True)  # the last rename fails, after every file is filled
+    assert main([*argv, "--config", config_file, "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out_dir / blocked}") and err.count("\n") == 1
+    assert [p.name for p in out_dir.iterdir()] == [blocked]
+
+
+def test_synth_that_cannot_write_its_config_leaves_no_dataset(tmp_path, config_file, capsys):
+    # the dataset's temp file name just fits the file system, its config's does not
+    out = tmp_path / ("a" * (os.pathconf(tmp_path, "PC_NAME_MAX") - len(".tmp")))
+    before = sorted(tmp_path.iterdir())
+    assert main(["synth", "--config", config_file, "--view", "fpv", "--n", "3",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}.config.json") and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_divergence_in_a_forked_cell_exits_one_and_leaves_no_process(tmp_path, capsys,
@@ -790,7 +882,9 @@ def test_eval_rejects_malformed_checkpoints(tmp_path, config_file, capsys, damag
     ckpt.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(ckpt), "--dataset", data]) == 1
-    assert "checkpoint" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "checkpoint" in err
+    assert "Traceback" not in err
 
 
 # integers reach past the float range, where numpy's float conversion overflows

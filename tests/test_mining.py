@@ -13,6 +13,7 @@ from suml.exceptions import (
     DimMismatchError,
     EmptyCorpusError,
     InvalidViewError,
+    NormOverflowError,
     ZeroNormError,
 )
 from suml.mining import (
@@ -146,6 +147,16 @@ def test_mining_rejects_zero_norm_narrations(view):
     unit, zero = [[1.0, 0.0]], [[1.0, 1.0], [0.0, 0.0]]
     fpv, tpv = (zero, unit) if view == "FPV" else (unit, zero)
     with pytest.raises(ZeroNormError, match=f"zero-norm {view} narration"):
+        mine_pseudo_pairs(narrations("fpv", fpv), narrations("tpv", tpv))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
+@pytest.mark.parametrize("view", ["FPV", "TPV"])
+def test_mining_rejects_a_non_finite_narration_naming_its_view(view, value):
+    """Only a corpus built in Python reaches this: ``read_dataset`` rejects the file."""
+    unit, bad = [[1.0, 0.0]], [[1.0, 1.0], [0.5, value]]
+    fpv, tpv = (bad, unit) if view == "FPV" else (unit, bad)
+    with pytest.raises(NormOverflowError, match=f"^non-finite {view} narration$"):
         mine_pseudo_pairs(narrations("fpv", fpv), narrations("tpv", tpv))
 
 

@@ -220,11 +220,12 @@ def test_ablation_grid_writes_summary(tmp_path):
     )
     assert len(runs) == 4
     assert len(cells) == 2
-    assert (out / "runs.csv").exists()
-    assert (out / "summary.csv").exists()
-    with open(out / "summary.csv") as fh:
-        header = fh.readline().strip().split(",")
+    assert (out / "effective_config.json").exists()
+    assert len((out / "runs.csv").read_text().splitlines()) == 1 + 4
+    lines = (out / "summary.csv").read_text().splitlines()
+    header = lines[0].split(",")
     assert "method" in header and "mean_fpv_acc" in header
+    assert len(lines) == 1 + 2 and "nan" not in "".join(lines).lower()
 
 
 @pytest.mark.parametrize(
@@ -741,6 +742,10 @@ def test_forked_grid_equals_the_one_worker_grid_bitwise(monkeypatch, one_worker_
     forks = count_calls(monkeypatch, os, "fork")
     assert all_modes_grids() == one_worker_grids  # every accuracy to the last bit
     cells = len(METHODS) * len(TPV_MODES)
+    for _, rows in one_worker_grids:
+        assert len(rows) == cells
+        assert all(math.isfinite(r["mean_fpv_acc"]) and math.isfinite(r["std_fpv_acc"])
+                   for r in rows)
     assert len(forks) == len(NEGATIVE_SET_MODES) * (min(cells, pipeline._usable_cpus()) - 1)
     assert_no_child_left()
 
@@ -786,44 +791,48 @@ def test_a_single_run_forks_one_scorer_per_scored_stage(monkeypatch, cpus, score
     assert_no_child_left()
 
 
-def scorer_runs(tpv_modes) -> list:
-    """Per TPV mode: the records and both stacks of a run, as plain lists."""
+def scorer_runs(tpv_modes, out_dir) -> list:
+    """Per TPV mode: every artifact of a run written under ``out_dir``, by name."""
     runs = []
     for mode in tpv_modes:
-        result = run_experiment(replace(FAST, tpv_mode=mode), WORLD)
-        runs.append([[r.to_dict() for r in result.records],
-                     result.fpv_stack.params.tolist(), result.tpv_stack.params.tolist()])
+        run_dir = os.path.join(out_dir, mode)
+        run_experiment(replace(FAST, tpv_mode=mode), WORLD, out_dir=run_dir)
+        runs.append({})
+        for name in sorted(os.listdir(run_dir)):
+            with open(os.path.join(run_dir, name)) as fh:
+                runs[-1][name] = fh.read()
     return runs
 
 
 SCORED_SCRIPT = """
 import json, os, sys
-sys.path[:0] = sys.argv[1:]
+sys.path[:0] = sys.argv[2:]
 from test_pipeline import TPV_MODES, scorer_runs
 
 def no_fork():
     raise AssertionError("a run on one CPU forked")
 
 os.fork = no_fork
-print(json.dumps(scorer_runs(TPV_MODES)))
+print(json.dumps(scorer_runs(TPV_MODES, sys.argv[1])))
 """
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
-def test_a_run_on_one_cpu_scores_inline_bitwise_as_the_scorer(monkeypatch):
+def test_a_run_on_one_cpu_scores_inline_bitwise_as_the_scorer(monkeypatch, tmp_path):
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
     forks = count_calls(monkeypatch, os, "fork")
-    forked = scorer_runs(TPV_MODES)
+    forked = scorer_runs(TPV_MODES, str(tmp_path / "forked"))
     assert len(forks) == 2 * len(TPV_MODES) - 1  # same_init has no stage 1
     cpu = min(os.sched_getaffinity(0))
     package_root = os.path.dirname(os.path.dirname(pipeline.__file__))
     proc = subprocess.run(
-        [sys.executable, "-c", SCORED_SCRIPT, package_root, os.path.dirname(__file__)],
+        [sys.executable, "-c", SCORED_SCRIPT, str(tmp_path / "inline"), package_root,
+         os.path.dirname(__file__)],
         capture_output=True, text=True, timeout=300,
         preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
     )
     assert proc.returncode == 0, proc.stderr
-    # JSON writes each float's repr, which reads back to the same bits
+    # every artifact, metrics.jsonl and the three checkpoints among them, byte for byte
     assert json.loads(proc.stdout) == forked
 
 
