@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 
 from . import gradcheck, schema
@@ -167,12 +166,9 @@ def _read_pairs_csv(path):
 
 def _parse_edges(text: str) -> tuple:
     try:
-        edges = tuple(float(e) for e in text.split(","))
+        return tuple(float(e) for e in text.split(","))
     except ValueError:
-        edges = (math.nan,)
-    if any(math.isnan(e) for e in edges):
-        raise BadEdgesError(f"--edges must be comma-separated numbers, got {text!r}")
-    return edges
+        raise BadEdgesError(f"--edges must be comma-separated numbers, got {text!r}") from None
 
 
 def _cmd_stats(args) -> int:
@@ -180,7 +176,10 @@ def _cmd_stats(args) -> int:
     edges = DEFAULT_BUCKET_EDGES
     if args.edges is not None:
         edges = _parse_edges(args.edges)
-    hist = similarity_histogram(pairs, edges)
+    try:
+        hist = similarity_histogram(pairs, edges)
+    except BadEdgesError as exc:
+        raise BadEdgesError(f"--edges: {exc}") from None
     buckets = zip(hist.bucket_edges, hist.bucket_edges[1:], hist.counts, hist.fractions)
     write_csv(args.out, ["bucket_low", "bucket_high", "count", "fraction"],
               ([repr(lo), repr(hi), int(count), repr(float(frac))]

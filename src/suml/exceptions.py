@@ -78,4 +78,4 @@ class NormOverflowError(SumlError):
 
 
 class WorkerError(SumlError):
-    """A worker process ended without its result; message names the cell and exit status."""
+    """A worker process ended without its result; the message names its task and how it ended."""

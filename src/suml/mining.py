@@ -136,6 +136,8 @@ def similarity_histogram(pairs, bucket_edges=DEFAULT_BUCKET_EDGES) -> Similarity
     edges = tuple(float(e) for e in bucket_edges)
     if len(edges) < 2:
         raise BadEdgesError("need at least two edges")
+    if any(math.isnan(e) for e in edges):
+        raise BadEdgesError(f"edges must be numbers, got {edges}")
     if any(a >= b for a, b in zip(edges, edges[1:])):
         raise BadEdgesError("edges must be strictly ascending")
     if edges[0] > -1.0 or edges[-1] < 1.0:

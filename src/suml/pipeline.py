@@ -263,11 +263,7 @@ def _train_stage(config, stage, seeds, views, n_rows, terms, batch_at, epoch_fie
     under shared weights.  A record holds each slot's mean batch value and the
     fields ``epoch_fields(seen)`` returns, given the rows the epoch trained on;
     a ``(stack, corpus)`` field holds ``evaluate_fpv`` of the stack as the epoch
-    left it.  With more than one usable CPU, a stage with fields to score forks
-    a scorer (``_fork_worker``), which inherits the corpora; each epoch sends it
-    one request per stack, its ``params``, and reads the previous epoch's scores,
-    so epoch e is scored, bitwise as inline, while epoch e + 1 trains.  On one
-    CPU (``taskset -c 0``) a stage scores inline.  No scorer outlives its stage.
+    left it, scored by the stage's scorer (``_Worker``) given a second CPU.
     """
     epochs = getattr(config, f"epochs_stage{stage}")
     min_rows = 1 if stage == 1 else 2  # an alignment term needs two pairs
@@ -285,7 +281,7 @@ def _train_stage(config, stage, seeds, views, n_rows, terms, batch_at, epoch_fie
     for field, stack in views.items():
         learners.setdefault(id(stack), (stack, [], np.zeros_like(stack.params)))[1].append(field)
     epoch_records, pending = [], []  # per epoch: its loss means and fields; per request in flight
-    scorer = None  # the scorer's pid, reply pipe and request pipe, until reaped
+    scorer, forks = None, _usable_cpus() > 1  # a scorer is forked given a second CPU
 
     def score(request):  # the fields ``names`` of ``targets``' stack at ``params``
         names, params = request
@@ -293,14 +289,8 @@ def _train_stage(config, stage, seeds, views, n_rows, terms, batch_at, epoch_fie
         return [evaluate_fpv(stack, targets[name][1]) for name in names]
 
     def collect():  # the oldest request's scores, into its epoch's fields
-        nonlocal scorer
         fields, names = pending.pop(0)
-        try:
-            ok, value = pickle.load(scorer[1])
-        except (EOFError, pickle.UnpicklingError):  # the scorer exited or died
-            how, scorer = _reap(*scorer), None
-            raise WorkerError(f"the worker process scoring stage {stage} ended without its "
-                              f"result ({how})") from None
+        ok, value = scorer.reply(f"scoring stage {stage}")
         if not ok:
             raise value
         fields.update(zip(names, value))
@@ -339,36 +329,23 @@ def _train_stage(config, stage, seeds, views, n_rows, terms, batch_at, epoch_fie
                 if isinstance(value, tuple):
                     stacks.setdefault(id(value[0]), (value[0], []))[1].append(name)
             requests = [(names, stack.params) for stack, names in stacks.values()]
-            if scorer is None and requests and _usable_cpus() > 1:
-                read_fd, write_fd = os.pipe()  # the scorer inherits ``targets``' stacks and corpora
-                try:
-                    scorer = (*_fork_worker(score, _requests(read_fd, write_fd)),
-                              os.fdopen(write_fd, "wb", buffering=0))
-                except WorkerError:
-                    os.close(write_fd)
-                    raise
-                finally:
-                    os.close(read_fd)
+            if scorer is None and requests and forks:
+                scorer = _Worker(score)  # it inherits ``targets``' stacks and corpora
             if scorer is None:  # one usable CPU: scored here, on the stacks themselves
                 for request in requests:
                     fields.update(zip(request[0], score(request)))
                 continue
             pending.extend((fields, names) for names, _ in requests)
-            try:  # one request per stack, a copy of its params; a signal can cut a write short
-                data = memoryview(b"".join(map(pickle.dumps, requests)))
-                while data:
-                    data = data[scorer[2].write(data):]
-            except BrokenPipeError:  # the scorer has ended: collecting its replies says why
-                pass
+            scorer.send(*requests)  # a copy of each stack's params
             while len(pending) > len(requests):  # no more than two epochs are ever in flight
                 collect()
         if scorer is not None:
-            scorer[2].close()  # the scorer ends once it has scored every request
+            scorer.close()
         while pending:
             collect()
     finally:
         if scorer is not None:
-            _reap(*scorer)
+            scorer.reap()
     return [
         MetricsRecord(epoch, stage, **{f"loss_{slot}": mean[r] for slot, mean in means.items()},
                       **{name: value[r] for name, value in fields.items()})
@@ -571,114 +548,139 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fork_worker(fn, items):
-    """Fork the worker of ``items``, any iterable, which it reads in the child;
-    return its pid and the read end of its pipe.
-
-    The child pickles ``(ok, result or exception)`` per item onto the pipe, in
-    item order, and stops after its first failure, as the serial loop would.
-    Every path of the child ends in ``os._exit``: no frame of its caller (an
+class _Worker:
+    """A forked child that answers each pickled request, in order, with
+    ``(ok, fn(request) or its exception)`` and stops after its first failure,
+    as the serial loop would, or once the requests are closed and answered.
+    ``fn`` need not pickle; requests, results and exceptions must.  Every path
+    of the child ends in ``os._exit``: no frame of its caller (an
     ``output_dir`` cleanup, a test fixture) unwinds in it.
+
+    ``_map_forked`` sends each cell worker its item indices up front.  A scored
+    stage (``_train_stage``) given a second usable CPU forks one scorer, which
+    inherits the stage's stacks and test sets; each epoch sends it a copy of
+    each stack's ``params`` and reads the previous epoch's scores, so epoch e
+    is scored, bitwise as inline, while epoch e + 1 trains.  On one CPU
+    (``taskset -c 0``) nothing is forked.  Each caller reaps its workers on
+    every path, so no child outlives the call that forked it.
     """
-    fds = ()
-    try:
-        fds = os.pipe()
-        pid = os.fork()
-    except OSError as exc:
-        for fd in fds:
-            os.close(fd)
-        raise WorkerError(f"cannot start a worker process: {exc}") from exc
-    read_fd, write_fd = fds
-    if pid == 0:
-        code = 1
+
+    def __init__(self, fn):
+        fds = []
         try:
-            os.close(read_fd)
-            with os.fdopen(write_fd, "wb") as pipe:
-                for item in items:
-                    try:
-                        ok, value = True, fn(item)
-                    except BaseException as exc:
-                        ok, value = False, exc
-                    pipe.write(pickle.dumps((ok, value)))
-                    pipe.flush()
-                    if not ok:
-                        break
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    return pid, os.fdopen(read_fd, "rb")
+            fds += os.pipe()  # the requests
+            fds += os.pipe()  # the replies
+            self.pid = os.fork()
+        except OSError as exc:
+            for fd in fds:
+                os.close(fd)
+            raise WorkerError(f"cannot start a worker process: {exc}") from exc
+        request_read, request_write, reply_read, reply_write = fds
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(request_write)  # open here, it would keep the end of file away
+                os.close(reply_read)
+                with os.fdopen(request_read, "rb") as requests, \
+                        os.fdopen(reply_write, "wb") as replies:
+                    while requests.peek(1):
+                        try:
+                            ok, value = True, fn(pickle.load(requests))
+                        except BaseException as exc:
+                            ok, value = False, exc
+                        replies.write(pickle.dumps((ok, value)))
+                        replies.flush()
+                        if not ok:
+                            break
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(request_read)
+        os.close(reply_write)
+        self._requests = os.fdopen(request_write, "wb", buffering=0)
+        self._replies = os.fdopen(reply_read, "rb")
+        self._how = None  # how the child ended, once reaped
 
+    def send(self, *requests) -> None:
+        """Pickle ``requests`` to the child; a signal can cut a write short."""
+        data = memoryview(b"".join(map(pickle.dumps, requests)))
+        try:
+            while data:
+                data = data[self._requests.write(data):]
+        except BrokenPipeError:  # the child has ended: ``reply`` says why
+            pass
 
-def _requests(read_fd, write_fd):
-    """In the scorer: the requests the parent pickles onto its pipe, until it closes it."""
-    os.close(write_fd)  # the parent's end: open here, it would keep the end of file away
-    with os.fdopen(read_fd, "rb") as pipe:
-        while pipe.peek(1):
-            yield pickle.load(pipe)
+    def close(self) -> None:
+        """Send no more requests: the child ends once it has answered every one."""
+        self._requests.close()
 
+    def reply(self, what: str):
+        """``(ok, result or exception)`` of the oldest unanswered request; a child
+        that ended without it is reaped and raises ``WorkerError`` naming ``what``."""
+        try:
+            return pickle.load(self._replies)
+        except (EOFError, pickle.UnpicklingError):  # the child exited or died
+            raise WorkerError(f"the worker process {what} ended without its result "
+                              f"({self.reap()})") from None
 
-def _reap(pid, *pipes) -> str:
-    """Kill and reap the child ``pid``, close the parent's ends of its pipes and
-    say how the child ended; a child that had already ended keeps its status."""
-    os.kill(pid, _SIGKILL)
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    for pipe in pipes:
-        pipe.close()
-    return f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+    def reap(self) -> str:
+        """Kill and reap the child, close the parent's pipe ends and say how the
+        child ended; a child that had already ended keeps its status."""
+        if self._how is None:
+            os.kill(self.pid, _SIGKILL)
+            code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+            self._requests.close()
+            self._replies.close()
+            self._how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+        return self._how
 
 
 def _map_forked(fn, items, name) -> list:
     """``[fn(item) for item in items]``, in up to one process per usable CPU.
 
     The parent is one of ``W = min(len(items), _usable_cpus())`` workers and
-    runs items 0, W, 2W, ...; each of the W - 1 forked children
-    (``_fork_worker``) runs its own stride, so with W = 1 nothing is forked.
-    ``fn`` need not pickle; its results and exceptions must.  The exception of
+    runs items 0, W, 2W, ...; each of the W - 1 forked children (``_Worker``)
+    runs its own stride, so with W = 1 nothing is forked.  The exception of
     the lowest failing index is raised, the one the serial loop raises first; a
     child that ends without the result it owes raises ``WorkerError`` naming
-    ``name(item)`` and its exit status.  The parent reads each child's pipe up
-    to the lowest failure before it reaps the child, and no child outlives the
-    call: once the results below the lowest failure are in, or the parent
-    itself is interrupted, every child still running is killed and reaped.
+    ``name(item)`` and how the child ended.  The parent reads each child's
+    replies up to the lowest failure before it reaps the child, and no child
+    outlives the call: once the results below the lowest failure are in, or the
+    parent itself is interrupted, every child still running is killed and reaped.
     """
     n = len(items)
     workers = min(n, _usable_cpus())
     results, failures = [None] * n, {}  # failures: item index -> exception
-    children = {}  # pid -> (its first item, its pipe), until reaped
+    children = []  # the child of each stride but the parent's
     try:
         for first in range(1, workers):
-            pid, pipe = _fork_worker(fn, items[first::workers])
-            children[pid] = (first, pipe)
+            children.append(_Worker(lambda i: fn(items[i])))
+            children[-1].send(*range(first, n, workers))
+            children[-1].close()  # before the next fork, so no other child holds it open
         for i in range(0, n, workers):
             try:
                 results[i] = fn(items[i])
             except Exception as exc:
                 failures[i] = exc
                 break
-        for pid, (i, pipe) in list(children.items()):
-            while i < min(failures, default=n):  # the child's items arrive in order
-                try:
-                    ok, value = pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError):  # the child exited or died
-                    break
-                if ok:
-                    results[i] = value
-                else:
-                    failures[i] = value
-                i += workers
-            # whatever the child still runs is past a failure, or it ended early
-            how = _reap(pid, pipe)
-            del children[pid]
-            if i < min(failures, default=n):
-                failures[i] = WorkerError(f"the worker process training {name(items[i])} "
-                                          f"ended without its result ({how})")
+        for i, child in enumerate(children, start=1):
+            try:
+                while i < min(failures, default=n):  # the child's items arrive in order
+                    ok, value = child.reply(f"training {name(items[i])}")
+                    if ok:
+                        results[i] = value
+                    else:
+                        failures[i] = value
+                    i += workers
+            except WorkerError as exc:  # the child ended without the result it owes
+                failures[i] = exc
+            child.reap()  # whatever it still runs is past a failure
         if failures:
             raise failures[min(failures)]
         return results
     finally:
-        for pid, (_, pipe) in children.items():
-            _reap(pid, pipe)
+        for child in children:
+            child.reap()
 
 
 def _train_cells(cell_configs: list, seed_configs: list, world_spec: WorldSpec, scored: bool):
@@ -692,9 +694,7 @@ def _train_cells(cell_configs: list, seed_configs: list, world_spec: WorldSpec, 
     Once stage 1 is trained, the cells are independent: each reads the stage-1
     stack and the sets, and none reads another's output.  So they train in up
     to one process per usable CPU (``_map_forked``), bitwise as in one process;
-    a one-cell grid, as a single run is, forks no cell worker.  Scored, each
-    stage with more than one usable CPU forks a scorer (``_train_stage``),
-    bitwise as scoring inline, which one usable CPU (``taskset -c 0``) does.
+    a one-cell grid, as a single run is, forks no cell worker.
     """
     seeds = [cfg.seed for cfg in seed_configs]
     worlds = [build_world(world_spec, seed) for seed in seeds]
@@ -735,9 +735,6 @@ def run_experiment(
 ) -> ExperimentResult:
     """Full stage-1 + stage-2 + evaluation run; deterministic per seed.  It is the
     grid's one-cell, one-seed case with every epoch scored (``_train_cells``).
-    With more than one usable CPU each stage scores its epochs in a forked
-    scorer process while the next epoch trains, bitwise as inline; on one
-    (``taskset -c 0``) every epoch is scored inline and nothing is forked.
 
     With ``out_dir``, the artifacts and the effective config are written after
     the run succeeds, so a failed run leaves no file, nor a directory it created.

@@ -738,7 +738,7 @@ def test_stats_counts_a_cosine_one_ulp_past_one_in_the_top_bucket(tmp_path):
     assert sum(int(r["count"]) for r in rows) == 2
 
 
-@pytest.mark.parametrize("edges", ["-1,x,1", "-1,nan,1", ""])
+@pytest.mark.parametrize("edges", ["-1,x,1", "-1,nan,1", "", "-1,0,nan"])
 def test_stats_non_numeric_edges_are_rejected(tmp_path, capsys, edges):
     pairs = tmp_path / "pairs.csv"
     pairs.write_text("fpv_index,tpv_index,similarity\n0,1,0.5\n")

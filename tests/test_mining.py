@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -209,6 +210,9 @@ def test_histogram_rejects_bad_edges():
         similarity_histogram(pairs, (-1.0, 0.5, 0.5, 1.0))
     with pytest.raises(BadEdgesError):
         similarity_histogram(pairs, (-1.0,))
+    for edges in [(-1.0, math.nan, 1.0), (-1.0, 0.0, math.nan), (math.nan, 0.0, 1.0)]:
+        with pytest.raises(BadEdgesError, match="^edges must be numbers, got "):
+            similarity_histogram(_pairs([0.5, -0.3]), edges)
 
 
 def test_histogram_empty_input():

@@ -1005,6 +1005,32 @@ def test_a_child_never_unwinds_into_its_callers_frames(monkeypatch, tmp_path):
     assert unwound.read_text().split() == [str(os.getpid())] * 2
 
 
+def open_fds():
+    """How many file descriptors this process holds, or None where /proc does not say."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@pytest.mark.skipif(open_fds() is None, reason="needs /proc/self/fd")
+@pytest.mark.parametrize("fn", [lambda i: i, fail_at(4)], ids=["success", "failure"])
+def test_map_forked_leaves_no_file_descriptor_open(monkeypatch, fn):
+    fds = open_fds()
+    try:
+        map_three_workers(monkeypatch, fn)
+    except ValueError:
+        pass
+    assert open_fds() == fds  # every worker's request and reply pipes closed
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(open_fds() is None, reason="needs /proc/self/fd")
+def test_a_scored_run_leaves_no_file_descriptor_open(monkeypatch):
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    fds = open_fds()
+    run_experiment(FAST, WORLD)
+    assert open_fds() == fds  # both scorers' pipes closed
+    assert_no_child_left()
+
+
 def test_a_worker_that_cannot_be_forked_is_a_worker_error(monkeypatch):
     def no_process():
         raise BlockingIOError(11, "Resource temporarily unavailable")
