@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -42,3 +44,13 @@ def numeric_grad(fn, X, eps=1e-6):
         flat[k] = orig
         gflat[k] = (up - down) / (2 * eps)
     return G
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def open_fds():
+    """How many file descriptors this process holds, or None where /proc does not say."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from test_golden import ARTIFACTS
 
-from suml import pipeline
+from suml import pipeline, workers
 from suml.cli import _read_pairs_csv, build_parser, main, parse_config
 from suml.datagen import WorldSpec, generate_world, read_dataset, sample_dataset, write_dataset
 from suml.exceptions import (
@@ -808,7 +808,7 @@ def test_synth_that_cannot_write_its_config_leaves_no_dataset(tmp_path, config_f
 
 def test_divergence_in_a_forked_cell_exits_one_and_leaves_no_process(tmp_path, capsys,
                                                                      monkeypatch, config_file):
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)  # fpv_only here, sum_l in a child
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)  # fpv_only here, sum_l in a child
     parent, joint_train = os.getpid(), pipeline.joint_train
 
     def diverge_in_a_child(cfg, *args):

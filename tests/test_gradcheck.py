@@ -1,8 +1,15 @@
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from conftest import unit_rows
-from suml import gradcheck, losses, model, pipeline
+from conftest import assert_no_child_left, count_calls, open_fds, unit_rows
+from suml import gradcheck, losses, model, pipeline, workers
+from suml.cli import main
+from suml.exceptions import WorkerError
 from suml.losses import LossConfig
 
 
@@ -92,3 +99,159 @@ def test_projector_check_exercises_the_models_pull_back(monkeypatch, rng):
                         lambda cache, grad_z: grad_z / cache.norms[..., None])
     assert gradcheck.check_normalization_projector(n_instances=5) > gradcheck.PROJECTOR_TOL
     assert not np.array_equal(model.backward(stack, cache, grad_z, None), right)
+
+
+def hexed(report) -> list:
+    """``report``'s keys in order, each float as ``float.hex``: equal only when bitwise equal."""
+    return [(key, hexed(value) if isinstance(value, dict) else float(value).hex())
+            for key, value in report.items()]
+
+
+def assert_nothing_left(fds):
+    """No pipe end and no child of a forked check outlives it."""
+    assert fds is None or open_fds() == fds
+    assert_no_child_left()
+
+
+@pytest.fixture(scope="module")
+def inline_report():
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)
+        return gradcheck.run_all(6, 3)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_the_forked_suite_reports_bitwise_as_one_process(monkeypatch, inline_report, cpus):
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
+    forks, fds = count_calls(monkeypatch, os, "fork"), open_fds()
+    ok, report = gradcheck.run_all(6, 3)
+    assert ok and inline_report[0]
+    assert hexed(report) == hexed(inline_report[1])
+    assert len(forks) == 2 * (cpus - 1)  # the loss and the model checks fork cpus - 1 each
+    assert_nothing_left(fds)
+
+
+def fail_loss_instances(monkeypatch, fail):
+    """Make loss instance k of ``run_all(6, ...)`` call ``fail(k)`` before it is checked."""
+    rng = np.random.default_rng(0)
+    taus = [gradcheck._draw_loss_instance(rng)[0] for _ in range(6)]  # distinct per instance
+    errors = gradcheck._loss_instance_errors
+
+    def failing(tau, *instance):
+        fail(taus.index(tau))
+        return errors(tau, *instance)
+
+    monkeypatch.setattr(gradcheck, "_loss_instance_errors", failing)
+
+
+# on two CPUs the parent checks instances 0, 2 and 4, a child 1, 3 and 5
+@pytest.mark.parametrize("failing,raised", [((1, 2), 1), ((3, 4), 3), ((2, 5), 2), ((5,), 5)])
+def test_a_failing_instance_raises_as_the_serial_loop(monkeypatch, failing, raised):
+    def fail(k):
+        if k in failing:
+            raise ValueError(f"loss instance {k} failed")
+
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
+    fail_loss_instances(monkeypatch, fail)
+    fds = open_fds()
+    with pytest.raises(ValueError, match=f"^loss instance {raised} failed$"):
+        gradcheck.run_all(6, 3)
+    assert_nothing_left(fds)
+
+
+@pytest.mark.parametrize("check", ["loss", "model"])
+def test_a_killed_instance_worker_is_a_worker_error(monkeypatch, check):
+    parent = os.getpid()
+
+    def fail(k):
+        if k == 3 and os.getpid() != parent:
+            os.kill(os.getpid(), 9)
+
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
+    if check == "loss":
+        fail_loss_instances(monkeypatch, fail)
+    else:
+        errors = gradcheck._model_instance_error
+        monkeypatch.setattr(gradcheck, "_model_instance_error",
+                            lambda k, *draws: fail(k) or errors(k, *draws))
+    fds = open_fds()
+    with pytest.raises(WorkerError, match=f"^the worker process checking {check} instance 3 "
+                                          "ended without its result \\(killed by signal 9\\)$"):
+        gradcheck.run_all(6, 6)
+    assert_nothing_left(fds)
+
+
+GRADCHECK_SCRIPT = """
+import os, sys
+sys.path[:0] = sys.argv[1:]
+from suml.cli import main
+
+def no_fork():
+    raise AssertionError("gradcheck on one CPU forked")
+
+os.fork = no_fork
+sys.exit(main(["gradcheck", "--instances", "6", "--model-instances", "3"]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_gradcheck_on_one_cpu_prints_the_forked_report(monkeypatch, capsys):
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
+    assert main(["gradcheck", "--instances", "6", "--model-instances", "3"]) == 0
+    cpu = min(os.sched_getaffinity(0))
+    package_root = os.path.dirname(os.path.dirname(gradcheck.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", GRADCHECK_SCRIPT, package_root],
+        capture_output=True, text=True, timeout=300,
+        preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == capsys.readouterr().out  # every error printed to 3 digits, and PASS
+
+
+def nan_gradient(monkeypatch):
+    """Give ``cross_entropy``'s analytic gradient one NaN entry per batch."""
+    cross_entropy = losses.cross_entropy
+
+    def broken(logits, labels):
+        out = cross_entropy(logits, labels)
+        grad = out.grads["logits"].copy()
+        grad[..., 0, 0] = np.nan
+        return losses.LossOutput(out.value, {"logits": grad})
+
+    monkeypatch.setattr(losses, "cross_entropy", broken)
+
+
+def test_a_nan_gradient_fails_the_suite(monkeypatch):
+    nan_gradient(monkeypatch)
+    ok, report = gradcheck.run_all(4, 2)
+    assert not ok
+    assert report["losses"]["cross_entropy"] == math.inf
+    assert report["composed_model"] == math.inf  # the task head's gradient carries it
+    assert all(err <= gradcheck.LOSS_TOL for name, err in report["losses"].items()
+               if name != "cross_entropy")
+
+
+def test_suml_gradcheck_fails_on_a_nan_gradient(monkeypatch, capsys):
+    nan_gradient(monkeypatch)
+    assert main(["gradcheck", "--instances", "2", "--model-instances", "1"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "cross_entropy                max_rel_err=inf  [FAIL]" in out
+    assert out[-1] == "gradcheck: FAIL"
+
+
+def test_a_nan_pull_back_fails_the_projector_check(monkeypatch):
+    monkeypatch.setattr(model, "pull_back_normalization",
+                        lambda cache, grad_z: np.full_like(grad_z, np.nan))
+    assert gradcheck.check_normalization_projector(n_instances=3) == math.inf
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["analytic", "numeric"])
+def test_rel_error_of_a_non_finite_entry_is_inf(rng, bad, side):
+    good = rng.standard_normal((3, 4))
+    broken = good.copy()
+    broken[1, 2] = bad
+    pair = (broken, good) if side == "analytic" else (good, broken)
+    assert gradcheck.rel_error(*pair) == math.inf
+    assert gradcheck.rel_error(good, good) == 0.0

@@ -9,10 +9,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import count_calls, unit_rows
+from conftest import assert_no_child_left, count_calls, open_fds, unit_rows
 from test_golden import GRID_TRAIN, GRID_WORLD
 
-from suml import losses, model, pipeline
+from suml import losses, model, pipeline, workers
 from suml.cli import parse_config
 from suml.datagen import WorldSpec, generate_world, read_dataset, sample_dataset
 from suml.exceptions import (
@@ -57,7 +57,7 @@ FAST = TrainConfig(
 
 def one_worker(monkeypatch):
     """Train a grid's cells in this process, so that calls recorded in a cell are seen."""
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)
 
 
 def records_equal(a, b):
@@ -716,11 +716,6 @@ def test_one_contrastive_kernel_call_per_stage2_batch(monkeypatch, method):
     assert len(kernel_calls) == (stage2_batches if contrastive else 0)
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def all_modes_grids() -> list:
     """(runs, cells) of every method x TPV mode at seeds 0 and 1, per negative-set mode."""
     return [run_ablation_grid(replace(GRID_TRAIN, negative_set_mode=mode), GRID_WORLD,
@@ -735,10 +730,10 @@ def one_worker_grids():
         return all_modes_grids()
 
 
-@pytest.mark.parametrize("workers", [None, 3], ids=["usable_cpus", "three"])
-def test_forked_grid_equals_the_one_worker_grid_bitwise(monkeypatch, one_worker_grids, workers):
-    if workers is not None:
-        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: workers)
+@pytest.mark.parametrize("cpus", [None, 3], ids=["usable_cpus", "three"])
+def test_forked_grid_equals_the_one_worker_grid_bitwise(monkeypatch, one_worker_grids, cpus):
+    if cpus is not None:
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
     forks = count_calls(monkeypatch, os, "fork")
     assert all_modes_grids() == one_worker_grids  # every accuracy to the last bit
     cells = len(METHODS) * len(TPV_MODES)
@@ -746,7 +741,7 @@ def test_forked_grid_equals_the_one_worker_grid_bitwise(monkeypatch, one_worker_
         assert len(rows) == cells
         assert all(math.isfinite(r["mean_fpv_acc"]) and math.isfinite(r["std_fpv_acc"])
                    for r in rows)
-    assert len(forks) == len(NEGATIVE_SET_MODES) * (min(cells, pipeline._usable_cpus()) - 1)
+    assert len(forks) == len(NEGATIVE_SET_MODES) * (min(cells, workers._usable_cpus()) - 1)
     assert_no_child_left()
 
 
@@ -783,7 +778,7 @@ def test_a_grid_on_one_cpu_runs_in_one_process_bitwise(one_worker_grids):
 
 @pytest.mark.parametrize("cpus,scorers", [(1, 0), (2, 2), (4, 2)])
 def test_a_single_run_forks_one_scorer_per_scored_stage(monkeypatch, cpus, scorers):
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
     forks = count_calls(monkeypatch, os, "fork")
     assert run_experiment(FAST, WORLD).final_fpv_test_acc >= 0.0
     # one scorer per stage with test sets, none on one CPU, and every scorer reaped
@@ -819,7 +814,7 @@ print(json.dumps(scorer_runs(TPV_MODES, sys.argv[1])))
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
 def test_a_run_on_one_cpu_scores_inline_bitwise_as_the_scorer(monkeypatch, tmp_path):
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
     forks = count_calls(monkeypatch, os, "fork")
     forked = scorer_runs(TPV_MODES, str(tmp_path / "forked"))
     assert len(forks) == 2 * len(TPV_MODES) - 1  # same_init has no stage 1
@@ -843,7 +838,7 @@ def test_requests_cut_short_by_signals_still_score_bitwise(monkeypatch):
     cfg = replace(FAST, hidden_dim=96, epochs_stage1=6, epochs_stage2=6)
     one_worker(monkeypatch)
     inline = run_experiment(cfg, WORLD)
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
     handler = signal.signal(signal.SIGALRM, lambda *_: None)
     try:
         signal.setitimer(signal.ITIMER_REAL, 0.0005, 0.0005)
@@ -874,7 +869,7 @@ def fail_in_training(monkeypatch, exc, at: int):
                                  KeyboardInterrupt("interrupted in mid-stage")],
                          ids=["divergence", "interrupt"])
 def test_a_run_that_fails_in_mid_stage_leaves_no_scorer(monkeypatch, exc):
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
     fail_in_training(monkeypatch, exc, at=20)
     with pytest.raises(type(exc), match="in mid-stage"):
         run_experiment(FAST, WORLD)
@@ -890,7 +885,7 @@ def fail_in_the_scorer(monkeypatch, end):
             end()
         return evaluate_fpv(stack, corpus)
 
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(pipeline, "evaluate_fpv", scored)
 
 
@@ -917,7 +912,7 @@ def test_six_hundred_scored_epochs_on_tiny_sets_do_not_deadlock(monkeypatch):
     def deadlocked(*_):
         raise TimeoutError("600 scored epochs took over 60 s")
 
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
     tiny = replace(FAST, epochs_stage1=300, epochs_stage2=300, n_fpv_train=2, n_tpv_train=2,
                    n_fpv_test=2, n_tpv_test=2, batch_size=2)
     handler = signal.signal(signal.SIGALRM, deadlocked)
@@ -932,10 +927,10 @@ def test_six_hundred_scored_epochs_on_tiny_sets_do_not_deadlock(monkeypatch):
 
 
 def map_three_workers(monkeypatch, fn) -> list:
-    """``pipeline._map_forked`` of ``fn`` over items 0-5 with three workers: the
+    """``workers._map_forked`` of ``fn`` over items 0-5 with three workers: the
     parent runs items 0 and 3, one child 1 and 4, the other 2 and 5."""
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 3)
-    return pipeline._map_forked(fn, list(range(6)), lambda i: f"item {i}")
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 3)
+    return workers._map_forked(fn, list(range(6)), lambda i: f"training item {i}")
 
 
 def test_map_forked_returns_results_in_item_order_past_a_pipe_buffer(monkeypatch):
@@ -1005,11 +1000,6 @@ def test_a_child_never_unwinds_into_its_callers_frames(monkeypatch, tmp_path):
     assert unwound.read_text().split() == [str(os.getpid())] * 2
 
 
-def open_fds():
-    """How many file descriptors this process holds, or None where /proc does not say."""
-    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
-
-
 @pytest.mark.skipif(open_fds() is None, reason="needs /proc/self/fd")
 @pytest.mark.parametrize("fn", [lambda i: i, fail_at(4)], ids=["success", "failure"])
 def test_map_forked_leaves_no_file_descriptor_open(monkeypatch, fn):
@@ -1024,7 +1014,7 @@ def test_map_forked_leaves_no_file_descriptor_open(monkeypatch, fn):
 
 @pytest.mark.skipif(open_fds() is None, reason="needs /proc/self/fd")
 def test_a_scored_run_leaves_no_file_descriptor_open(monkeypatch):
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
     fds = open_fds()
     run_experiment(FAST, WORLD)
     assert open_fds() == fds  # both scorers' pipes closed
@@ -1045,7 +1035,7 @@ def test_a_scorer_that_cannot_be_forked_is_a_worker_error(monkeypatch):
     def no_process():
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", no_process)
     fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
     with pytest.raises(WorkerError, match="cannot start a worker process: .*unavailable"):
