@@ -13,8 +13,11 @@ weight matrices (row-major ``(out, in)``) and then the bias vectors, which
 is also the order of ``param_tensors()``.  ``f``, ``h`` and ``g`` are
 ``MlpParams`` whose arrays are views into ``params``; ``backward`` returns
 the parameter gradient as one vector with the same layout, so momentum and
-the SGD step are whole-vector operations.  Whether a stack trains is its
-caller's decision (``frozen`` is checkpoint metadata).
+the SGD step are whole-vector operations.  Given a workspace ``out=``, a stack
+of the same shape that training keeps per view for a whole stage, ``backward``
+fills its ``params`` in place through its views instead of allocating a vector
+and its views on every call.  Whether a stack trains is its caller's decision
+(``frozen`` is checkpoint metadata).
 
 ``params`` may carry a leading replica axis, ``(S, P)``: S independent
 models of one shape, trained as one (as JAX's ``vmap`` batches them).  Then
@@ -191,8 +194,8 @@ def mlp_backward(p: MlpParams, acts: list, d_out: np.ndarray, grads: MlpParams):
     last = p.n_layers - 1
     for l in range(last, -1, -1):
         d_pre = dA if l == last else dA * (1.0 - acts[l + 1] ** 2)
-        grads.weights[l][...] = d_pre.swapaxes(-1, -2) @ acts[l]
-        grads.biases[l][...] = d_pre.sum(axis=-2)
+        np.matmul(d_pre.swapaxes(-1, -2), acts[l], out=grads.weights[l])
+        np.add.reduce(d_pre, axis=-2, out=grads.biases[l])  # ndarray.sum's arithmetic
         if l:
             dA = d_pre @ p.weights[l]
     return d_pre
@@ -241,12 +244,15 @@ def pull_back_normalization(cache: ForwardCache, grad_z: np.ndarray) -> np.ndarr
     return (grad_z - inner * cache.z) / cache.norms[..., None]
 
 
-def backward(stack: EncoderStack, cache: ForwardCache, grad_z, grad_logits) -> np.ndarray:
+def backward(stack: EncoderStack, cache: ForwardCache, grad_z, grad_logits,
+             out: EncoderStack | None = None) -> np.ndarray:
     """Backprop through g, the normalized projection, pooling and f.
 
     Either gradient may be None (treated as zero).  Without ``grad_z``, as
     for a cache without ``z``, ``h`` is skipped and its gradient is zero.
-    Returns the parameter gradient as one vector laid out like ``stack.params``.
+    Returns the parameter gradient as one vector laid out like ``stack.params``:
+    a fresh one, or ``out.params`` given a workspace ``out``, a stack of
+    ``stack``'s dims and shape whose views the gradient is written through.
     """
     t = cache.x_shape[-2]
     if grad_logits is None:
@@ -258,14 +264,17 @@ def backward(stack: EncoderStack, cache: ForwardCache, grad_z, grad_logits) -> n
         grad_z is not None and grad_z.shape != np.shape(cache.z)
     ):
         raise ShapeMismatchError("gradient shapes do not match forward outputs")
-    grad = np.zeros(stack.params.shape)  # faster than np.zeros_like at this size
-    f_grads, h_grads, g_grads = mlp_views(grad, stack.dims)
-    d_pool = mlp_backward(stack.g, cache.g_acts, grad_logits, g_grads) @ stack.g.weights[0]
+    if out is None:  # every entry is written below
+        out = EncoderStack(np.empty(stack.params.shape), stack.dims)
+    d_pool = mlp_backward(stack.g, cache.g_acts, grad_logits, out.g) @ stack.g.weights[0]
     if grad_z is not None:
         d_zraw = pull_back_normalization(cache, grad_z)
-        d_pool += mlp_backward(stack.h, cache.h_acts, d_zraw, h_grads) @ stack.h.weights[0]
-    mlp_backward(stack.f, cache.f_acts, np.repeat(d_pool / t, t, axis=-2), f_grads)
-    return grad
+        d_pool += mlp_backward(stack.h, cache.h_acts, d_zraw, out.h) @ stack.h.weights[0]
+    else:
+        for grad in (*out.h.weights, *out.h.biases):
+            grad.fill(0.0)
+    mlp_backward(stack.f, cache.f_acts, np.repeat(d_pool / t, t, axis=-2), out.f)
+    return out.params
 
 
 def sgd_momentum_step(

@@ -78,14 +78,25 @@ class _Batch(NamedTuple):
     lc: LossConfig | None = None
 
 
-def _fpv_task(b: _Batch) -> LossOutput:
-    ce = losses.cross_entropy(b.f.logits, b.labels_f)
-    return LossOutput(ce.value, {"logits_f": ce.grads["logits"]})
+class _Task(NamedTuple):
+    """The task cross-entropy of the ``_Batch`` cache field ``view``."""
+
+    view: str
 
 
-def _tpv_task(b: _Batch) -> LossOutput:
-    ce = losses.cross_entropy(b.t.logits, b.labels_t)
-    return LossOutput(ce.value, {"logits_t": ce.grads["logits"]})
+_FPV_TASK, _TPV_TASK = _Task("f"), _Task("t")
+
+
+def _task_losses(tasks, b: _Batch) -> list:
+    """Each of ``tasks``' LossOutput from one ``cross_entropy`` call on their views'
+    logits stacked along the replica axis: each view's slice is its own call, bitwise."""
+    views = [t.view for t in tasks]
+    stacked = lambda xs: np.concatenate(xs) if len(xs) > 1 else xs[0]
+    ce = losses.cross_entropy(stacked([getattr(b, v).logits for v in views]),
+                              stacked([getattr(b, f"labels_{v}") for v in views]))
+    split = lambda x: x.reshape(len(views), -1, *x.shape[1:])
+    return [LossOutput(value, {f"logits_{v}": g})
+            for v, value, g in zip(views, split(ce.value), split(ce.grads["logits"]))]
 
 
 def _triplet(b: _Batch) -> LossOutput:
@@ -94,14 +105,14 @@ def _triplet(b: _Batch) -> LossOutput:
 
 # Stage-2 terms of each method beyond the FPV task, as (record slot, term).
 # A term in slot s is weighted by LossConfig.w_s; losses.contrastive_terms runs
-# a batch's Contrastive terms as one kernel call.
+# a batch's Contrastive terms as one kernel call, and _task_losses its _Task terms as one.
 _STAGE2_TERMS = {
     "fpv_only": (),
-    "typical_cl": (("t", _tpv_task), ("aw", Contrastive(ALIGN))),
-    "triplet": (("t", _tpv_task), ("aw", _triplet)),
-    "sum_l": (("t", _tpv_task), ("aw", Contrastive(ALIGN, True, True)), ("m", VIDEO_TEXT)),
-    "sum_l_no_weighting": (("t", _tpv_task), ("aw", Contrastive(ALIGN, True)), ("m", VIDEO_TEXT)),
-    "sum_l_no_multimodal": (("t", _tpv_task), ("aw", Contrastive(ALIGN, True, True))),
+    "typical_cl": (("t", _TPV_TASK), ("aw", Contrastive(ALIGN))),
+    "triplet": (("t", _TPV_TASK), ("aw", _triplet)),
+    "sum_l": (("t", _TPV_TASK), ("aw", Contrastive(ALIGN, True, True)), ("m", VIDEO_TEXT)),
+    "sum_l_no_weighting": (("t", _TPV_TASK), ("aw", Contrastive(ALIGN, True)), ("m", VIDEO_TEXT)),
+    "sum_l_no_multimodal": (("t", _TPV_TASK), ("aw", Contrastive(ALIGN, True, True))),
 }
 METHODS = tuple(_STAGE2_TERMS)
 TPV_MODES = ("trainable", "frozen", "shared_weights", "same_init")
@@ -258,7 +269,8 @@ def _train_stage(config, stage, seeds, views, n_rows, terms, batch_at, epoch_fie
     per seed (``stage<k>_shuffle``) in stacked batches, ``batch_at(idx,
     project)`` building each ``_Batch`` and ``terms`` its loss.  The stack of
     each ``_Batch`` cache field in ``views`` trains, on both fields' gradients
-    under shared weights.  A record holds each slot's mean batch value and the
+    under shared weights; ``backward`` writes each field's into a workspace of
+    its own, made once per stage.  A record holds each slot's mean batch value and the
     fields ``epoch_fields(seen)`` returns, given the rows the epoch trained on;
     a ``(stack, corpus)`` field holds ``evaluate_fpv`` of the stack as the epoch
     left it, scored by the stage's scorer (``workers._Worker``) given a second CPU.
@@ -271,13 +283,15 @@ def _train_stage(config, stage, seeds, views, n_rows, terms, batch_at, epoch_fie
         raise ConfigError(f"stage {stage} needs {min_rows} rows for a batch, got {n_rows}")
     streams = [derive_seeds(seed)[f"stage{stage}_shuffle"] for seed in seeds]
     rngs = [np.random.default_rng(np.random.SeedSequence(s)) for s in streams]
-    project = any(term not in (_fpv_task, _tpv_task) for _, _, term in terms)  # a term reads z
+    project = any(not isinstance(term, _Task) for _, _, term in terms)  # a term reads z
     contrastive = [term for _, _, term in terms if isinstance(term, Contrastive)]
+    tasks = [term for _, _, term in terms if isinstance(term, _Task)]
     lc, full_batch = config.loss, config.negative_set_mode == "full_batch"
     slots = [slot for slot, _, _ in terms] + ["total"]
-    learners = {}  # per stack: its fields and its velocity
+    learners = {}  # per stack: its velocity and, per field, a gradient workspace (``backward``)
     for field, stack in views.items():
-        learners.setdefault(id(stack), (stack, [], np.zeros_like(stack.params)))[1].append(field)
+        learners.setdefault(id(stack), (stack, np.zeros_like(stack.params), {}))[2][field] = (
+            EncoderStack(np.empty(stack.params.shape), stack.dims))
     epoch_records, pending = [], []  # per epoch: its loss means and fields; per request in flight
     scorer, forks = None, workers._usable_cpus() > 1  # a scorer is forked given a second CPU
 
@@ -300,22 +314,24 @@ def _train_stage(config, stage, seeds, views, n_rows, terms, batch_at, epoch_fie
             values = []  # per batch: each term's value, then the total's
             for b, idx in enumerate(order[..., i : i + config.batch_size] for i in starts):
                 batch = batch_at(idx, project)
-                fused = iter(losses.contrastive_terms(contrastive, dict(
-                    zf=batch.f.z, zt=batch.t.z, df=batch.df, dt=batch.dt, gate=batch.gate,
-                ), lc.tau, lc.sigma, full_batch) if contrastive else ())
-                outs = [next(fused) if term in contrastive else term(batch) for _, _, term in terms]
+                fused = dict(zip(tasks, _task_losses(tasks, batch)))
+                if contrastive:
+                    fused.update(zip(contrastive, losses.contrastive_terms(contrastive, dict(
+                        zf=batch.f.z, zt=batch.t.z, df=batch.df, dt=batch.dt, gate=batch.gate,
+                    ), lc.tau, lc.sigma, full_batch)))
+                outs = [fused[term] if term in fused else term(batch) for _, _, term in terms]
                 total = losses.total_loss([(w, out) for (_, w, _), out in zip(terms, outs)])
                 for seed, value in zip(seeds, total.value.tolist()):
                     if not math.isfinite(value):
                         raise DivergenceError(f"seed {seed}: stage {stage} diverged at epoch "
                                               f"{epoch} batch {b}: loss is {value}")
                 g = total.grads
-                for stack, fields, velocity in learners.values():
-                    grads = [backward(stack, getattr(batch, v), g.get(f"z{v}"), g.get(f"logits_{v}"))
-                             for v in fields]
+                for stack, velocity, workspaces in learners.values():
+                    grads = [backward(stack, getattr(batch, v), g.get(f"z{v}"),
+                                      g.get(f"logits_{v}"), out) for v, out in workspaces.items()]
                     sgd_momentum_step(stack, sum(grads[1:], grads[0]), lr, velocity, config.momentum)
                 values.append([out.value for out in outs] + [total.value])
-                del batch, outs, total, g, grads  # freed before the next batch is built
+                del batch, fused, outs, total, g, grads  # freed before the next batch is built
             # one contiguous row of batch values per slot and replica: numpy's pairwise sum
             means = dict(zip(slots, mean_rows(np.stack(values, axis=-1)).tolist()))
             if stage == 1:  # the gradient is the bare task loss; the record weighs it as stage 2 does
@@ -380,7 +396,7 @@ def pretrain_tpv(
         return {"tpv_test_acc": (stack, tpv_test)} if tpv_test else {}
 
     records = _train_stage(config, 1, seeds, {"t": stack}, tpv.labels.shape[-1],
-                           [("t", 1.0, _tpv_task)], batch_at, epoch_fields)
+                           [("t", 1.0, _TPV_TASK)], batch_at, epoch_fields)
     if metrics_sink is not None:
         metrics_sink.extend(records)
     return replica(stack, 0) if single else stack
@@ -392,7 +408,7 @@ def _stage2_terms(method: str, lc: LossConfig) -> list:
     Zero-weight terms are dropped, so all-zero weights train exactly like
     fpv_only.
     """
-    return [("f", 1.0, _fpv_task)] + [
+    return [("f", 1.0, _FPV_TASK)] + [
         (slot, getattr(lc, f"w_{slot}"), term)
         for slot, term in _STAGE2_TERMS[method]
         if getattr(lc, f"w_{slot}") > 0

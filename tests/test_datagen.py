@@ -8,12 +8,12 @@ from suml.datagen import (
     Corpus,
     WorldSpec,
     generate_world,
-    narration_vector,
     read_dataset,
     sample_dataset,
     write_dataset,
 )
 from suml.exceptions import DatasetParseError, InvalidSpecError, InvalidViewError
+from suml.numerics import l2_normalize
 
 SPEC = WorldSpec(n_verbs=4, n_nouns=6, text_dim=16, feat_dim=12, frames_per_clip=3)
 
@@ -53,6 +53,48 @@ def test_zero_overlap_world_has_no_tpv_nouns():
     assert w.tpv_noun_set == ()
     with pytest.raises(InvalidSpecError):
         sample_dataset(w, "tpv", 4, 0)
+
+
+def narration_vector(world, verb_id, noun_id, noise=None):
+    """Action (verb, noun)'s narration: its two prototypes concatenated, plus
+    ``noise``, scaled to unit norm."""
+    base = np.concatenate([world.verb_prototypes[verb_id], world.noun_prototypes[noun_id]])
+    return l2_normalize(base if noise is None else base + noise)
+
+
+def per_clip_dataset(world, view, n, rng_seed):
+    """``sample_dataset``'s columns as a loop that finishes each clip before the
+    next one's draws: the oracle the vectorized arithmetic must match bitwise."""
+    spec = world.spec
+    rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
+    render = world.fpv_render if view == "fpv" else world.tpv_render
+    frames, narrations, labels = [], [], []
+    for _ in range(n):
+        verb = int(rng.integers(spec.n_verbs))
+        if view == "fpv":
+            noun = int(rng.integers(spec.n_nouns))
+        else:
+            noun = world.tpv_noun_set[int(rng.integers(len(world.tpv_noun_set)))]
+        clean = render[:, verb] + render[:, spec.n_verbs + noun]
+        frame_noise = rng.standard_normal((spec.frames_per_clip, spec.feat_dim))
+        frames.append(clean[None, :] + frame_noise * spec.feat_noise_std)
+        text_noise = rng.standard_normal(spec.text_dim) * spec.text_noise_std
+        narrations.append(narration_vector(world, verb, noun, text_noise))
+        labels.append(verb * spec.n_nouns + noun)
+    return np.stack(frames), np.stack(narrations), np.array(labels)
+
+
+@pytest.mark.parametrize("frames_per_clip", [3, 1])
+@pytest.mark.parametrize("view", ["fpv", "tpv"])
+@pytest.mark.parametrize("n", [1, 7, 480])
+def test_sample_dataset_equals_the_per_clip_loop_bitwise(view, n, frames_per_clip):
+    world = generate_world(replace(SPEC, frames_per_clip=frames_per_clip, seed=5))
+    corpus = sample_dataset(world, view, n, 40 + n)
+    frames, narrations, labels = per_clip_dataset(world, view, n, 40 + n)
+    assert corpus.frames.tobytes() == frames.tobytes()
+    assert corpus.narrations.tobytes() == narrations.tobytes()
+    assert np.array_equal(corpus.labels, labels)
+    assert np.array_equal(corpus.verb_ids * SPEC.n_nouns + corpus.noun_ids, labels)
 
 
 def test_narration_vectors_unit_norm_and_structured():

@@ -124,6 +124,27 @@ def test_backward_without_projection_skips_h_exactly(rng, lead):
         backward(s, cache, np.zeros((*lead, 5, 4)), grad_logits)
 
 
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "stacked"])
+def test_backward_into_a_workspace_equals_a_fresh_gradient_bitwise(rng, lead):
+    """``out=`` is filled in place, through its views, and returned: the bytes of
+    a fresh gradient, with and without ``grad_z``; a workspace a projected call
+    filled holds exact zeros in h's part after an unprojected one."""
+    s = small_stack()
+    s = EncoderStack(np.broadcast_to(s.params, (*lead, s.params.size)).copy(), s.dims)
+    clips = rng.standard_normal((*lead, 5, 2, 6))
+    labels = rng.integers(0, 5, size=(*lead, 5))
+    full, bare = encode_batch(s, clips), encode_batch(s, clips, project=False)
+    grad_logits = cross_entropy(full.logits, labels).grads["logits"]
+    grad_z = rng.standard_normal(full.z.shape)
+    ws = EncoderStack(np.full(s.params.shape, np.nan), s.dims)  # no entry is read
+    for cache, gz in ((full, grad_z), (bare, None), (full, grad_z), (full, None)):
+        got = backward(s, cache, gz, grad_logits, out=ws)
+        assert got is ws.params
+        assert got.tobytes() == backward(s, cache, gz, grad_logits).tobytes()
+        h = [*ws.h.weights, *ws.h.biases]
+        assert all(np.all(t == 0.0) and not np.signbit(t).any() for t in h) == (gz is None)
+
+
 def test_backward_without_projection_matches_finite_differences(rng):
     s = small_stack()
     clips = rng.standard_normal((4, 2, 6))

@@ -494,12 +494,51 @@ def test_stage2_epoch_means_reduce_each_replicas_batch_values(monkeypatch):
     monkeypatch.setattr(losses, "cross_entropy", captured)
     _, _, records = joint_train(cfg, WORLD, fpv, tpv, stage1)
     per_epoch = len(values) // cfg.epochs_stage2
-    assert per_epoch == 2 * (cfg.n_fpv_train // cfg.batch_size)  # the FPV, then the TPV task
+    assert per_epoch == cfg.n_fpv_train // cfg.batch_size  # one call for both views' tasks
+    assert all(value.shape == (2,) for value in values)  # the FPV replica, then the TPV one
     for epoch, record in enumerate(records):
         batches = values[epoch * per_epoch : (epoch + 1) * per_epoch]
-        for slot, slot_values in (("f", batches[0::2]), ("t", batches[1::2])):
+        for slot, half in (("f", 0), ("t", 1)):
+            slot_values = [value[half : half + 1] for value in batches]
             want = np.add.reduce(np.stack(slot_values, axis=-1), axis=-1) / len(slot_values)
             assert getattr(record, f"loss_{slot}") == want.tolist()[0]
+
+
+@pytest.mark.parametrize("replicas", [1, 3])
+def test_fused_task_losses_equal_one_call_per_view_bitwise(rng, replicas):
+    logits = {v: rng.standard_normal((replicas, 8, 5)) * 4 for v in "ft"}
+    labels = {v: rng.integers(0, 5, size=(replicas, 8)) for v in "ft"}
+    batch = pipeline._Batch(*(model.ForwardCache((), [], [], logits[v]) for v in "ft"),
+                            labels["f"], labels["t"])
+    fpv, tpv = pipeline._FPV_TASK, pipeline._TPV_TASK
+    for tasks in ([fpv, tpv], [fpv], [tpv]):
+        for task, out in zip(tasks, pipeline._task_losses(tasks, batch), strict=True):
+            want = losses.cross_entropy(logits[task.view], labels[task.view])
+            assert out.value.tobytes() == want.value.tobytes()
+            assert list(out.grads) == [f"logits_{task.view}"]
+            assert out.grads[f"logits_{task.view}"].tobytes() == want.grads["logits"].tobytes()
+
+
+@pytest.mark.parametrize("tpv_mode", ["trainable", "shared_weights"])
+def test_each_trained_field_has_a_gradient_workspace_of_its_own(monkeypatch, tpv_mode):
+    """A stage makes one ``backward`` workspace per trained field and reuses it on
+    every batch; under shared weights one stack trains on two distinct buffers."""
+    cfg = replace(FAST, tpv_mode=tpv_mode)
+    fpv, tpv = train_sets(cfg)
+    stage1 = pretrain_tpv(cfg, WORLD, tpv)
+    calls, backward = [], pipeline.backward
+
+    def recorded(stack, cache, grad_z, grad_logits, out):
+        calls.append((id(stack), out))
+        return backward(stack, cache, grad_z, grad_logits, out)
+
+    monkeypatch.setattr(pipeline, "backward", recorded)
+    joint_train(cfg, WORLD, fpv, tpv, stage1)
+    assert len(calls) == 2 * cfg.epochs_stage2 * (cfg.n_fpv_train // cfg.batch_size)
+    assert len({stack for stack, _ in calls}) == (1 if tpv_mode == "shared_weights" else 2)
+    fpv_out, tpv_out = calls[0][1], calls[1][1]
+    assert all(out is (fpv_out, tpv_out)[i % 2] for i, (_, out) in enumerate(calls))
+    assert not np.shares_memory(fpv_out.params, tpv_out.params)
 
 
 NO_STAGE2_BATCH = dict(n_fpv_train=1, epochs_stage1=1, epochs_stage2=2)
