@@ -71,21 +71,9 @@ def write_files(outputs) -> None:
         raise DatasetIOError(f"cannot write {path}: {exc}") from exc
 
 
-def write_atomic(path, write) -> None:
-    """Fill ``path.tmp`` with ``write(fh)``, then rename it over ``path``: the
-    one-file case of :func:`write_files`, so ``path`` is either the complete new
-    file or untouched."""
-    write_files([(path, write)])
-
-
 def dump_csv(header, rows, fh) -> None:
     """Write ``header`` and ``rows`` (an iterable, a generator too) to ``fh`` as
     CSV; lines end in ``\\r\\n``, the csv module's excel dialect."""
     writer = csv.writer(fh)
     writer.writerow(header)
     writer.writerows(rows)
-
-
-def write_csv(path, header, rows) -> None:
-    """:func:`dump_csv` to ``path`` through :func:`write_atomic`."""
-    write_atomic(path, lambda fh: dump_csv(header, rows, fh))

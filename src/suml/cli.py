@@ -31,7 +31,7 @@ import json
 import sys
 
 from . import gradcheck, schema
-from .atomic import write_csv, write_files
+from .atomic import dump_csv, write_files
 from .datagen import WorldSpec, dump_dataset, read_dataset, sample_dataset
 from .exceptions import (
     BadEdgesError,
@@ -127,8 +127,9 @@ def _cmd_mine(args) -> int:
     fpv = read_dataset(args.fpv)
     tpv = read_dataset(args.tpv)
     pairs = mine_pseudo_pairs(fpv, tpv)
-    write_csv(args.out, ["fpv_index", "tpv_index", "similarity"],
-              ([p.fpv_index, p.tpv_index, repr(p.similarity)] for p in pairs))
+    header = ["fpv_index", "tpv_index", "similarity"]
+    rows = ([p.fpv_index, p.tpv_index, repr(p.similarity)] for p in pairs)
+    write_files([(args.out, lambda fh: dump_csv(header, rows, fh))])
     print(f"wrote {len(pairs)} pairs to {args.out}")
     return 0
 
@@ -181,9 +182,9 @@ def _cmd_stats(args) -> int:
     except BadEdgesError as exc:
         raise BadEdgesError(f"--edges: {exc}") from None
     buckets = zip(hist.bucket_edges, hist.bucket_edges[1:], hist.counts, hist.fractions)
-    write_csv(args.out, ["bucket_low", "bucket_high", "count", "fraction"],
-              ([repr(lo), repr(hi), int(count), repr(float(frac))]
-               for lo, hi, count, frac in buckets))
+    header = ["bucket_low", "bucket_high", "count", "fraction"]
+    rows = ([repr(lo), repr(hi), int(count), repr(float(frac))] for lo, hi, count, frac in buckets)
+    write_files([(args.out, lambda fh: dump_csv(header, rows, fh))])
     print(f"wrote histogram ({len(hist.counts)} buckets) to {args.out}")
     return 0
 

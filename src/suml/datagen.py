@@ -10,9 +10,10 @@ random matrix, so the same semantics look different from FPV vs TPV.
 RNG: numpy's default_rng (PCG64), seeded through SeedSequence; all
 generation is a pure function of (spec, seed).
 
-Datasets cross the file boundary as :class:`Corpus` columns: ``write_dataset``
-writes one JSON Lines record per clip, and ``read_dataset`` checks each record
-and collects its fields into columns.
+Datasets cross the file boundary as :class:`Corpus` columns: ``dump_dataset``
+writes one JSON Lines record per clip (commands write it through
+``atomic.write_files``), and ``read_dataset`` checks each record and collects
+its fields into columns.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .atomic import write_atomic
+from .atomic import write_files
 from .exceptions import (
     DatasetIOError,
     DatasetParseError,
@@ -194,7 +195,7 @@ def sample_dataset(world: SyntheticWorld, view: str, n: int, rng_seed: int) -> C
     for rows in (slice(i, i + 256) for i in range(0, n, 256)):
         frames[rows] += clean[verb_ids[rows], noun_ids[rows], None]
         narrations[rows] += text[verb_ids[rows], noun_ids[rows]]
-    # to unit norm, as l2_normalize does: a row's norm is the root of its BLAS dot
+    # to unit norm, one division by each row's norm, the root of the row's BLAS dot
     narrations /= np.sqrt(np.matmul(narrations[:, None], narrations[..., None])[:, 0])
     return Corpus(
         frames=frames,
@@ -269,8 +270,8 @@ def dump_dataset(corpus: Corpus, fh) -> None:
 
 
 def write_dataset(corpus: Corpus, path) -> None:
-    """:func:`dump_dataset` to ``path`` through ``write_atomic``."""
-    write_atomic(path, lambda fh: dump_dataset(corpus, fh))
+    """:func:`dump_dataset` to ``path`` through ``write_files``."""
+    write_files([(path, lambda fh: dump_dataset(corpus, fh))])
 
 
 def read_dataset(path) -> Corpus:

@@ -266,7 +266,9 @@ def cross_entropy(logits, labels) -> LossOutput:
     if logits.ndim not in (2, 3) or labels.shape != logits.shape[:-1]:
         raise ShapeMismatchError("logits must be (N, C) with N labels")
     n, c = logits.shape[-2:]
-    if labels.size and (labels.min() < 0 or labels.max() >= c):
+    # labels.min() and .max() as bare ufunc reductions, without their per-call wrappers
+    if labels.size and (np.minimum.reduce(labels, axis=None) < 0
+                        or np.maximum.reduce(labels, axis=None) >= c):
         raise LabelOutOfRangeError(f"labels must lie in [0, {c})")
     lse = logsumexp_rows(logits)
     true = np.arange(labels.size).reshape(labels.shape) * c + labels  # flat true-class index

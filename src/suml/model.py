@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .atomic import write_atomic
+from .atomic import write_files
 from .datagen import VIEWS
 from .exceptions import (
     ConfigValidationError,
@@ -273,7 +273,7 @@ def backward(stack: EncoderStack, cache: ForwardCache, grad_z, grad_logits,
     else:
         for grad in (*out.h.weights, *out.h.biases):
             grad.fill(0.0)
-    mlp_backward(stack.f, cache.f_acts, np.repeat(d_pool / t, t, axis=-2), out.f)
+    mlp_backward(stack.f, cache.f_acts, (d_pool / t).repeat(t, axis=-2), out.f)
     return out.params
 
 
@@ -352,8 +352,8 @@ def dump_checkpoint(stack: EncoderStack, stage: str, fh) -> None:
 
 
 def save_checkpoint(stack: EncoderStack, path, stage: str) -> None:
-    """:func:`dump_checkpoint` to ``path`` through ``write_atomic``."""
-    write_atomic(path, lambda fh: dump_checkpoint(stack, stage, fh))
+    """:func:`dump_checkpoint` to ``path`` through ``write_files``."""
+    write_files([(path, lambda fh: dump_checkpoint(stack, stage, fh))])
 
 
 def load_checkpoint(path):

@@ -10,7 +10,7 @@ import contextlib
 
 import numpy as np
 
-from .exceptions import AllocationError, ZeroNormError
+from .exceptions import AllocationError
 
 ZERO_NORM_EPS = 1e-12
 
@@ -30,15 +30,6 @@ def allocating(what: str):
 
 def as_f64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
-
-
-def l2_normalize(v) -> np.ndarray:
-    """Scale ``v`` to unit L2 norm, preserving direction."""
-    v = as_f64(v)
-    n = float(np.linalg.norm(v))
-    if n < ZERO_NORM_EPS:
-        raise ZeroNormError(f"cannot normalize vector with norm {n!r}")
-    return v / n
 
 
 def mean_rows(A: np.ndarray) -> np.ndarray:

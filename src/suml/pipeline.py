@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import losses, workers
-from .atomic import dump_csv, output_dir, write_atomic, write_files
+from .atomic import dump_csv, output_dir, write_files
 from .datagen import (
     CORPUS_COLUMNS,
     Corpus,
@@ -262,7 +262,7 @@ def _new_stack(config: TrainConfig, world_spec: WorldSpec, view: str, seeds) -> 
     return replace(stacks[0], params=np.stack([s.params for s in stacks]))
 
 
-def _train_stage(config, stage, seeds, views, n_rows, terms, batch_at, epoch_fields) -> list:
+def _train_stage(config, stage, seeds, views, n_rows, terms, batch_at, scored) -> list:
     """The epoch loop of both stages; returns the records, replica after replica.
 
     An epoch steps at the cosine rate through one shuffle of ``n_rows`` rows
@@ -270,10 +270,12 @@ def _train_stage(config, stage, seeds, views, n_rows, terms, batch_at, epoch_fie
     project)`` building each ``_Batch`` and ``terms`` its loss.  The stack of
     each ``_Batch`` cache field in ``views`` trains, on both fields' gradients
     under shared weights; ``backward`` writes each field's into a workspace of
-    its own, made once per stage.  A record holds each slot's mean batch value and the
-    fields ``epoch_fields(seen)`` returns, given the rows the epoch trained on;
-    a ``(stack, corpus)`` field holds ``evaluate_fpv`` of the stack as the epoch
-    left it, scored by the stage's scorer (``workers._Worker``) given a second CPU.
+    its own, made once per stage.  A record holds each slot's mean batch value,
+    the share of the epoch's rows whose pair passes theta (stage 2's ``gate``),
+    and per ``scored`` name -> (stack, corpus), ``evaluate_fpv`` of the stack as
+    the epoch left it.  Given a second CPU, a forked scorer (``workers._Worker``)
+    gets one request per epoch, every scored stack's params, and scores epoch e
+    while epoch e + 1 trains.
     """
     epochs = getattr(config, f"epochs_stage{stage}")
     min_rows = 1 if stage == 1 else 2  # an alignment term needs two pairs
@@ -292,28 +294,30 @@ def _train_stage(config, stage, seeds, views, n_rows, terms, batch_at, epoch_fie
     for field, stack in views.items():
         learners.setdefault(id(stack), (stack, np.zeros_like(stack.params), {}))[2][field] = (
             EncoderStack(np.empty(stack.params.shape), stack.dims))
-    epoch_records, pending = [], []  # per epoch: its loss means and fields; per request in flight
-    scorer, forks = None, workers._usable_cpus() > 1  # a scorer is forked given a second CPU
+    epoch_records, pending = [], []  # per epoch: its loss means and fields; per epoch in flight
 
-    def score(request):  # the fields ``names`` of ``targets``' stack at ``params``
-        names, params = request
-        stack = replace(targets[names[0]][0], params=params)
-        return [evaluate_fpv(stack, targets[name][1]) for name in names]
+    def score(params):  # every scored field, its stack at ``params[name]``
+        return {name: evaluate_fpv(replace(stack, params=params[name]), corpus)
+                for name, (stack, corpus) in scored.items()}
 
-    def collect():  # the oldest request's scores, into its epoch's fields
-        fields, names = pending.pop(0)
+    def collect():  # the oldest epoch in flight's scores, into its fields
         ok, value = scorer.reply(f"scoring stage {stage}")
         if not ok:
             raise value
-        fields.update(zip(names, value))
+        pending.pop(0).update(value)
 
+    forks = epochs and scored and workers._usable_cpus() > 1
+    scorer = workers._Worker(score) if forks else None  # it inherits ``scored``'s corpora
     try:
         for epoch in range(epochs):
             lr = cosine_lr(epoch, epochs, config.base_lr)
             order = np.stack([rng.permutation(n_rows) for rng in rngs])
             values = []  # per batch: each term's value, then the total's
+            passed = np.zeros(len(seeds), dtype=int)  # per replica: gated rows (none in stage 1)
             for b, idx in enumerate(order[..., i : i + config.batch_size] for i in starts):
                 batch = batch_at(idx, project)
+                if batch.gate is not None:
+                    passed += np.count_nonzero(batch.gate, axis=-1)
                 fused = dict(zip(tasks, _task_losses(tasks, batch)))
                 if contrastive:
                     fused.update(zip(contrastive, losses.contrastive_terms(contrastive, dict(
@@ -336,23 +340,17 @@ def _train_stage(config, stage, seeds, views, n_rows, terms, batch_at, epoch_fie
             means = dict(zip(slots, mean_rows(np.stack(values, axis=-1)).tolist()))
             if stage == 1:  # the gradient is the bare task loss; the record weighs it as stage 2 does
                 means["total"] = [config.loss.w_t * value for value in means["t"]]
-            fields = epoch_fields(order[..., : starts[-1] + config.batch_size])
+            seen = min(n_rows, starts[-1] + config.batch_size)  # the rows the batches covered
+            fields = {"selected_pair_fraction": (passed / seen).tolist()}
             epoch_records.append((epoch, means, fields))
-            targets, stacks = fields, {}  # per stack to score: the stack and its fields' names
-            for name, value in fields.items():
-                if isinstance(value, tuple):
-                    stacks.setdefault(id(value[0]), (value[0], []))[1].append(name)
-            requests = [(names, stack.params) for stack, names in stacks.values()]
-            if scorer is None and requests and forks:
-                scorer = workers._Worker(score)  # it inherits ``targets``' stacks and corpora
+            params = {name: stack.params for name, (stack, _) in scored.items()}
             if scorer is None:  # one usable CPU: scored here, on the stacks themselves
-                for request in requests:
-                    fields.update(zip(request[0], score(request)))
-                continue
-            pending.extend((fields, names) for names, _ in requests)
-            scorer.send(*requests)  # a copy of each stack's params
-            while len(pending) > len(requests):  # no more than two epochs are ever in flight
-                collect()
+                fields.update(score(params))
+            else:
+                pending.append(fields)
+                scorer.send(params)  # a copy of each stack's params, a shared stack's once
+                if len(pending) > 1:  # no more than two epochs are ever in flight
+                    collect()
         if scorer is not None:
             scorer.close()
         while pending:
@@ -392,11 +390,9 @@ def pretrain_tpv(
         cache = encode_batch(stack, tpv.frames[rows, idx], project=project)
         return _Batch(t=cache, labels_t=tpv.labels[rows, idx])
 
-    def epoch_fields(seen) -> dict:
-        return {"tpv_test_acc": (stack, tpv_test)} if tpv_test else {}
-
+    scored = {"tpv_test_acc": (stack, tpv_test)} if tpv_test else {}
     records = _train_stage(config, 1, seeds, {"t": stack}, tpv.labels.shape[-1],
-                           [("t", 1.0, _TPV_TASK)], batch_at, epoch_fields)
+                           [("t", 1.0, _TPV_TASK)], batch_at, scored)
     if metrics_sink is not None:
         metrics_sink.extend(records)
     return replica(stack, 0) if single else stack
@@ -482,18 +478,10 @@ def joint_train(
             tpv.narrations[rows, ti], gated[rows, idx], lc,
         )
 
-    def epoch_fields(seen) -> dict:
-        fields = {"selected_pair_fraction":
-                  (np.count_nonzero(gated[rows, seen], axis=-1) / seen.shape[-1]).tolist()}
-        if tpv_test:
-            fields["tpv_test_acc"] = (tpv_stack, tpv_test)
-        if fpv_test:
-            fields["fpv_train_acc"] = (fpv_stack, fpv)
-            fields["fpv_test_acc"] = (fpv_stack, fpv_test)
-        return fields
-
-    records = _train_stage(config, 2, seeds, views, pair_tpv.shape[-1], terms, batch_at,
-                           epoch_fields)
+    scored = {"tpv_test_acc": (tpv_stack, tpv_test)} if tpv_test else {}
+    if fpv_test:
+        scored.update(fpv_train_acc=(fpv_stack, fpv), fpv_test_acc=(fpv_stack, fpv_test))
+    records = _train_stage(config, 2, seeds, views, pair_tpv.shape[-1], terms, batch_at, scored)
     if single:
         fpv_stack = replica(fpv_stack, 0)
         tpv_stack = fpv_stack if shared else replica(tpv_stack, 0)
@@ -506,8 +494,8 @@ def dump_metrics(records, fh) -> None:
 
 
 def write_metrics_jsonl(records, path) -> None:
-    """:func:`dump_metrics` to ``path`` through ``write_atomic``."""
-    write_atomic(path, lambda fh: dump_metrics(records, fh))
+    """:func:`dump_metrics` to ``path`` through ``write_files``."""
+    write_files([(path, lambda fh: dump_metrics(records, fh))])
 
 
 def effective_config(world_spec: WorldSpec, config: TrainConfig) -> dict:

@@ -31,10 +31,10 @@ class _Worker:
     ``output_dir`` cleanup, a test fixture) unwinds in it.
 
     ``_map_forked`` sends each worker its item indices up front.  A scored
-    stage's scorer (``pipeline._train_stage``) gets a copy of each stack's
-    ``params`` per epoch and scores epoch e, bitwise as inline, while epoch
-    e + 1 trains.  Each caller reaps its workers on every path, so no child
-    outlives the call that forked it.
+    stage's scorer (``pipeline._train_stage``) gets one request per epoch, a
+    copy of every scored stack's ``params``, and scores epoch e, bitwise as
+    inline, while epoch e + 1 trains.  Each caller reaps its workers on every
+    path, so no child outlives the call that forked it.
     """
 
     def __init__(self, fn):

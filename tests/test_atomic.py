@@ -1,26 +1,26 @@
 import pytest
 
-from suml.atomic import make_dirs, output_dir, write_atomic, write_csv, write_files
+from suml.atomic import dump_csv, make_dirs, output_dir, write_files
 from suml.exceptions import DatasetIOError
 
 
-def test_write_atomic_replaces_the_file(tmp_path):
+def test_write_files_of_one_output_replaces_the_file(tmp_path):
     target = tmp_path / "out.txt"
     target.write_text("old")
-    write_atomic(target, lambda fh: fh.write("a\nb\n"))
+    write_files([(target, lambda fh: fh.write("a\nb\n"))])
     assert target.read_bytes() == b"a\nb\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
-def test_write_atomic_onto_a_directory_is_an_io_error(tmp_path):
+def test_write_files_of_one_output_onto_a_directory_is_an_io_error(tmp_path):
     target = tmp_path / "dir"
     target.mkdir()
     with pytest.raises(DatasetIOError):
-        write_atomic(target, lambda fh: fh.write("x"))
+        write_files([(target, lambda fh: fh.write("x"))])
     assert [p.name for p in tmp_path.iterdir()] == ["dir"]
 
 
-def test_write_atomic_failure_keeps_the_old_file(tmp_path):
+def test_write_files_of_one_output_failing_midway_keeps_the_old_file(tmp_path):
     target = tmp_path / "out.txt"
     target.write_text("old")
 
@@ -29,7 +29,7 @@ def test_write_atomic_failure_keeps_the_old_file(tmp_path):
         raise RuntimeError("interrupted")
 
     with pytest.raises(RuntimeError):
-        write_atomic(target, fail_midway)
+        write_files([(target, fail_midway)])
     assert target.read_text() == "old"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
@@ -70,17 +70,17 @@ def test_write_files_failing_to_fill_a_file_leaves_none(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_write_csv_writes_the_header_then_the_rows(tmp_path):
+def test_dump_csv_through_write_files_writes_the_header_then_the_rows(tmp_path):
     target = tmp_path / "out.csv"
     rows = ([i, repr(x), "a,b"] for i, x in enumerate([0.1, 1 / 3]))
-    write_csv(target, ["index", "value", "note"], rows)
+    write_files([(target, lambda fh: dump_csv(["index", "value", "note"], rows, fh))])
     assert target.read_bytes() == (
         b'index,value,note\r\n0,0.1,"a,b"\r\n1,0.3333333333333333,"a,b"\r\n'
     )
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
-def test_write_csv_rows_failing_midway_leave_no_file(tmp_path):
+def test_dump_csv_rows_failing_midway_leave_no_file(tmp_path):
     target = tmp_path / "out.csv"
 
     def rows():
@@ -88,7 +88,7 @@ def test_write_csv_rows_failing_midway_leave_no_file(tmp_path):
         raise RuntimeError("interrupted")
 
     with pytest.raises(RuntimeError):
-        write_csv(target, ["a", "b"], rows())
+        write_files([(target, lambda fh: dump_csv(["a", "b"], rows(), fh))])
     assert list(tmp_path.iterdir()) == []
 
 

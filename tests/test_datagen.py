@@ -13,7 +13,6 @@ from suml.datagen import (
     write_dataset,
 )
 from suml.exceptions import DatasetParseError, InvalidSpecError, InvalidViewError
-from suml.numerics import l2_normalize
 
 SPEC = WorldSpec(n_verbs=4, n_nouns=6, text_dim=16, feat_dim=12, frames_per_clip=3)
 
@@ -53,6 +52,11 @@ def test_zero_overlap_world_has_no_tpv_nouns():
     assert w.tpv_noun_set == ()
     with pytest.raises(InvalidSpecError):
         sample_dataset(w, "tpv", 4, 0)
+
+
+def l2_normalize(v):
+    """``v`` scaled to unit L2 norm: one division by its norm."""
+    return v / float(np.linalg.norm(v))
 
 
 def narration_vector(world, verb_id, noun_id, noise=None):

@@ -1,26 +1,10 @@
 import numpy as np
 import pytest
 
-from suml.exceptions import ZeroNormError
 from suml.numerics import (
     as_f64,
-    l2_normalize,
     logsumexp_rows,
 )
-
-
-def test_l2_normalize_unit_norm(rng):
-    for _ in range(50):
-        v = rng.standard_normal(rng.integers(1, 20)) * 10.0 ** rng.integers(-3, 4)
-        u = l2_normalize(v)
-        assert np.isclose(np.linalg.norm(u), 1.0, atol=1e-12)
-        # direction preserved
-        assert np.allclose(u * np.linalg.norm(v), v, atol=1e-9)
-
-
-def test_l2_normalize_zero_vector_raises():
-    with pytest.raises(ZeroNormError):
-        l2_normalize(np.zeros(5))
 
 
 def test_logsumexp_matches_naive_in_safe_range(rng):

@@ -24,6 +24,7 @@ from suml.exceptions import (
     ZeroNormError,
 )
 from suml.losses import LossConfig
+from suml.mining import mine_pseudo_pairs, select_pairs
 from suml.model import init_stack, replica
 from suml.numerics import logsumexp_rows, mean_rows
 from suml.pipeline import (
@@ -504,6 +505,26 @@ def test_stage2_epoch_means_reduce_each_replicas_batch_values(monkeypatch):
             assert getattr(record, f"loss_{slot}") == want.tolist()[0]
 
 
+@pytest.mark.parametrize("n_fpv_train", [70, 65], ids=["short-last-batch", "dropped-tail"])
+@pytest.mark.parametrize("seeds", [None, [0, 1]], ids=["single", "two-seeds"])
+def test_selected_pair_fraction_counts_the_gated_rows_the_batches_covered(n_fpv_train, seeds):
+    # 70 rows are 8 batches of 8 and one of 6; of 65 rows, the 1-row tail is no batch
+    cfg = replace(FAST, tpv_mode="same_init", n_fpv_train=n_fpv_train)
+    run_seeds = seeds or [cfg.seed]
+    sets = [tuple(train_sets(replace(cfg, seed=seed))) for seed in run_seeds]
+    fpv, tpv = sets[0] if seeds is None else (stack_datasets(view) for view in zip(*sets))
+    _, _, records = joint_train(cfg, WORLD, fpv, tpv, None, seeds=seeds)
+    covered = n_fpv_train - (n_fpv_train % cfg.batch_size == 1)
+    want = []
+    for seed, (fpv_r, tpv_r) in zip(run_seeds, sets):
+        gated = select_pairs(mine_pseudo_pairs(fpv_r, tpv_r), cfg.loss.theta).selected
+        rng = np.random.default_rng(np.random.SeedSequence(derive_seeds(seed)["stage2_shuffle"]))
+        for _ in range(cfg.epochs_stage2):
+            seen = rng.permutation(n_fpv_train)[:covered]
+            want.append(float.hex(np.count_nonzero(gated[seen]) / seen.shape[-1]))
+    assert [float.hex(r.selected_pair_fraction) for r in records] == want
+
+
 @pytest.mark.parametrize("replicas", [1, 3])
 def test_fused_task_losses_equal_one_call_per_view_bitwise(rng, replicas):
     logits = {v: rng.standard_normal((replicas, 8, 5)) * 4 for v in "ft"}
@@ -822,6 +843,19 @@ def test_a_single_run_forks_one_scorer_per_scored_stage(monkeypatch, cpus, score
     assert run_experiment(FAST, WORLD).final_fpv_test_acc >= 0.0
     # one scorer per stage with test sets, none on one CPU, and every scorer reaped
     assert len(forks) == scorers
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("tpv_mode", ["trainable", "same_init"])
+def test_a_forked_scorer_gets_one_request_per_scored_epoch(monkeypatch, tpv_mode):
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
+    sends = count_calls(monkeypatch, workers._Worker, "send")
+    cfg = replace(FAST, tpv_mode=tpv_mode)
+    run_experiment(cfg, WORLD)
+    # every scored stack's params in one request, stage 1's only where it trains
+    stage1_epochs = cfg.epochs_stage1 if tpv_mode != "same_init" else 0
+    assert len(sends) == stage1_epochs + cfg.epochs_stage2
+    assert all(len(args) == 2 for _, args in sends)  # the worker, then one request
     assert_no_child_left()
 
 
