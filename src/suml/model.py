@@ -348,7 +348,7 @@ def dump_checkpoint(stack: EncoderStack, stage: str, fh) -> None:
         "h": _mlp_to_json(stack.h),
         "g": _mlp_to_json(stack.g),
     }
-    json.dump(doc, fh)
+    fh.write(json.dumps(doc))  # json.dump's bytes, through the C encoder json.dump never uses
 
 
 def save_checkpoint(stack: EncoderStack, path, stage: str) -> None:

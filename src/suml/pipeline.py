@@ -411,6 +411,15 @@ def _stage2_terms(method: str, lc: LossConfig) -> list:
     ]
 
 
+def _reads_stage1(config: TrainConfig, scored: bool) -> bool:
+    """Whether a cell of ``config`` reads the stage-1 TPV stack: never under
+    ``same_init``; else when a TPV test set scores its clone (``scored``), under
+    ``shared_weights``, or when a stage-2 term beyond the FPV task is in use."""
+    return config.tpv_mode != "same_init" and (
+        scored or config.tpv_mode == "shared_weights"
+        or len(_stage2_terms(config.method, config.loss)) > 1)
+
+
 def joint_train(
     config: TrainConfig,
     world_spec: WorldSpec,
@@ -423,10 +432,11 @@ def joint_train(
 ):
     """Stage 2: mine pairs, gate by theta, train under the combined objective.
 
-    Trains a clone of ``tpv_stack``, which is left as it is given; under
-    ``same_init`` a missing one starts as a copy of the FPV init.  Only the
-    clone's ``frozen`` flag says whether the TPV stack trains, and it is set
-    from ``tpv_mode``.  Returns (fpv_stack, tpv_stack, metrics records).
+    Trains a clone of ``tpv_stack``, which is left as it is given.  It may be
+    None only where nothing reads it (``_reads_stage1``: ``same_init``, or an
+    unscored cell that trains the FPV task alone); a copy of the FPV init then
+    stands in.  Only the TPV stack's ``frozen`` flag says whether it trains, and
+    it is set from ``tpv_mode``.  Returns (fpv_stack, tpv_stack, metrics records).
 
     With ``seeds``, trains one replica per seed: the datasets are
     ``stack_datasets`` corpora, the stacks are stacked and the records come
@@ -442,7 +452,7 @@ def joint_train(
         if single:
             tpv_stack = replace(tpv_stack, params=tpv_stack.params[None])
         tpv_stack = replace(clone_stack(tpv_stack), frozen=config.tpv_mode == "frozen")
-    elif config.tpv_mode != "same_init":
+    elif _reads_stage1(config, bool(tpv_test)):
         raise ConfigError(f"{config.tpv_mode} mode requires a stage-1 TPV stack")
 
     if config.tpv_mode == "shared_weights":
@@ -450,7 +460,8 @@ def joint_train(
     else:
         fpv_stack = _new_stack(config, world_spec, "fpv", seeds)
         if tpv_stack is None:
-            tpv_stack = replace(clone_stack(fpv_stack), view="tpv")
+            tpv_stack = replace(clone_stack(fpv_stack), view="tpv",
+                                frozen=config.tpv_mode == "frozen")
 
     # Narrations are fixed inputs, so mining once equals mining every epoch;
     # mining gives pair i to FPV clip i, so a batch's indices are its FPV rows.
@@ -544,12 +555,15 @@ def _train_cells(cell_configs: list, seed_configs: list, world_spec: WorldSpec, 
     tpv_stack, records, final FPV and TPV test accuracies per seed].  ``scored``,
     all four sets are drawn up front and every epoch scores its test sets.
     Unscored, no TPV test set is drawn, a cell keeps only its FPV stack and FPV
-    accuracies, and the train sets are freed before any FPV test set is drawn.
+    accuracies (TPV ones None), and the train sets are freed before any FPV
+    test set is drawn.
 
-    Once stage 1 is trained, the cells are independent: each reads the stage-1
-    stack and the sets, and none reads another's output.  So they train in up
-    to one process per usable CPU (``workers._map_forked``), bitwise as in one process;
-    a one-cell grid, as a single run is, forks no cell worker.
+    Three ``workers._map_forked`` maps run each job once what it reads exists,
+    bitwise as in one process: stage 1 (the parent's item 0), trained only if a
+    cell reads it (``_reads_stage1``), beside the cells that do not; the other
+    cells, which inherit it by fork; per seed, its FPV test draw (unscored) and
+    its replica of every cell scored.  Failures are raised in that order, cells
+    in grid order within a map.  A single run (one cell, one seed) forks none.
     """
     seeds = [cfg.seed for cfg in seed_configs]
     worlds = [build_world(world_spec, seed) for seed in seeds]
@@ -561,29 +575,38 @@ def _train_cells(cell_configs: list, seed_configs: list, world_spec: WorldSpec, 
     splits = ("fpv_train", "tpv_train", "fpv_test", "tpv_test")[: 4 if scored else 2]
     sets = {split: stack_datasets([draw(split, r) for r in range(len(seeds))]) for split in splits}
     fpv_test, tpv_test = sets.get("fpv_test"), sets.get("tpv_test")
-    stage1_config = next((c for c in cell_configs if c.tpv_mode != "same_init"), None)
+    reads = [_reads_stage1(cfg, scored) for cfg in cell_configs]
+    stage1_config = next((c for c, r in zip(cell_configs, reads) if r), None)
     stage1_records = [] if scored else None
-    stage1 = None if stage1_config is None else pretrain_tpv(
-        stage1_config, world_spec, sets["tpv_train"], tpv_test, stage1_records, seeds)
+    stage1 = None  # the first map's cells do not read it; the second map's inherit it
 
-    def train_cell(cfg):  # unscored, what it returns is the FPV stack only
+    def train(cfg):  # stage 1 (None) or a cell, which unscored returns its FPV stack only
+        if cfg is None:
+            return pretrain_tpv(stage1_config, world_spec, sets["tpv_train"], tpv_test,
+                                stage1_records, seeds)
         fpv, tpv, records = joint_train(cfg, world_spec, sets["fpv_train"], sets["tpv_train"],
-                                        None if cfg.tpv_mode == "same_init" else stage1,
-                                        fpv_test, tpv_test, seeds)
+                                        stage1, fpv_test, tpv_test, seeds)
         return (fpv, tpv, records) if scored else (fpv, None, None)
 
-    trained = workers._map_forked(train_cell, cell_configs,
-                                  lambda c: f"training cell {c.method} x {c.tpv_mode}")
-    cells = [[fpv, tpv, stage1_records + records, [], []] if scored else [fpv, None, None, [], None]
-             for fpv, tpv, records in trained]
+    cell = lambda c: f"training cell {c.method} x {c.tpv_mode}"  # stage 1 is the parent's
+    first = [None] * (stage1_config is not None) + [c for c, r in zip(cell_configs, reads) if not r]
+    done = workers._map_forked(train, first, cell)
+    if stage1_config is not None:
+        stage1 = done.pop(0)
+    later = iter(workers._map_forked(train, [c for c, r in zip(cell_configs, reads) if r], cell))
+    done = iter(done)
+    trained = [next(later if r else done) for r in reads]  # back in grid order
     del sets  # no cell reads the train sets again: freed before any test set is drawn
-    for r in range(len(seeds)):
+
+    def score(r):  # seed r's final (FPV, TPV) test accuracies, per cell
         fpv_test_r = _replica_corpus(fpv_test, r) if scored else draw("fpv_test", r)
-        for fpv, tpv, _, fpv_accs, tpv_accs in cells:
-            fpv_accs.append(evaluate_fpv(replica(fpv, r), fpv_test_r))
-            if scored:
-                tpv_accs.append(evaluate_fpv(replica(tpv, r), _replica_corpus(tpv_test, r)))
-    return stage1, cells
+        return [(evaluate_fpv(replica(fpv, r), fpv_test_r),
+                 evaluate_fpv(replica(tpv, r), _replica_corpus(tpv_test, r)) if scored else None)
+                for fpv, tpv, _ in trained]
+
+    scores = workers._map_forked(score, range(len(seeds)), lambda r: f"scoring seed {seeds[r]}")
+    return stage1, [[fpv, tpv, stage1_records + records if scored else None, *zip(*accs)]
+                    for (fpv, tpv, records), accs in zip(trained, zip(*scores))]
 
 
 def run_experiment(
@@ -621,9 +644,10 @@ def run_ablation_grid(
     work starts.  Each cell trains its seeds as replicas of one stacked model and
     scores no epoch (``_train_cells``); each replica's accuracy equals
     ``run_experiment`` on its config, and rows keep method, tpv_mode, seed order.
-    The cells train in up to one process per usable CPU, this one among them,
-    and the rows are bitwise those of one process; a failing cell's error is
-    raised after every worker process has ended.
+    Stage 1, the cells and each seed's final scoring run in up to one process
+    per usable CPU, this one among them, and the rows are bitwise those of one
+    process; the first error in ``_train_cells``' schedule order is raised
+    after every worker process has ended.
     ``out_dir`` gets the rows and the effective config, ``base_config``'s, once
     the grid succeeds; a failed grid leaves no ``out_dir`` it created.
     """

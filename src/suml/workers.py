@@ -1,7 +1,7 @@
-"""The process layer: ``_map_forked`` runs independent items (the grid's cells, the
-gradient suite's instances) in up to one process per usable CPU, and ``_Worker`` is
-one forked child, as a scored stage keeps for its scorer.  On one usable CPU
-(``taskset -c 0``) nothing is forked."""
+"""The process layer: ``_map_forked`` runs independent items (stage 1 and the grid's
+cells, each seed's final scoring, the gradient suite's instances) in up to one process
+per usable CPU, and ``_Worker`` is one forked child, as a scored stage keeps for its
+scorer.  On one usable CPU (``taskset -c 0``) nothing is forked."""
 
 from __future__ import annotations
 

@@ -808,7 +808,8 @@ def test_synth_that_cannot_write_its_config_leaves_no_dataset(tmp_path, config_f
 
 def test_divergence_in_a_forked_cell_exits_one_and_leaves_no_process(tmp_path, capsys,
                                                                      monkeypatch, config_file):
-    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)  # fpv_only here, sum_l in a child
+    # stage 1 here beside fpv_only in a child, which reads no stage-1 stack; then sum_l here
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
     parent, joint_train = os.getpid(), pipeline.joint_train
 
     def diverge_in_a_child(cfg, *args):
@@ -821,7 +822,7 @@ def test_divergence_in_a_forked_cell_exits_one_and_leaves_no_process(tmp_path, c
     assert main(["ablate", "--config", config_file, "--methods", "fpv_only,sum_l",
                  "--seeds", "0,1", "--out-dir", str(out_dir)]) == 1
     err = capsys.readouterr().err
-    assert err == "error: seed 0: stage 2 diverged in the sum_l child\n"
+    assert err == "error: seed 0: stage 2 diverged in the fpv_only child\n"
     assert not out_dir.exists()
     with pytest.raises(ChildProcessError):  # every worker was reaped
         os.waitpid(-1, os.WNOHANG)

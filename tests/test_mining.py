@@ -161,6 +161,23 @@ def test_mining_rejects_a_non_finite_narration_naming_its_view(view, value):
         mine_pseudo_pairs(narrations("fpv", fpv), narrations("tpv", tpv))
 
 
+@pytest.mark.parametrize("special", [None, "zero", "overflow", "nan"])
+@pytest.mark.parametrize("n", [1, 7, 1000])
+def test_norms_equal_each_rows_linalg_norm_bitwise(rng, n, special):
+    M = rng.standard_normal((n, 24))
+    row = M[n // 2]
+    if special == "zero":
+        row[:] = 0.0
+    elif special == "overflow":
+        row[:] = 1e300  # finite entries whose sum of squares is inf
+    elif special == "nan":
+        row[3] = np.nan
+    with np.errstate(over="ignore"):
+        want = np.array([float(np.linalg.norm(v)) for v in M])
+        got = mining._norms(M)
+    assert got.shape == (n,) and got.tobytes() == want.tobytes()
+
+
 def _pairs(sims):
     return [PseudoPair(i, i, s) for i, s in enumerate(sims)]
 

@@ -18,6 +18,7 @@ from suml.datagen import WorldSpec, generate_world, read_dataset, sample_dataset
 from suml.exceptions import (
     ConfigError,
     ConfigValidationError,
+    DivergenceError,
     EmptySetError,
     LabelOutOfRangeError,
     WorkerError,
@@ -306,6 +307,7 @@ def test_grid_cells_equal_independent_runs():
 
 
 def test_grid_shares_datasets_and_stage1_per_seed(monkeypatch):
+    one_worker(monkeypatch)  # so that the FPV test draws, in the scoring map, are seen
     stage1 = count_calls(monkeypatch, pipeline, "pretrain_tpv")
     draws = count_calls(monkeypatch, pipeline, "sample_dataset")
     seeds = [0, 1, 2]
@@ -317,6 +319,7 @@ def test_grid_shares_datasets_and_stage1_per_seed(monkeypatch):
 
 
 def test_same_init_grid_skips_stage1(monkeypatch):
+    one_worker(monkeypatch)  # so that the FPV test draws, in the scoring map, are seen
     stage1 = count_calls(monkeypatch, pipeline, "pretrain_tpv")
     draws = count_calls(monkeypatch, pipeline, "sample_dataset")
     run_ablation_grid(GRID_TRAIN, GRID_WORLD, ["fpv_only", "sum_l"], ["same_init"], [0, 1])
@@ -361,6 +364,76 @@ def test_grid_draws_each_fpv_test_set_after_every_cell_is_trained(monkeypatch):
     # the train sets are freed before any test set is drawn, and no cell reads a TPV test set
     assert len(fpv_tests) == len(seeds) and min(fpv_tests) > last_train
     assert "tpv_test" not in order
+
+
+@pytest.mark.parametrize("scored", [False, True])
+@pytest.mark.parametrize("tpv_mode", TPV_MODES)
+@pytest.mark.parametrize("method", METHODS)
+def test_reads_stage1_truth_table(method, tpv_mode, scored):
+    cfg = replace(FAST, method=method, tpv_mode=tpv_mode)
+    reads = tpv_mode != "same_init" and (
+        scored or tpv_mode == "shared_weights" or method != "fpv_only")
+    assert pipeline._reads_stage1(cfg, scored) is reads
+    # with every weight zero, each method trains the FPV task alone, as fpv_only
+    zeroed = replace(cfg, loss=LossConfig(w_t=0.0, w_aw=0.0, w_m=0.0))
+    assert pipeline._reads_stage1(zeroed, scored) is pipeline._reads_stage1(
+        replace(cfg, method="fpv_only"), scored)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_stage1_trains_in_the_parent_beside_a_cell_that_does_not_read_it(monkeypatch, tmp_path):
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
+    log, parent = tmp_path / "calls.txt", os.getpid()
+
+    def logged(module, name, what):  # appends "name what pid", from this process or a child
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{name} {what(*args)} {os.getpid()}\n")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    logged(os, "fork", lambda: "-")
+    logged(pipeline, "pretrain_tpv", lambda *args: "-")
+    logged(pipeline, "joint_train", lambda cfg, *args: cfg.method)
+    run_ablation_grid(GRID_TRAIN, GRID_WORLD, ["fpv_only", "sum_l"], ["trainable"], [0, 1])
+    calls = [line.split() for line in log.read_text().splitlines()]
+    pid = {(name, what): int(p) for name, what, p in calls if name != "fork"}
+    assert pid[("pretrain_tpv", "-")] == parent and pid[("joint_train", "sum_l")] == parent
+    assert pid[("joint_train", "fpv_only")] != parent
+    # the parent forks fpv_only's worker before it trains stage 1, and then the scoring worker
+    ours = [name for name, _, p in calls if int(p) == parent]
+    assert ours == ["fork", "pretrain_tpv", "joint_train", "fork"]
+    assert_no_child_left()
+
+
+def test_a_grid_no_cell_of_which_reads_stage1_trains_none(monkeypatch):
+    stage1 = count_calls(monkeypatch, pipeline, "pretrain_tpv")
+    tpv_modes, seeds = ["trainable", "frozen"], [0, 1]
+    runs, _ = run_ablation_grid(GRID_TRAIN, GRID_WORLD, ["fpv_only"], tpv_modes, seeds)
+    assert stage1 == []
+    assert runs == [
+        {"method": "fpv_only", "tpv_mode": t, "seed": s, "final_fpv_acc": run_experiment(
+            replace(GRID_TRAIN, method="fpv_only", tpv_mode=t, seed=s), GRID_WORLD
+        ).final_fpv_test_acc}
+        for t in tpv_modes for s in seeds
+    ]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_grid_raises_the_failure_of_the_cell_beside_stage1_first(monkeypatch, cpus):
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
+
+    def diverge(cfg, *args):
+        raise DivergenceError(f"seed 0: stage 2 diverged in {cfg.method}")
+
+    monkeypatch.setattr(pipeline, "joint_train", diverge)  # a forked worker inherits it
+    # in grid order sum_l comes first, but it reads stage 1, so fpv_only trains first
+    with pytest.raises(DivergenceError, match="^seed 0: stage 2 diverged in fpv_only$"):
+        run_ablation_grid(GRID_TRAIN, GRID_WORLD, ["sum_l", "fpv_only"], ["trainable"], [0, 1])
+    assert_no_child_left()
 
 
 def test_single_run_draws_all_four_sets_before_stage1(monkeypatch):
@@ -801,7 +874,12 @@ def test_forked_grid_equals_the_one_worker_grid_bitwise(monkeypatch, one_worker_
         assert len(rows) == cells
         assert all(math.isfinite(r["mean_fpv_acc"]) and math.isfinite(r["std_fpv_acc"])
                    for r in rows)
-    assert len(forks) == len(NEGATIVE_SET_MODES) * (min(cells, workers._usable_cpus()) - 1)
+    # per grid, three maps: stage 1 beside the 8 cells that do not read it (every
+    # same_init cell, fpv_only trainable and frozen), the other 16, and 2 seeds' scoring
+    maps = (1 + 8, 16, 2)
+    assert maps[0] - 1 + maps[1] == cells
+    usable = workers._usable_cpus()
+    assert len(forks) == len(NEGATIVE_SET_MODES) * sum(min(n, usable) - 1 for n in maps)
     assert_no_child_left()
 
 
